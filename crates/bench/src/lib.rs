@@ -10,8 +10,8 @@
 //!   ([`table4`]).
 //!
 //! The `tables` binary prints them in the paper's layout and writes a
-//! JSON report; the criterion benches in `benches/` measure the same
-//! pipelines under the harness.
+//! JSON report. End-to-end and per-layer performance is measured by the
+//! `bench_all` binary (see its README).
 
 #![warn(missing_docs)]
 
@@ -51,8 +51,8 @@ impl Approach {
 
 /// Runs one synthesis with the given approach at paper scale.
 ///
-/// `fast_baseline` caps the sampling ladder (criterion runs); the tables
-/// harness uses the full ladder like the paper.
+/// `fast_baseline` caps the sampling ladder (`tables --fast`); the full
+/// run uses the whole ladder like the paper.
 pub fn synthesize(
     program: &tce_ir::Program,
     approach: Approach,
@@ -250,35 +250,6 @@ pub fn format_table4(rows: &[Table4Row]) -> String {
         ));
     }
     s
-}
-
-/// The DCS models the solver benches and the `solver_race` binary run
-/// on: the paper's two-index transform, the four-index transform at
-/// paper scale, and a CCSD doubles term from the operation-minimized
-/// workloads.
-pub fn solver_models() -> Vec<(&'static str, tce_solver::Model)> {
-    use tce_core::model::build_model;
-    use tce_tile::{enumerate_placements, tile_program};
-
-    let mut out = Vec::new();
-    let two = tce_ir::fixtures::two_index_paper();
-    let tiled = tile_program(&two);
-    let space = enumerate_placements(&tiled, 1 << 30).expect("space");
-    let dcs = build_model(&space, two.ranges(), 2 << 20, 1 << 20, true);
-    out.push(("two_index_paper", dcs.model));
-
-    let four = four_index_fused(140, 120);
-    let tiled = tile_program(&four);
-    let space = enumerate_placements(&tiled, 2 << 30).expect("space");
-    let dcs = build_model(&space, four.ranges(), 2 << 20, 1 << 20, true);
-    out.push(("four_index_140", dcs.model));
-
-    let ccsd = tce_opmin::derive_program(&tce_opmin::ccsd_doubles_quadratic(40, 80));
-    let tiled = tile_program(&ccsd);
-    let space = enumerate_placements(&tiled, 2 << 30).expect("space");
-    let dcs = build_model(&space, ccsd.ranges(), 2 << 20, 1 << 20, true);
-    out.push(("ccsd_doubles_40_80", dcs.model));
-    out
 }
 
 #[cfg(test)]

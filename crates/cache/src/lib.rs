@@ -14,8 +14,8 @@
 //! * cache values are full solver outcomes plus the generated plan,
 //!   stored as versioned, integrity-hashed JSON records
 //!   ([`record::CacheRecord`]) in a content-addressed directory fronted
-//!   by a swappable in-memory concurrent map ([`SynthesisCache`] over the
-//!   [`map::CacheMap`] seam — lock-striped sharded LRU by default);
+//!   by a lock-striped in-memory LRU ([`SynthesisCache`] over
+//!   [`map::ShardedLruMap`]);
 //! * on a hit the stored point is *revalidated* against the request's own
 //!   model before being replayed through `finish_dcs`, so collisions
 //!   degrade to misses and a hit returns a bit-identical
@@ -41,10 +41,7 @@ pub use cached::{
     PreparedRequest,
 };
 pub use fsfault::{FsFaultInjector, FsFaultKind, FsFaultPlan};
-pub use map::{
-    map_from_env, CacheMap, CacheMapHandle, MapStats, MutexLruMap, ShardedLruMap, MAP_KIND_ENV,
-    SHARDS_ENV,
-};
+pub use map::{MapStats, ShardedLruMap};
 pub use record::{CacheRecord, RECORD_SCHEMA};
 pub use store::{CacheStats, SynthesisCache, CACHE_DIR_ENV, DEFAULT_LRU_CAP, LRU_CAP_ENV};
 

@@ -1,36 +1,24 @@
-//! The in-memory cache map seam: swappable concurrent map adapters
-//! behind a stable [`CacheMap`]/[`CacheMapHandle`] trait pair.
+//! The in-memory half of the synthesis cache: a lock-striped LRU map.
 //!
 //! The serving hot path is warm-hit dominated: at scale, almost every
 //! request resolves to an in-memory lookup, so the map's lock discipline
-//! *is* the throughput ceiling. This module isolates that choice behind
-//! an adapter seam (the `Collection`/`CollectionHandle` pattern from
-//! map-bench) so implementations can be swapped and raced against each
-//! other without touching [`crate::store::SynthesisCache`] callers:
-//!
-//! * [`MutexLruMap`] — the original single-`Mutex` exact LRU, kept as the
-//!   baseline adapter (and the reference for eviction semantics);
-//! * [`ShardedLruMap`] — the default: lock-striped shards, each a small
-//!   LRU with its own lock and its own atomic hit/miss counters, so
-//!   concurrent warm hits on different shards never serialize. Eviction
-//!   is *approximately* global: each shard evicts locally at
-//!   `ceil(capacity / shards)` records, bounding total residency at
-//!   roughly the configured capacity without any global bookkeeping.
+//! *is* the throughput ceiling. [`ShardedLruMap`] splits the key space
+//! into shards, each a small LRU with its own lock and its own atomic
+//! hit/miss counters, so concurrent warm hits on different shards never
+//! serialize. Eviction is *approximately* global: each shard evicts
+//! locally at `ceil(capacity / shards)` records, bounding total residency
+//! at roughly the configured capacity without any global bookkeeping. A
+//! single-shard map is an exact LRU.
 //!
 //! Per-shard counters are plain atomics aggregated on read
-//! ([`CacheMap::map_stats`]) — there is no stats lock to race against
-//! the map lock, which closes the split-lock divergence the old
+//! ([`ShardedLruMap::map_stats`]) — there is no stats lock to race
+//! against the map lock, which closes the split-lock divergence the old
 //! `Mutex<Lru>` + `Mutex<CacheStats>` pair allowed.
 
 use crate::record::CacheRecord;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Environment variable selecting the map adapter (`sharded` | `mutex`).
-pub const MAP_KIND_ENV: &str = "TCE_CACHE_MAP";
-/// Environment variable overriding the sharded adapter's shard count.
-pub const SHARDS_ENV: &str = "TCE_CACHE_SHARDS";
 
 /// Aggregated per-shard operation counters, read without locking.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -41,52 +29,19 @@ pub struct MapStats {
     pub not_found: u64,
     /// Inserts (fresh or overwriting).
     pub puts: u64,
-    /// Number of lock stripes in the adapter (1 for the mutex baseline).
+    /// Number of lock stripes in the map.
     pub shards: usize,
-}
-
-/// A swappable in-memory record map (map-bench `Collection` style).
-///
-/// Object-safe on purpose: [`crate::store::SynthesisCache`] holds a
-/// `Box<dyn CacheMap>` so the adapter is a runtime choice, and the shared
-/// `get`/`put` entry points go straight at the adapter without the
-/// per-call allocation a pinned handle would cost. [`CacheMap::pin`]
-/// exists for benchmark loops that want the map-bench per-thread-handle
-/// shape explicitly.
-pub trait CacheMap: Send + Sync {
-    /// Adapter name, for reports and benchmarks.
-    fn name(&self) -> &'static str;
-    /// Pins a per-thread handle (map-bench `Collection::pin`).
-    fn pin(&self) -> Box<dyn CacheMapHandle + '_>;
-    /// Looks up `key`, promoting it in the adapter's recency order.
-    fn get(&self, key: &str) -> Option<Arc<CacheRecord>>;
-    /// Inserts (or refreshes) `key`, evicting per adapter policy.
-    fn put(&self, key: &str, rec: Arc<CacheRecord>);
-    /// Records currently resident in memory.
-    fn resident(&self) -> usize;
-    /// Aggregates the adapter's atomic counters.
-    fn map_stats(&self) -> MapStats;
-}
-
-/// Per-thread view of a [`CacheMap`] (map-bench `CollectionHandle`
-/// style). Benchmarks pin one per worker thread and hammer it in a
-/// loop.
-pub trait CacheMapHandle {
-    /// Looks up `key`.
-    fn get(&mut self, key: &str) -> Option<Arc<CacheRecord>>;
-    /// Inserts (or refreshes) `key`.
-    fn put(&mut self, key: &str, rec: Arc<CacheRecord>);
 }
 
 /// Tiny exact-capacity LRU; each shard's working set is small (records
 /// are a few KB) so a scan-based list beats a linked-map here.
-pub(crate) struct Lru {
+struct Lru {
     cap: usize,
     entries: Vec<(String, Arc<CacheRecord>)>,
 }
 
 impl Lru {
-    pub(crate) fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         Lru {
             cap,
             entries: Vec::new(),
@@ -114,65 +69,6 @@ impl Lru {
     }
 }
 
-/// The baseline adapter: one global `Mutex` around an exact LRU — the
-/// pre-seam behavior, kept for A/B benchmarking and as the semantic
-/// reference (its eviction order is exact).
-pub struct MutexLruMap {
-    inner: Mutex<Lru>,
-    found: AtomicU64,
-    not_found: AtomicU64,
-    puts: AtomicU64,
-}
-
-impl MutexLruMap {
-    /// A mutex-LRU map holding at most `cap` records.
-    pub fn new(cap: usize) -> Self {
-        MutexLruMap {
-            inner: Mutex::new(Lru::new(cap.max(1))),
-            found: AtomicU64::new(0),
-            not_found: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-        }
-    }
-}
-
-impl CacheMap for MutexLruMap {
-    fn name(&self) -> &'static str {
-        "mutex_lru"
-    }
-
-    fn pin(&self) -> Box<dyn CacheMapHandle + '_> {
-        Box::new(SharedHandle(self))
-    }
-
-    fn get(&self, key: &str) -> Option<Arc<CacheRecord>> {
-        let rec = self.inner.lock().get(key);
-        match rec.is_some() {
-            true => self.found.fetch_add(1, Ordering::Relaxed),
-            false => self.not_found.fetch_add(1, Ordering::Relaxed),
-        };
-        rec
-    }
-
-    fn put(&self, key: &str, rec: Arc<CacheRecord>) {
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().put(key.to_string(), rec);
-    }
-
-    fn resident(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    fn map_stats(&self) -> MapStats {
-        MapStats {
-            found: self.found.load(Ordering::Relaxed),
-            not_found: self.not_found.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            shards: 1,
-        }
-    }
-}
-
 /// One lock stripe: a small LRU plus its own counters, padded to a cache
 /// line so neighboring shards' locks and counters never false-share.
 #[repr(align(64))]
@@ -183,8 +79,8 @@ struct Shard {
     puts: AtomicU64,
 }
 
-/// The default adapter: lock-striped shards with per-shard LRUs and
-/// approximate global eviction (each shard caps at `ceil(cap / shards)`).
+/// Lock-striped shards with per-shard LRUs and approximate global
+/// eviction (each shard caps at `ceil(cap / shards)`).
 pub struct ShardedLruMap {
     shards: Box<[Shard]>,
     mask: u64,
@@ -214,7 +110,7 @@ impl ShardedLruMap {
 
     /// Shard count scaled to the capacity: one stripe per ~8 resident
     /// records, capped at 64. Tiny caches get a single shard, which makes
-    /// eviction exact (identical to [`MutexLruMap`]).
+    /// eviction exact.
     pub fn auto(cap: usize) -> Self {
         let shards = (cap.max(1) / 8).clamp(1, 64);
         ShardedLruMap::new(cap, shards)
@@ -230,18 +126,9 @@ impl ShardedLruMap {
         // fold the high bits in so the low-bit mask sees the whole hash
         &self.shards[((h ^ (h >> 32)) & self.mask) as usize]
     }
-}
 
-impl CacheMap for ShardedLruMap {
-    fn name(&self) -> &'static str {
-        "sharded_lru"
-    }
-
-    fn pin(&self) -> Box<dyn CacheMapHandle + '_> {
-        Box::new(SharedHandle(self))
-    }
-
-    fn get(&self, key: &str) -> Option<Arc<CacheRecord>> {
+    /// Looks up `key`, promoting it in its shard's recency order.
+    pub fn get(&self, key: &str) -> Option<Arc<CacheRecord>> {
         let shard = self.shard(key);
         let rec = shard.lru.lock().get(key);
         match rec.is_some() {
@@ -251,17 +138,21 @@ impl CacheMap for ShardedLruMap {
         rec
     }
 
-    fn put(&self, key: &str, rec: Arc<CacheRecord>) {
+    /// Inserts (or refreshes) `key`, evicting its shard's LRU entry
+    /// when the shard is full.
+    pub fn put(&self, key: &str, rec: Arc<CacheRecord>) {
         let shard = self.shard(key);
         shard.puts.fetch_add(1, Ordering::Relaxed);
         shard.lru.lock().put(key.to_string(), rec);
     }
 
-    fn resident(&self) -> usize {
+    /// Records currently resident in memory.
+    pub fn resident(&self) -> usize {
         self.shards.iter().map(|s| s.lru.lock().len()).sum()
     }
 
-    fn map_stats(&self) -> MapStats {
+    /// Aggregates the shards' atomic counters.
+    pub fn map_stats(&self) -> MapStats {
         let mut stats = MapStats {
             shards: self.shards.len(),
             ..MapStats::default()
@@ -272,37 +163,6 @@ impl CacheMap for ShardedLruMap {
             stats.puts += s.puts.load(Ordering::Relaxed);
         }
         stats
-    }
-}
-
-/// The one handle shape both adapters need: adapters are internally
-/// locked, so a pinned handle is just a borrow.
-struct SharedHandle<'a, M: CacheMap + ?Sized>(&'a M);
-
-impl<M: CacheMap + ?Sized> CacheMapHandle for SharedHandle<'_, M> {
-    fn get(&mut self, key: &str) -> Option<Arc<CacheRecord>> {
-        self.0.get(key)
-    }
-
-    fn put(&mut self, key: &str, rec: Arc<CacheRecord>) {
-        self.0.put(key, rec)
-    }
-}
-
-/// Builds the map the environment asks for: [`SHARDS_ENV`] forces a
-/// shard count, [`MAP_KIND_ENV`]`=mutex` selects the baseline adapter,
-/// and the default is [`ShardedLruMap::auto`].
-pub fn map_from_env(cap: usize) -> Box<dyn CacheMap> {
-    let kind = std::env::var(MAP_KIND_ENV).unwrap_or_default();
-    if kind == "mutex" {
-        return Box::new(MutexLruMap::new(cap));
-    }
-    match std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => Box::new(ShardedLruMap::new(cap, n)),
-        _ => Box::new(ShardedLruMap::auto(cap)),
     }
 }
 
@@ -329,37 +189,26 @@ mod tests {
         })
     }
 
-    fn adapters(cap: usize) -> Vec<Box<dyn CacheMap>> {
+    fn shapes(cap: usize) -> Vec<ShardedLruMap> {
         vec![
-            Box::new(MutexLruMap::new(cap)),
-            Box::new(ShardedLruMap::new(cap, 4)),
-            Box::new(ShardedLruMap::auto(cap)),
+            ShardedLruMap::new(cap, 1),
+            ShardedLruMap::new(cap, 4),
+            ShardedLruMap::auto(cap),
         ]
     }
 
     #[test]
-    fn all_adapters_round_trip_and_count() {
-        for map in adapters(16) {
+    fn every_shard_count_round_trips_and_counts() {
+        for map in shapes(16) {
             assert!(map.get("a").is_none());
             map.put("a", record(1));
             map.put("b", record(2));
             assert_eq!(map.get("a").expect("hit a").evals, 1);
             assert_eq!(map.get("b").expect("hit b").evals, 2);
-            assert_eq!(map.resident(), 2, "{}", map.name());
             let stats = map.map_stats();
+            assert_eq!(map.resident(), 2, "{} shard(s)", stats.shards);
             assert_eq!((stats.found, stats.not_found, stats.puts), (2, 1, 2));
             assert!(stats.shards >= 1);
-        }
-    }
-
-    #[test]
-    fn pinned_handles_see_shared_state() {
-        for map in adapters(16) {
-            let mut h1 = map.pin();
-            h1.put("k", record(9));
-            drop(h1);
-            let mut h2 = map.pin();
-            assert_eq!(h2.get("k").expect("hit").evals, 9, "{}", map.name());
         }
     }
 
@@ -381,7 +230,7 @@ mod tests {
 
     #[test]
     fn single_shard_matches_exact_lru_semantics() {
-        // shards=1 degrades to the exact-LRU baseline
+        // shards=1 is an exact LRU
         let sharded = ShardedLruMap::new(2, 1);
         sharded.put("a", record(1));
         sharded.put("b", record(2));
@@ -418,11 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn env_selection_builds_the_right_adapter() {
-        // no env manipulation (tests run concurrently): exercise the
-        // constructors the env path dispatches to
-        assert_eq!(MutexLruMap::new(8).name(), "mutex_lru");
-        assert_eq!(ShardedLruMap::auto(64).name(), "sharded_lru");
+    fn auto_scales_shards_with_capacity() {
         assert_eq!(ShardedLruMap::auto(64).map_stats().shards, 8);
         assert_eq!(ShardedLruMap::auto(2).map_stats().shards, 1);
         assert_eq!(ShardedLruMap::new(64, 3).map_stats().shards, 4); // pow2

@@ -1,5 +1,5 @@
 //! Cache storage: a content-addressed on-disk store fronted by a
-//! swappable in-memory map (see [`crate::map`]).
+//! sharded in-memory LRU (see [`crate::map`]).
 //!
 //! Disk layout is one file per request fingerprint,
 //! `<dir>/<fingerprint>.json`, each an integrity-checked envelope (see
@@ -13,7 +13,7 @@
 //! `f64` bit pattern.
 
 use crate::fsfault::{self, FsFaultInjector, FsFaultPlan};
-use crate::map::{map_from_env, CacheMap, MapStats, ShardedLruMap};
+use crate::map::{MapStats, ShardedLruMap};
 use crate::record::CacheRecord;
 use std::fs;
 use std::io::{self, ErrorKind};
@@ -204,13 +204,11 @@ fn sweep_orphans(dir: &Path) -> u64 {
     swept
 }
 
-/// The synthesis cache: a swappable in-memory map over an optional disk
-/// store. The map adapter defaults to the lock-striped
-/// [`ShardedLruMap`](crate::map::ShardedLruMap); see [`crate::map`] for
-/// the selection environment variables.
+/// The synthesis cache: a lock-striped in-memory [`ShardedLruMap`] over
+/// an optional disk store.
 pub struct SynthesisCache {
     disk: Option<DiskStore>,
-    map: Box<dyn CacheMap>,
+    map: ShardedLruMap,
     stats: AtomicCacheStats,
 }
 
@@ -222,15 +220,9 @@ impl SynthesisCache {
 
     /// A purely in-memory cache holding at most `cap` records.
     pub fn with_capacity(cap: usize) -> Self {
-        SynthesisCache::with_map(Box::new(ShardedLruMap::auto(cap)))
-    }
-
-    /// A purely in-memory cache over an explicit map adapter — the
-    /// benchmark entry point for racing adapters against each other.
-    pub fn with_map(map: Box<dyn CacheMap>) -> Self {
         SynthesisCache {
             disk: None,
-            map,
+            map: ShardedLruMap::auto(cap),
             stats: AtomicCacheStats::default(),
         }
     }
@@ -264,14 +256,13 @@ impl SynthesisCache {
 
     /// Builds a cache from the environment: disk-backed when
     /// [`CACHE_DIR_ENV`] is set, in-memory otherwise; capacity from
-    /// [`LRU_CAP_ENV`] when it parses; map adapter per
-    /// [`crate::map::MAP_KIND_ENV`] / [`crate::map::SHARDS_ENV`].
+    /// [`LRU_CAP_ENV`] when it parses.
     pub fn from_env() -> Result<Self, String> {
         let cap = std::env::var(LRU_CAP_ENV)
             .ok()
             .and_then(|s| s.parse::<usize>().ok())
             .unwrap_or(DEFAULT_LRU_CAP);
-        let mut cache = SynthesisCache::with_map(map_from_env(cap));
+        let mut cache = SynthesisCache::with_capacity(cap);
         if let Some(dir) = std::env::var_os(CACHE_DIR_ENV) {
             cache.attach_disk(DiskStore::new(PathBuf::from(dir))?);
         }
@@ -320,12 +311,7 @@ impl SynthesisCache {
         self.stats.snapshot()
     }
 
-    /// The in-memory map adapter's name (for reports and benchmarks).
-    pub fn map_name(&self) -> &'static str {
-        self.map.name()
-    }
-
-    /// The in-memory map adapter's own operation counters.
+    /// The in-memory map's own operation counters.
     pub fn map_stats(&self) -> MapStats {
         self.map.map_stats()
     }

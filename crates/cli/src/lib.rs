@@ -1151,10 +1151,17 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    fn write_fixture() -> String {
-        let dir = std::env::temp_dir().join(format!("tce-cli-test-{}", std::process::id()));
+    /// A fresh scratch directory owned by one test, so tests running in
+    /// parallel never share or rewrite each other's files.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("tce-cli-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("two_index.tce");
+        dir
+    }
+
+    fn write_fixture(test: &str) -> String {
+        let path = test_dir(test).join("two_index.tce");
         std::fs::write(
             &path,
             r#"
@@ -1274,7 +1281,7 @@ mod tests {
 
     #[test]
     fn run_with_transient_faults_retries_and_verifies() {
-        let file = write_fixture();
+        let file = write_fixture("run_with_transient_faults_retries_and_verifies");
         let cli = parse_args(&args(&format!(
             "run {file} --mem 8K --test-scale --full --verify --print tiles \
              --faults rank=0,after=4,kind=transient:2 --retry 5,0.01"
@@ -1287,7 +1294,7 @@ mod tests {
 
     #[test]
     fn run_with_permanent_fault_resumes_and_verifies() {
-        let file = write_fixture();
+        let file = write_fixture("run_with_permanent_fault_resumes_and_verifies");
         let cli = parse_args(&args(&format!(
             "run {file} --mem 8K --test-scale --full --verify --resume --print tiles \
              --faults rank=0,after=6"
@@ -1300,7 +1307,7 @@ mod tests {
 
     #[test]
     fn run_without_retry_fails_with_typed_fault() {
-        let file = write_fixture();
+        let file = write_fixture("run_without_retry_fails_with_typed_fault");
         let cli = parse_args(&args(&format!(
             "run {file} --mem 8K --test-scale --full --print tiles --faults rank=0,after=2"
         )))
@@ -1314,7 +1321,7 @@ mod tests {
 
     #[test]
     fn check_command_prints_code() {
-        let file = write_fixture();
+        let file = write_fixture("check_command_prints_code");
         let cli = parse_args(&args(&format!("check {file}"))).unwrap();
         let out = run_cli(&cli).unwrap();
         assert!(out.contains("FOR i, n"), "{out}");
@@ -1323,7 +1330,7 @@ mod tests {
 
     #[test]
     fn synthesize_command_prints_plan_and_tiles() {
-        let file = write_fixture();
+        let file = write_fixture("synthesize_command_prints_plan_and_tiles");
         let cli = parse_args(&args(&format!(
             "synthesize {file} --mem 8K --test-scale --print tiles,plan,placements,ampl"
         )))
@@ -1337,7 +1344,7 @@ mod tests {
 
     #[test]
     fn run_command_executes_and_verifies() {
-        let file = write_fixture();
+        let file = write_fixture("run_command_executes_and_verifies");
         let cli = parse_args(&args(&format!(
             "run {file} --mem 8K --test-scale --full --verify --nproc 2 --print tiles"
         )))
@@ -1349,7 +1356,7 @@ mod tests {
 
     #[test]
     fn explain_prints_solver_report() {
-        let file = write_fixture();
+        let file = write_fixture("explain_prints_solver_report");
         let cli = parse_args(&args(&format!(
             "synthesize {file} --mem 8K --test-scale --strategy portfolio --budget 300000 --explain --print tiles"
         )))
@@ -1363,7 +1370,7 @@ mod tests {
 
     #[test]
     fn explain_on_baseline_reports_absence() {
-        let file = write_fixture();
+        let file = write_fixture("explain_on_baseline_reports_absence");
         let cli = parse_args(&args(&format!(
             "synthesize {file} --mem 8K --test-scale --baseline --samples 3 --explain --print tiles"
         )))
@@ -1374,7 +1381,7 @@ mod tests {
 
     #[test]
     fn baseline_pipeline_reachable() {
-        let file = write_fixture();
+        let file = write_fixture("baseline_pipeline_reachable");
         let cli = parse_args(&args(&format!(
             "synthesize {file} --mem 8K --test-scale --baseline --samples 3 --print tiles,ampl"
         )))
@@ -1398,7 +1405,7 @@ mod tests {
         assert_eq!(usage.kind, CliErrorKind::Usage);
         assert_eq!(usage.exit_code(), 2);
 
-        let file = write_fixture();
+        let file = write_fixture("usage_and_runtime_errors_have_distinct_exit_codes");
         // infeasible: 1-byte memory limit, so synthesis fails at runtime
         let cli = parse_args(&args(&format!("synthesize {file} --mem 1 --test-scale"))).unwrap();
         let runtime = run_cli(&cli).unwrap_err();
@@ -1496,7 +1503,7 @@ mod tests {
         use std::io::{Read as _, Write as _};
         use std::sync::atomic::{AtomicBool, Ordering};
 
-        let file = write_fixture();
+        let file = write_fixture("listen_mode_serves_over_tcp_and_drains");
         let dsl = std::fs::read_to_string(&file).unwrap();
 
         // the CLI layer on a real socket: bind here, hand the listener
@@ -1550,12 +1557,10 @@ mod tests {
 
     #[test]
     fn serve_journal_writes_and_resumes() {
-        let file = write_fixture();
+        let file = write_fixture("serve_journal_writes_and_resumes");
         let dsl = std::fs::read_to_string(&file).unwrap();
         let program = serde_json::to_string(&dsl).unwrap();
-        let dir = std::env::temp_dir().join(format!("tce-cli-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("journal");
         let jobs_path = dir.join("jobs.json");
         std::fs::write(
             &jobs_path,
@@ -1587,12 +1592,10 @@ mod tests {
 
     #[test]
     fn serve_batch_runs_jobs_and_reports_cache_hits() {
-        let file = write_fixture();
+        let file = write_fixture("serve_batch_runs_jobs_and_reports_cache_hits");
         let dsl = std::fs::read_to_string(&file).unwrap();
         let program = serde_json::to_string(&dsl).unwrap();
-        let dir = std::env::temp_dir().join(format!("tce-cli-serve-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("serve");
         let jobs_path = dir.join("jobs.json");
         std::fs::write(
             &jobs_path,
@@ -1628,8 +1631,7 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_jobs_file_as_usage() {
-        let dir = std::env::temp_dir().join(format!("tce-cli-servebad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("servebad");
         let jobs_path = dir.join("bad.json");
         std::fs::write(&jobs_path, r#"{"schema": "wrong", "jobs": []}"#).unwrap();
         let cli = parse_args(&args(&format!("serve --batch {}", jobs_path.display()))).unwrap();
@@ -1643,10 +1645,8 @@ mod tests {
 
     // --- contraction networks --------------------------------------------
 
-    fn write_network_fixture() -> String {
-        let dir = std::env::temp_dir().join(format!("tce-cli-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("network.tce");
+    fn write_network_fixture(test: &str) -> String {
+        let path = test_dir(test).join("network.tce");
         std::fs::write(
             &path,
             tce_ir::to_network_dsl(&tce_ir::network::small_network()),
@@ -1700,9 +1700,7 @@ mod tests {
 
     #[test]
     fn gen_network_writes_to_a_file_and_check_round_trips() {
-        let dir = std::env::temp_dir().join(format!("tce-cli-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("gen.tce");
+        let path = test_dir("gen_network_writes_to_a_file").join("gen.tce");
         let cli = parse_args(&args(&format!(
             "gen-network --seed 5 -o {}",
             path.display()
@@ -1718,7 +1716,7 @@ mod tests {
 
     #[test]
     fn check_pretty_prints_networks() {
-        let file = write_network_fixture();
+        let file = write_network_fixture("check_pretty_prints_networks");
         let cli = parse_args(&args(&format!("check {file}"))).unwrap();
         let out = run_cli(&cli).unwrap();
         assert!(out.contains("nnz 0.1 format csr"), "{out}");
@@ -1730,7 +1728,7 @@ mod tests {
 
     #[test]
     fn synthesize_verifies_networks_against_the_oracle() {
-        let file = write_network_fixture();
+        let file = write_network_fixture("synthesize_verifies_networks_against_the_oracle");
         let cli = parse_args(&args(&format!(
             "synthesize {file} --mem 48K --test-scale --verify --seed 3"
         )))
@@ -1743,7 +1741,7 @@ mod tests {
 
     #[test]
     fn network_misuse_is_reported_as_usage() {
-        let file = write_network_fixture();
+        let file = write_network_fixture("network_misuse_is_reported_as_usage");
         // `tce run` cannot execute a network: a structured Usage error
         // (exit 2) that points the user at the supported path
         let run = parse_args(&args(&format!("run {file} --full"))).unwrap();
@@ -1759,14 +1757,14 @@ mod tests {
             parse_args(&args(&format!("synthesize {file} --baseline --test-scale"))).unwrap();
         assert_eq!(run_cli(&baseline).unwrap_err().kind, CliErrorKind::Usage);
         // dense programs reject synthesize --verify
-        let dense = write_fixture();
+        let dense = write_fixture("network_misuse_dense");
         let cli = parse_args(&args(&format!("synthesize {dense} --test-scale --verify"))).unwrap();
         assert_eq!(run_cli(&cli).unwrap_err().kind, CliErrorKind::Usage);
     }
 
     #[test]
     fn infeasible_network_limit_is_a_runtime_error() {
-        let file = write_network_fixture();
+        let file = write_network_fixture("infeasible_network_limit_is_a_runtime_error");
         let cli = parse_args(&args(&format!("synthesize {file} --mem 8 --test-scale"))).unwrap();
         let err = run_cli(&cli).unwrap_err();
         assert!(err.message.contains("synthesis failed"), "{err}");

@@ -22,8 +22,8 @@ pub struct BaselineOptions {
     /// constraints).
     pub config: SynthesisConfig,
     /// Cap on the ladder length per index (`None` = the full power-of-two
-    /// ladder). Benchmarks use a small cap to keep criterion runs sane;
-    /// the `tables` harness runs the full ladder like the paper.
+    /// ladder). `tables --fast` and the tests use a small cap to stay
+    /// quick; the full `tables` run uses the whole ladder like the paper.
     pub samples_per_index: Option<usize>,
 }
 

@@ -24,8 +24,8 @@
 //! a deterministic fail-after-N trigger with a burst length plus an
 //! independent per-op probability, all drawn from a seeded stream so
 //! identical seeds reproduce identical fault histories. The plan parses
-//! from a compact `key=value` spec (see [`NetFaultPlan::parse`]) so the
-//! CLI's `--net-faults` flag and `bench_soak` share one syntax.
+//! from a compact `key=value` spec (see [`NetFaultPlan::parse`]), the
+//! syntax of the CLI's `--net-faults` flag.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -167,8 +167,8 @@ impl NetFaultPlan {
         })
     }
 
-    /// Parses the compact CLI spec shared by `--net-faults` and
-    /// `bench_soak`: comma-separated `key=value` pairs.
+    /// Parses the compact spec of the CLI's `--net-faults` flag:
+    /// comma-separated `key=value` pairs.
     ///
     /// Keys: `seed=N`, `after=N` (+ `kind=TAG`, `count=N`), `p=F`
     /// (+ `pkind=TAG`, defaulting to `kind`), `stall_ms=N`. Example:

@@ -11,25 +11,20 @@ use crate::model::{Model, Solution, FEAS_TOL};
 /// Hard cap on the number of points brute force will visit.
 pub const BRUTE_FORCE_LIMIT: u64 = 20_000_000;
 
-/// Enumerates the entire Cartesian space and returns the best feasible
-/// point (or the least-violating one if nothing is feasible).
-///
-/// # Panics
-///
-/// Panics if the search space exceeds [`BRUTE_FORCE_LIMIT`] points.
-#[deprecated(note = "use `tce_solver::solve` with `SolveOptions` (Strategy::BruteForce)")]
-pub fn solve_brute_force(model: &Model) -> Solution {
-    solve_brute_force_impl(model)
-}
-
+#[cfg(test)]
 pub(crate) fn solve_brute_force_impl(model: &Model) -> Solution {
     run_brute(model, EvalBackend::default())
 }
 
-/// The enumeration loop behind [`solve_brute_force`]. Each odometer
-/// increment is committed to the evaluation engine as a batched move, so
-/// the compiled backend re-evaluates only the tape segments the stepped
-/// variables reach.
+/// Enumerates the entire Cartesian space and returns the best feasible
+/// point (or the least-violating one if nothing is feasible). Each
+/// odometer increment is committed to the evaluation engine as a batched
+/// move, so the compiled backend re-evaluates only the tape segments the
+/// stepped variables reach.
+///
+/// # Panics
+///
+/// Panics if the search space exceeds [`BRUTE_FORCE_LIMIT`] points.
 pub(crate) fn run_brute(model: &Model, backend: EvalBackend) -> Solution {
     let size = model.space_size();
     assert!(

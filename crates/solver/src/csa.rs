@@ -441,6 +441,7 @@ fn drive<S: Sink>(
     }
 }
 
+#[cfg(test)]
 pub(crate) fn solve_csa_impl(model: &Model, opts: &CsaOptions) -> Solution {
     run_csa(
         model,
@@ -452,13 +453,6 @@ pub(crate) fn solve_csa_impl(model: &Model, opts: &CsaOptions) -> Solution {
         None,
     )
     .solution
-}
-
-/// Runs CSA and returns the best feasible point seen (or the best
-/// infeasible one if the walk never reached feasibility).
-#[deprecated(note = "use `tce_solver::solve` with `SolveOptions` (Strategy::Csa)")]
-pub fn solve_csa(model: &Model, opts: &CsaOptions) -> Solution {
-    solve_csa_impl(model, opts)
 }
 
 #[cfg(test)]
@@ -632,15 +626,5 @@ mod tests {
         assert_eq!(a.iters, b.iters);
         assert!(a.feasible, "walk should recover feasibility: {a:?}");
         assert!(a.point[0] >= 5);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_still_works() {
-        let mut m = Model::new();
-        let x = m.add_var("x", Domain::Int { lo: 0, hi: 50 });
-        m.objective = Expr::Var(x);
-        let s = solve_csa(&m, &CsaOptions::quick(3));
-        assert!(s.feasible);
     }
 }

@@ -936,22 +936,9 @@ pub(crate) fn run_dlm(
     }
 }
 
+#[cfg(test)]
 pub(crate) fn solve_dlm_impl(model: &Model, opts: &DlmOptions) -> Solution {
     run_dlm(model, opts, EvalBackend::default(), false, None, None).solution
-}
-
-/// Runs DLM and returns the best point found.
-///
-/// The returned solution is feasible whenever any feasible point was
-/// encountered; `feasible == false` signals that the model may be
-/// infeasible (or the budget too small). With
-/// [`DlmOptions::parallel_restarts`] the restarts run concurrently on OS
-/// threads; the result is identical to the sequential run for the same
-/// seed (restart RNGs are independent and the winner is chosen by a total
-/// order over `(feasible, objective, point, restart index)`).
-#[deprecated(note = "use `tce_solver::solve` with `SolveOptions` (Strategy::Dlm)")]
-pub fn solve_dlm(model: &Model, opts: &DlmOptions) -> Solution {
-    solve_dlm_impl(model, opts)
 }
 
 #[cfg(test)]
@@ -1159,13 +1146,5 @@ mod tests {
         assert!(task.best_feasible().is_some());
         let last = rec.improvements.last().expect("improvements recorded");
         assert_eq!(Some(last.objective), task.best_feasible());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_still_works() {
-        let m = knapsack_like();
-        let s = solve_dlm(&m, &DlmOptions::quick(42));
-        assert_eq!(s.objective, -25.0);
     }
 }

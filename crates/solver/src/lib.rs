@@ -30,9 +30,7 @@
 //!
 //! # The unified entry point
 //!
-//! All strategies are driven through [`solve`] with a [`SolveOptions`]
-//! (the per-strategy `solve_dlm`/`solve_csa`/`solve_brute_force`
-//! functions remain as deprecated shims):
+//! All strategies are driven through [`solve`] with a [`SolveOptions`]:
 //!
 //! ```
 //! use tce_solver::{solve, ConstraintOp, Domain, Expr, Model, SolveOptions, Strategy};
@@ -74,15 +72,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[allow(deprecated)]
-pub use brute::solve_brute_force;
 pub use canon::{canonicalize, fingerprint_hex, CanonicalModel, Fnv64, CANON_VERSION};
 pub use compiled::{CompiledModel, Evaluator};
-#[allow(deprecated)]
-pub use csa::solve_csa;
 pub use csa::CsaOptions;
-#[allow(deprecated)]
-pub use dlm::solve_dlm;
 pub use dlm::DlmOptions;
 pub use eval::EvalBackend;
 pub use model::{Constraint, ConstraintOp, Domain, Expr, Model, Solution, VarId};

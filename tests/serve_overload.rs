@@ -6,12 +6,20 @@
 //! solver. A mini chaos soak then hammers the daemon from several
 //! client threads under probabilistic resets and requires every
 //! submitted job to come back terminally, exactly-once per fingerprint.
+//! The journaled chaos soak adds journal faults, a cancel class and a
+//! submit-and-vanish connection, and checks the daemon's own ledger:
+//! no double execution, no leaked worker slot, no orphaned journal entry.
 
-use std::net::TcpListener;
+use std::collections::HashMap;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
-use tce_cache::SynthesisCache;
+use std::time::{Duration, Instant};
+use tce_cache::{FsFaultKind, FsFaultPlan, SynthesisCache};
 use tce_ooc::ir::{fixtures::two_index_fused, to_dsl};
-use tce_serve::{Client, ClientRetry, JobSpec, NetFaultKind, NetFaultPlan, Server};
+use tce_serve::{
+    replay, write_frame, BatchReport, Client, ClientRetry, JobRequest, JobSpec, JournalConfig,
+    NetFaultKind, NetFaultPlan, ServeStats, Server, WireFrame,
+};
 
 fn job(name: &str, n: u64, v: u64, seed: u64) -> JobSpec {
     JobSpec {
@@ -75,10 +83,9 @@ fn client_retries_through_a_mid_response_reset_without_double_solving() {
 fn mini_chaos_soak_is_exactly_once_under_probabilistic_resets() {
     // Several client threads, a shared spec pool (so submissions
     // collide on fingerprints), and a daemon whose connections are
-    // probabilistically reset. Gates mirror the full bench_soak run:
-    // zero lost jobs (every submit returns terminally ok) and zero
-    // double-executions (solver misses never exceed the distinct
-    // fingerprint count).
+    // probabilistically reset. Gates: zero lost jobs (every submit
+    // returns terminally ok) and zero double-executions (solver misses
+    // never exceed the distinct fingerprint count).
     const CLIENTS: usize = 3;
     const JOBS_PER_CLIENT: usize = 8;
     let pool = [
@@ -148,4 +155,192 @@ fn mini_chaos_soak_is_exactly_once_under_probabilistic_resets() {
         "all admitted jobs reach a terminal outcome"
     );
     assert_eq!(report.summary.failed, 0);
+}
+
+/// What one journaled chaos soak left behind.
+struct Soak {
+    report: BatchReport,
+    /// Daemon counters after the drain.
+    stats: ServeStats,
+    journal: std::path::PathBuf,
+    /// Cancel-class jobs whose cancel ended in a terminal report.
+    cancels_reported: usize,
+}
+
+/// A journaled two-worker daemon under seeded connection resets (and,
+/// with `fs_chaos`, seeded journal-append EIO). Three clients each send
+/// a fixed job list: warm repeats of a shared pool, plus every fourth
+/// job a unique spec that is submitted without waiting and canceled at
+/// once. One extra connection submits a pool job and vanishes without
+/// reading its report. After the clients finish, the daemon is drained
+/// until every admitted job is terminal, then shut down.
+fn journaled_chaos_soak(seed: u64, fs_chaos: bool) -> Soak {
+    const CLIENTS: usize = 3;
+    const JOBS_PER_CLIENT: usize = 24;
+    let pool = [
+        job("p0", 64, 48, 1),
+        job("p1", 48, 64, 2),
+        job("p2", 64, 64, 3),
+        job("p3", 48, 48, 4),
+    ];
+
+    let dir = std::env::temp_dir().join(format!(
+        "tce-serve-soak-{seed}-{fs_chaos}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let journal = dir.join("soak.journal");
+    let fs_faults = match fs_chaos {
+        true => FsFaultPlan::none()
+            .with_seed(seed)
+            .probabilistic(0.05, FsFaultKind::Eio),
+        false => FsFaultPlan::none(),
+    };
+    let server = Server::builder()
+        .workers(2)
+        .max_conns(CLIENTS + 8)
+        .idle_timeout(Some(Duration::from_secs(10)))
+        .net_faults(
+            NetFaultPlan::none()
+                .with_seed(seed)
+                .probabilistic(0.04, NetFaultKind::Reset),
+        )
+        .journal(Some(JournalConfig {
+            path: journal.clone(),
+            resume: false,
+            faults: fs_faults,
+        }))
+        .build();
+    let cache = SynthesisCache::in_memory();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let shutdown = AtomicBool::new(false);
+
+    let (report, stats, cancels_reported) = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve(listener, &cache, &shutdown).expect("serve"));
+
+        // submit and vanish: the report goes to a dead socket
+        if let Ok(mut conn) = TcpStream::connect(addr) {
+            let spec = pool[0].clone();
+            let _ = write_frame(&mut conn, &WireFrame::Job(JobRequest { id: 1, spec }));
+        }
+
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let pool = &pool;
+                scope.spawn(move || {
+                    let retry = ClientRetry::with_attempts(8).with_seed(seed ^ (c as u64) << 7);
+                    let mut client = Client::new(addr.to_string(), retry);
+                    let mut cancels_reported = 0;
+                    for j in 0..JOBS_PER_CLIENT {
+                        if j % 4 == 3 {
+                            let tag = (c * JOBS_PER_CLIENT + j) as u64;
+                            let spec = job(&format!("cancel-{tag}"), 72, 88, 300_000 + tag);
+                            // a send that fails before a full frame lands
+                            // admits nothing
+                            let Ok(id) = client.submit_nowait(&spec) else {
+                                continue;
+                            };
+                            // a reset connection tears the sole-interest
+                            // job down server-side; the drain gate below
+                            // proves it still reached a terminal report
+                            if client
+                                .cancel(id)
+                                .and_then(|_| client.await_report(id))
+                                .is_ok()
+                            {
+                                cancels_reported += 1;
+                            }
+                            continue;
+                        }
+                        let spec = &pool[(c + j) % pool.len()];
+                        let report = client.submit(spec).expect("lost job");
+                        assert!(report.ok, "{report:?}");
+                    }
+                    cancels_reported
+                })
+            })
+            .collect();
+        let cancels_reported = clients.into_iter().map(|h| h.join().expect("client")).sum();
+
+        // drain: with the stream stopped, every admitted job must reach
+        // a terminal report; a leaked worker slot stalls `completed`
+        let mut closer = Client::new(addr.to_string(), ClientRetry::with_attempts(8));
+        let hang_guard = Instant::now() + Duration::from_secs(30);
+        let mut stats = closer.stats().expect("stats");
+        while stats.admitted != stats.completed && Instant::now() < hang_guard {
+            std::thread::sleep(Duration::from_millis(20));
+            stats = closer.stats().expect("stats");
+        }
+        closer.shutdown().expect("shutdown");
+        (
+            handle.join().expect("serve thread"),
+            stats,
+            cancels_reported,
+        )
+    });
+    Soak {
+        report,
+        stats,
+        journal,
+        cancels_reported,
+    }
+}
+
+/// The gates every soak run must pass, journal faults or not.
+fn assert_exactly_once(soak: &Soak) {
+    let (report, stats) = (&soak.report, &soak.stats);
+    assert_eq!(
+        stats.admitted, stats.completed,
+        "leaked worker slots: {stats:?}"
+    );
+    assert_eq!(
+        report.summary.jobs,
+        report.summary.ok + report.summary.failed,
+        "every admitted job reaches a terminal outcome"
+    );
+    // a fingerprint whose solve succeeded is never freshly solved again:
+    // resends hit the cache or join the flight in progress
+    let mut fresh_ok: HashMap<&str, u64> = HashMap::new();
+    for j in report.jobs.iter().filter(|j| j.ok && !j.hit && !j.joined) {
+        *fresh_ok.entry(j.fingerprint.as_str()).or_default() += 1;
+    }
+    let doubled: Vec<_> = fresh_ok.iter().filter(|(_, &n)| n > 1).collect();
+    assert!(doubled.is_empty(), "double-executed: {doubled:?}");
+    // nothing failed: a job either succeeded or was canceled, explicitly
+    // or because its only connection went away (the vanished submit, a
+    // reset before a resend)
+    for j in &report.jobs {
+        assert!(j.ok || j.error_kind.as_deref() == Some("canceled"), "{j:?}");
+    }
+    assert!(
+        soak.cancels_reported > 0,
+        "no cancel was ever observed to a terminal report"
+    );
+}
+
+#[test]
+fn journaled_chaos_soak_loses_and_doubles_nothing_under_net_and_fs_faults() {
+    let soak = journaled_chaos_soak(2004, true);
+    assert_exactly_once(&soak);
+    let _ = std::fs::remove_dir_all(soak.journal.parent().expect("scratch dir"));
+}
+
+#[test]
+fn journaled_chaos_soak_leaves_no_journal_orphans_without_fs_faults() {
+    let soak = journaled_chaos_soak(2005, false);
+    assert_exactly_once(&soak);
+    // every admitted journal index carries a done or a cancel record
+    let state = replay(&soak.journal);
+    let orphans: Vec<_> = state
+        .specs
+        .keys()
+        .filter(|idx| !state.done.contains_key(idx) && !state.canceled.contains(idx))
+        .collect();
+    assert!(orphans.is_empty(), "journal orphans: {orphans:?}");
+    let bytes = std::fs::metadata(&soak.journal).expect("journal").len();
+    let per_job = bytes as f64 / soak.report.summary.jobs.max(1) as f64;
+    assert!(per_job <= 8192.0, "journal grew {per_job:.0} B/job");
+    let _ = std::fs::remove_dir_all(soak.journal.parent().expect("scratch dir"));
 }
