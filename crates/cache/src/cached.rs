@@ -54,10 +54,10 @@ pub struct CachedSynthesis {
 /// (and any job deadline it carries) bounds how long a run may take, it
 /// does not change what the answer would be — and canceled runs are never
 /// cached, so the token can never leak a truncated result into an entry
-/// that uncanceled requests would then share. `threads` and
-/// `scan_threads` are excluded for the same reason: the solver is
-/// bit-identical at any thread count, so they only change how fast the
-/// answer arrives.
+/// that uncanceled requests would then share. `threads` is excluded for
+/// the same reason: the solver is bit-identical at any thread count, so
+/// it only changes how fast the answer arrives. `DlmOptions` carries no
+/// thread field, so a `dlm` override cannot smuggle one in either.
 pub fn config_digest(config: &SynthesisConfig) -> u64 {
     let mut h = Fnv64::new();
     h.str("tce-cache/config/v1");

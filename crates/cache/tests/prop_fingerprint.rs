@@ -120,10 +120,30 @@ proptest! {
     }
 }
 
-// --- contraction networks -------------------------------------------------
+// --- request keys ---------------------------------------------------------
 
 use tce_cache::{network_request_fingerprint, request_fingerprint};
 use tce_core::{build_network_model, SynthesisConfig};
+
+/// The solver thread count changes only how fast the answer arrives, so
+/// it never reaches the request key — with or without a DLM override.
+#[test]
+fn request_key_ignores_solver_threads() {
+    let canon = canonicalize(&build_model((2, 6, 10, 1, 2, 20)));
+    let base = SynthesisConfig::test_scale(64 * 1024);
+    let overridden = base
+        .clone()
+        .dlm_options(tce_solver::DlmOptions::quick(base.seed));
+    for config in [base, overridden] {
+        assert_eq!(
+            request_fingerprint(&canon, &config.clone().threads(1)),
+            request_fingerprint(&canon, &config.threads(4))
+        );
+    }
+}
+
+// --- contraction networks -------------------------------------------------
+
 use tce_ir::network::{gen_network, ContractionDag, NetworkGenConfig, TensorDecl};
 use tce_ir::{Index, RangeMap};
 

@@ -32,9 +32,9 @@
 //! --seed <n>              solver seed
 //! --deadline <secs>       wall-clock budget for the solver phase
 //! --budget <evals>        cap on solver objective evaluations
-//! --threads <n>           portfolio worker threads (default: all cores)
-//! --scan-threads <n>      DLM neighbourhood-scan workers (default 1;
-//!                         bit-identical results at any count)
+//! --threads <n>           solver threads for the DLM restarts or the
+//!                         portfolio (default: all cores; identical
+//!                         results at any count)
 //! --explain               print the per-restart solver report
 //! --test-scale            unconstrained disk profile, no block minima
 //! --print <what>          plan,placements,ampl,tiles,code (comma list;
@@ -136,10 +136,8 @@ pub struct Cli {
     pub deadline: Option<f64>,
     /// Cap on solver objective evaluations.
     pub budget: Option<u64>,
-    /// Portfolio worker threads (`0` = all cores).
+    /// Solver worker threads (`0` = all cores).
     pub threads: usize,
-    /// DLM neighbourhood-scan workers (`0`/`1` = serial scans).
-    pub scan_threads: usize,
     /// Print the per-restart solver report.
     pub explain: bool,
     /// Test-scale profile (no block minima).
@@ -518,7 +516,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         deadline: None,
         budget: None,
         threads: 0,
-        scan_threads: 0,
         explain: false,
         test_scale: false,
         print: vec![PrintWhat::Tiles, PrintWhat::Plan],
@@ -591,11 +588,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                 cli.threads = value("--threads")?
                     .parse()
                     .map_err(|_| CliError::usage("--threads needs an integer"))?
-            }
-            "--scan-threads" => {
-                cli.scan_threads = value("--scan-threads")?
-                    .parse()
-                    .map_err(|_| CliError::usage("--scan-threads needs an integer"))?
             }
             "--explain" => cli.explain = true,
             "--test-scale" => cli.test_scale = true,
@@ -824,7 +816,6 @@ fn config_from(cli: &Cli) -> SynthesisConfig {
     config.deadline = cli.deadline.map(std::time::Duration::from_secs_f64);
     config.max_evals = cli.budget;
     config.threads = cli.threads;
-    config.scan_threads = cli.scan_threads;
     config.telemetry = cli.explain;
     config
 }
@@ -1224,15 +1215,16 @@ mod tests {
     #[test]
     fn parse_portfolio_flags() {
         let cli = parse_args(&args(
-            "synthesize f.tce --strategy portfolio --deadline 2.5 --budget 500000 --threads 4 --scan-threads 2 --explain",
+            "synthesize f.tce --strategy portfolio --deadline 2.5 --budget 500000 --threads 4 --explain",
         ))
         .unwrap();
         assert_eq!(cli.strategy, Strategy::Portfolio);
         assert_eq!(cli.deadline, Some(2.5));
         assert_eq!(cli.budget, Some(500_000));
         assert_eq!(cli.threads, 4);
-        assert_eq!(cli.scan_threads, 2);
         assert!(cli.explain);
+        // `--threads` is the only solver-thread flag
+        assert!(parse_args(&args("synthesize f.tce --scan-threads 2")).is_err());
     }
 
     #[test]

@@ -38,11 +38,10 @@ pub struct SynthesisConfig {
     /// Global solver evaluation budget (see
     /// [`SolveOptions::max_evals`]).
     pub max_evals: Option<u64>,
-    /// Worker threads for [`Strategy::Portfolio`] (`0` = all cores).
+    /// Solver worker threads (`0` = all cores): the pool that runs the
+    /// DLM restarts and the portfolio's tasks (see
+    /// [`SolveOptions::threads`]). The plan does not depend on it.
     pub threads: usize,
-    /// Worker threads for DLM neighbourhood scans (batched variable
-    /// partitions; bit-identical at any count). `0`/`1` = serial scans.
-    pub scan_threads: usize,
     /// Collect per-restart solver telemetry into
     /// [`SynthesisResult::solver_report`].
     pub telemetry: bool,
@@ -78,7 +77,6 @@ impl SynthesisConfig {
             deadline: None,
             max_evals: None,
             threads: 0,
-            scan_threads: 0,
             telemetry: false,
             objective: ObjectiveKind::Volume,
             spatial_min_tile: 8,
@@ -119,15 +117,9 @@ impl SynthesisConfig {
         self
     }
 
-    /// Sets the portfolio thread count (`0` = all cores).
+    /// Sets the solver thread count (`0` = all cores).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the DLM scan-worker thread count (`0`/`1` = serial scans).
-    pub fn scan_threads(mut self, scan_threads: usize) -> Self {
-        self.scan_threads = scan_threads;
         self
     }
 
@@ -160,7 +152,6 @@ impl SynthesisConfig {
         let mut opts = SolveOptions::new(self.seed)
             .strategy(self.strategy)
             .threads(self.threads)
-            .scan_threads(self.scan_threads.max(1))
             .telemetry(self.telemetry);
         if let Some(deadline) = self.deadline {
             opts = opts.deadline(deadline);

@@ -42,8 +42,8 @@ use crate::journal::{self, JournalWriter};
 use crate::netfault::{self, NetFaultInjector, NetFaultPlan, ReadOutcome};
 use crate::proto::{self, FrameDecoder, JobRequest, ServeStats, WireFrame};
 use crate::service::{
-    process_job, summarize, BatchOptions, CacheRunner, JobCancel, JobRunner, JournalConfig,
-    LEADER_RETRY_BUDGET,
+    process_job, resolve_workers, summarize, BatchOptions, CacheRunner, JobCancel, JobRunner,
+    JournalConfig, LEADER_RETRY_BUDGET,
 };
 use crate::supervise::SingleFlight;
 use parking_lot::{Condvar, Mutex};
@@ -213,11 +213,7 @@ impl Server {
 
     /// Resolved worker-thread count.
     fn worker_count(&self) -> usize {
-        if self.config.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.config.workers
-        }
+        resolve_workers(self.config.workers)
     }
 
     /// Runs a batch of jobs to completion (the one-shot `--batch` mode).
@@ -452,12 +448,8 @@ impl Server {
         .expect("daemon scope");
 
         // final report: recovered jobs first, then everything served
-        // live, in admission order
-        let mut jobs: Vec<JobReport> = recovered.iter().map(|(r, _)| r.clone()).collect();
-        let mut live = live.into_inner();
-        live.sort_by_key(|(idx, _)| *idx);
-        jobs.extend(live.into_iter().map(|(_, r)| r));
-
+        // live, in admission order. `live` is collected in place, so no
+        // report is held twice.
         let resumed = recovered.iter().filter(|(_, v)| *v).count() as u64;
         let mut latencies = state.latencies.into_inner();
         latencies.extend(
@@ -466,6 +458,12 @@ impl Server {
                 .filter(|(_, v)| !*v)
                 .map(|(r, _)| r.queue_wait_s + r.total_s),
         );
+        let mut live = live.into_inner();
+        live.sort_by_key(|(idx, _)| *idx);
+        let mut jobs: Vec<JobReport> = live.into_iter().map(|(_, r)| r).collect();
+        if !recovered.is_empty() {
+            jobs.splice(0..0, recovered.into_iter().map(|(r, _)| r));
+        }
         let summary = summarize(&jobs, resumed, started.elapsed().as_secs_f64(), latencies);
         if let Some(w) = writer {
             w.stats(

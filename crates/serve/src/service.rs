@@ -211,6 +211,35 @@ impl JobCancel {
     }
 }
 
+/// Available cores (1 when unknown).
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Resolves a worker count: `0` means one worker per available core.
+pub(crate) fn resolve_workers(workers: usize) -> usize {
+    if workers == 0 {
+        cores()
+    } else {
+        workers
+    }
+}
+
+/// Solver threads per job: the cores split evenly over the pool's
+/// `workers` (already resolved), at least one. A busy pool then runs
+/// about one solver thread per core instead of `workers × cores`.
+fn solver_threads(cores: usize, workers: usize) -> usize {
+    (cores / workers.max(1)).max(1)
+}
+
+/// The job's synthesis configuration, with the solver sized to its share
+/// of the cores.
+fn job_config(spec: &JobSpec, opts: &BatchOptions) -> Result<SynthesisConfig, String> {
+    let mut config = spec.config()?;
+    config.threads = solver_threads(cores(), resolve_workers(opts.workers));
+    Ok(config)
+}
+
 /// Maps a synthesis error to its machine-readable report class.
 fn kind_of(err: &SynthesisError) -> &'static str {
     match err {
@@ -250,7 +279,7 @@ pub(crate) fn process_job(
         Ok(p) => p,
         Err(e) => return JobReport::failed(&spec.name, "", e, queue_wait_s).kind("invalid_job"),
     };
-    let config = match spec.config() {
+    let config = match job_config(spec, opts) {
         Ok(c) => c,
         Err(e) => return JobReport::failed(&spec.name, "", e, queue_wait_s).kind("invalid_job"),
     };
@@ -485,7 +514,7 @@ pub(crate) fn process_network_job(
             .kind("invalid_job")
         }
     };
-    let config = match spec.config() {
+    let config = match job_config(spec, opts) {
         Ok(c) => c,
         Err(e) => return JobReport::failed(&spec.name, "", e, queue_wait_s).kind("invalid_job"),
     };
@@ -728,12 +757,12 @@ pub(crate) fn run_batch_runner(
     cache: &SynthesisCache,
     runner: &dyn JobRunner,
 ) -> Result<BatchReport, String> {
-    let workers = if opts.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        opts.workers
+    let workers = resolve_workers(opts.workers).min(jobs.len().max(1));
+    // jobs split the cores over the workers that actually run
+    let opts = &BatchOptions {
+        workers,
+        ..opts.clone()
     };
-    let workers = workers.min(jobs.len().max(1));
     let batch_started = Instant::now();
 
     // journal setup: replay on resume, then open for append; fresh runs
@@ -919,4 +948,22 @@ pub(crate) fn render_lines(report: &BatchReport) -> Result<String, String> {
     out.push_str(&summary);
     out.push('\n');
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn jobs_split_the_cores_over_the_workers() {
+        // a default pool (one worker per core) runs one solver thread a job
+        assert_eq!(solver_threads(8, 8), 1);
+        // a one-worker daemon on two cores keeps both for its solver
+        assert_eq!(solver_threads(2, 1), 2);
+        assert_eq!(solver_threads(8, 3), 2);
+        // more workers than cores still leaves every job one thread
+        assert_eq!(solver_threads(2, 4), 1);
+        assert_eq!(solver_threads(cores(), resolve_workers(0)), 1);
+        assert_eq!(resolve_workers(3), 3);
+    }
 }

@@ -17,10 +17,10 @@
 //! Each restart is implemented as a resumable state machine
 //! ([`DlmTask`]): `step(quota)` advances the descent by roughly `quota`
 //! Lagrangian evaluations and returns, preserving every bit of state.
-//! The serial driver steps each task to completion; the
+//! [`run_dlm`] drives whole restarts on a small worker pool; the
 //! [portfolio](crate::portfolio) interleaves segments of many tasks
 //! across threads. Because a task's trajectory depends only on its own
-//! state, segmentation never changes the result.
+//! state, neither segmentation nor scheduling changes the result.
 
 use crate::compiled::CompiledModel;
 use crate::eval::{EvalBackend, ModelEval};
@@ -28,7 +28,7 @@ use crate::model::{Domain, Model, Solution, FEAS_TOL};
 use crate::telemetry::{RestartTrace, Sink, TapeStats, Termination};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Options for the DLM strategy.
@@ -50,17 +50,6 @@ pub struct DlmOptions {
     /// Consecutive multiplier updates without any accepted move before a
     /// restart is abandoned.
     pub max_stalled_updates: u32,
-    /// Run the restarts on OS threads. Deterministic for a fixed seed
-    /// either way: every restart derives its own RNG from
-    /// `seed + restart index` and the best result is chosen by a total
-    /// order, so sequential and parallel runs return the same point.
-    pub parallel_restarts: bool,
-    /// Worker threads for each restart's *own* neighborhood scan (`1` =
-    /// serial scans). The scan partitions the variables into contiguous
-    /// chunks and reduces candidates with a total order over
-    /// `(value, variable, candidate)` position, so the trajectory is
-    /// bit-identical at any thread count.
-    pub scan_threads: usize,
 }
 
 impl DlmOptions {
@@ -74,8 +63,6 @@ impl DlmOptions {
             lambda_init: 1.0,
             lambda_growth: 2.0,
             max_stalled_updates: 60,
-            parallel_restarts: false,
-            scan_threads: 1,
         }
     }
 
@@ -167,9 +154,8 @@ impl Lagrangian {
 
     /// `L(x_l, λ)` for lane `l` of the engine's staged batch probe.
     /// Does not count: batched scans account for their probes in bulk
-    /// (one `evals += lanes` per batch), which keeps the counter usable
-    /// from shared references in parallel scans while preserving the
-    /// per-candidate totals of the serial path.
+    /// (one `evals += lanes` per scan), which equals counting every
+    /// candidate.
     fn value_batch(&self, eval: &ModelEval<'_>, l: usize) -> f64 {
         let f = eval.batch_objective(l) / self.f_scale;
         let penalty: f64 = self
@@ -251,77 +237,24 @@ struct PolishMove {
     val: f64,
 }
 
-/// One extra scan engine (for parallel neighbourhood scans): its own
-/// evaluator plus candidate scratch, kept at the same committed point as
-/// the task's main engine by [`DlmTask::commit_everywhere`].
-struct ScanWorker<'m> {
-    eval: ModelEval<'m>,
-    moves: Vec<i64>,
-    moves2: Vec<i64>,
-}
-
-/// Partitions `0..n` into contiguous chunks and runs `scan` over each —
-/// chunk 0 inline on the caller's engine, the rest on `aux` workers via
-/// scoped threads. Parts come back in chunk order (ascending variable
-/// ranges), so a left-to-right reduce with a strict `<` reproduces the
-/// serial first-wins order at any worker count.
-fn scan_chunks<'m, R, F>(
-    n: usize,
-    eval: &mut ModelEval<'m>,
-    moves: &mut Vec<i64>,
-    moves2: &mut Vec<i64>,
-    aux: &mut [ScanWorker<'m>],
-    scan: F,
-) -> Vec<R>
-where
-    F: Fn(&mut ModelEval<'m>, &mut Vec<i64>, &mut Vec<i64>, Range<usize>) -> R + Sync,
-    R: Send,
-{
-    let t = (aux.len() + 1).min(n.max(1));
-    if t <= 1 {
-        return vec![scan(eval, moves, moves2, 0..n)];
-    }
-    let chunk = n.div_ceil(t);
-    let scan = &scan;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = aux[..t - 1]
-            .iter_mut()
-            .enumerate()
-            .map(|(i, w)| {
-                let lo = (i + 1) * chunk;
-                let hi = ((i + 2) * chunk).min(n);
-                scope.spawn(move || scan(&mut w.eval, &mut w.moves, &mut w.moves2, lo..hi))
-            })
-            .collect();
-        let mut parts = Vec::with_capacity(t);
-        parts.push(scan(eval, moves, moves2, 0..chunk.min(n)));
-        for h in handles {
-            parts.push(h.join().expect("scan worker panicked"));
-        }
-        parts
-    })
-}
-
-/// Best-improvement scan of the single-variable Lagrangian neighbourhood
-/// over the variables in `range`, one batched probe per variable.
-/// Returns the winning `(var, candidate, value)` plus the number of
-/// candidates evaluated. A candidate wins iff it clears the fixed
-/// threshold `cur − 1e-12` AND strictly beats the best so far, so the
-/// winner is the first minimum in `(var, candidate)` order — an order
-/// independent of how ranges partition the scan.
-fn scan_descent_range(
+/// Best-improvement scan of the single-variable Lagrangian neighbourhood,
+/// one batched probe per variable. Returns the winning
+/// `(var, candidate, value)` plus the number of candidates evaluated. A
+/// candidate wins iff it clears the fixed threshold `cur − 1e-12` AND
+/// strictly beats the best so far, so the winner is the first minimum in
+/// `(var, candidate)` order.
+fn scan_descent(
     model: &Model,
     live: &[bool],
     lag: &Lagrangian,
     cur: f64,
     eval: &mut ModelEval<'_>,
     moves: &mut Vec<i64>,
-    range: Range<usize>,
 ) -> (Option<(usize, i64, f64)>, u64) {
     let mut best: Option<(usize, i64, f64)> = None;
     let mut count = 0u64;
-    for vi in range {
-        if !live[vi] {
+    for (vi, &live_i) in live.iter().enumerate() {
+        if !live_i {
             continue; // cannot change L(x, λ) — skip the probes
         }
         let old = eval.point()[vi];
@@ -341,7 +274,7 @@ fn scan_descent_range(
     (best, count)
 }
 
-/// Feasible single-move scan of the polish phase over `range`; same
+/// Feasible single-move scan of the polish phase; same
 /// threshold-plus-strict-minimum acceptance as the descent scan (with the
 /// polish epsilon `1e-9`).
 fn scan_polish_singles(
@@ -350,12 +283,11 @@ fn scan_polish_singles(
     cur: f64,
     eval: &mut ModelEval<'_>,
     moves: &mut Vec<i64>,
-    range: Range<usize>,
 ) -> (Option<PolishMove>, u64) {
     let mut best: Option<PolishMove> = None;
     let mut count = 0u64;
-    for vi in range {
-        if !live[vi] {
+    for (vi, &live_i) in live.iter().enumerate() {
+        if !live_i {
             continue;
         }
         let old = eval.point()[vi];
@@ -393,12 +325,11 @@ fn scan_polish_pairs(
     eval: &mut ModelEval<'_>,
     moves: &mut Vec<i64>,
     moves2: &mut Vec<i64>,
-    range: Range<usize>,
 ) -> (Option<PolishMove>, u64) {
     let mut best: Option<PolishMove> = None;
     let mut count = 0u64;
-    for vi in range {
-        if !live[vi] {
+    for (vi, &live_i) in live.iter().enumerate() {
+        if !live_i {
             continue;
         }
         let old_i = eval.point()[vi];
@@ -468,10 +399,6 @@ pub(crate) struct DlmTask<'m> {
     extra_evals: u64,
     moves: Vec<i64>,
     moves2: Vec<i64>,
-    /// Extra scan engines, one per worker thread beyond the first
-    /// ([`DlmOptions::scan_threads`]); kept at the same committed point
-    /// as `eval` by [`Self::commit_everywhere`].
-    aux: Vec<ScanWorker<'m>>,
     phase: Phase,
     polish_cur: f64,
     polish_left: u64,
@@ -510,13 +437,6 @@ impl<'m> DlmTask<'m> {
         for v in used {
             live[v.as_usize()] = true;
         }
-        let aux = (1..opts.scan_threads.max(1))
-            .map(|_| ScanWorker {
-                eval: ModelEval::new(model, compiled, &x),
-                moves: Vec::new(),
-                moves2: Vec::new(),
-            })
-            .collect();
         DlmTask {
             model,
             max_iters: opts.max_iters,
@@ -532,7 +452,6 @@ impl<'m> DlmTask<'m> {
             extra_evals: 0,
             moves: Vec::new(),
             moves2: Vec::new(),
-            aux,
             phase: Phase::Descent,
             polish_cur: 0.0,
             polish_left: 0,
@@ -582,17 +501,8 @@ impl<'m> DlmTask<'m> {
         }
     }
 
-    /// Commits `moves` on the main engine and every scan worker, so all
-    /// engines agree on the committed point before the next scan.
-    fn commit_everywhere(&mut self, moves: &[(usize, i64)]) {
-        self.eval.commit(moves);
-        for w in &mut self.aux {
-            w.eval.commit(moves);
-        }
-    }
-
     /// One best-improvement move over the single-variable neighbourhood,
-    /// scanned with batched probes across the task's scan workers.
+    /// scanned with batched probes.
     fn descent_tick<S: Sink>(&mut self, sink: &mut S) {
         if self.iters >= self.max_iters {
             self.finish_descent(Termination::IterLimit, sink);
@@ -602,41 +512,18 @@ impl<'m> DlmTask<'m> {
             self.finish_descent(Termination::EvalBudget, sink);
             return;
         }
-        let cur = self.cur;
-        let DlmTask {
-            model,
-            ref live,
-            ref lag,
-            ref mut eval,
-            ref mut moves,
-            ref mut moves2,
-            ref mut aux,
-            ..
-        } = *self;
-        let parts = scan_chunks(
-            model.num_vars(),
-            eval,
-            moves,
-            moves2,
-            aux,
-            |eval, moves, _moves2, range| {
-                scan_descent_range(model, live, lag, cur, eval, moves, range)
-            },
+        let (best_move, count) = scan_descent(
+            self.model,
+            &self.live,
+            &self.lag,
+            self.cur,
+            &mut self.eval,
+            &mut self.moves,
         );
-        let mut best_move: Option<(usize, i64, f64)> = None;
-        let mut count = 0u64;
-        for (part, c) in parts {
-            count += c;
-            if let Some(m) = part {
-                if best_move.is_none_or(|(_, _, b)| m.2 < b) {
-                    best_move = Some(m);
-                }
-            }
-        }
         self.lag.evals += count;
         match best_move {
             Some((vi, cand, val)) => {
-                self.commit_everywhere(&[(vi, cand)]);
+                self.eval.commit(&[(vi, cand)]);
                 self.cur = val;
                 self.iters += 1;
                 self.stalled = 0;
@@ -709,45 +596,17 @@ impl<'m> DlmTask<'m> {
             return;
         }
         let cur = self.polish_cur;
-        let DlmTask {
-            model,
-            ref live,
-            ref mut eval,
-            ref mut moves,
-            ref mut moves2,
-            ref mut aux,
-            ..
-        } = *self;
-        let parts = scan_chunks(
-            model.num_vars(),
-            eval,
-            moves,
-            moves2,
-            aux,
-            |eval, moves, moves2, range| {
-                let (single, c1) =
-                    scan_polish_singles(model, live, cur, eval, moves, range.clone());
-                let (pair, c2) = scan_polish_pairs(model, live, cur, eval, moves, moves2, range);
-                (single, pair, c1 + c2)
-            },
+        let (best_single, c1) =
+            scan_polish_singles(self.model, &self.live, cur, &mut self.eval, &mut self.moves);
+        let (best_pair, c2) = scan_polish_pairs(
+            self.model,
+            &self.live,
+            cur,
+            &mut self.eval,
+            &mut self.moves,
+            &mut self.moves2,
         );
-        let mut best_single: Option<PolishMove> = None;
-        let mut best_pair: Option<PolishMove> = None;
-        let mut count = 0u64;
-        for (single, pair, c) in parts {
-            count += c;
-            if let Some(m) = single {
-                if best_single.is_none_or(|b| m.val < b.val) {
-                    best_single = Some(m);
-                }
-            }
-            if let Some(m) = pair {
-                if best_pair.is_none_or(|b| m.val < b.val) {
-                    best_pair = Some(m);
-                }
-            }
-        }
-        self.extra_evals += count;
+        self.extra_evals += c1 + c2;
         let best = match (best_single, best_pair) {
             (Some(s), Some(p)) => Some(if p.val < s.val { p } else { s }),
             (s, p) => s.or(p),
@@ -755,7 +614,7 @@ impl<'m> DlmTask<'m> {
         match best {
             Some(m) => {
                 let mv = m.mv;
-                self.commit_everywhere(&mv[..m.len as usize]);
+                self.eval.commit(&mv[..m.len as usize]);
                 self.polish_cur = m.val;
                 self.iters += 1;
                 self.polish_left -= 1;
@@ -810,6 +669,8 @@ pub(crate) fn drive_to_completion<S: Sink>(
 pub(crate) struct DlmRun {
     pub solution: Solution,
     pub winner: usize,
+    /// Worker threads the restarts ran on.
+    pub threads: usize,
     pub traces: Vec<RestartTrace>,
     /// Peephole before/after tape statistics (compiled backend only).
     pub tape: Option<TapeStats>,
@@ -836,19 +697,27 @@ fn run_one(
     (task.result(), recorder)
 }
 
-/// Runs all DLM restarts (serially or on threads per
-/// [`DlmOptions::parallel_restarts`]) and aggregates the winner.
+/// Runs all DLM restarts on `min(threads, restarts)` workers — the
+/// calling thread plus scoped helpers — and aggregates the winner.
+///
+/// Workers claim restart indices in order from one counter. Each restart
+/// seeds its own RNG from `seed + index`, and the winner is picked by
+/// [`RestartResult::cmp_quality`], then index, so without a deadline or
+/// cancel token the outcome is identical at any thread count.
 ///
 /// The model is compiled once (for [`EvalBackend::Compiled`]) and the
 /// immutable tape shared by every restart; each task owns its caches.
-/// A deadline is polled between evaluation segments; restarts that were
-/// never started when it expires are skipped (the first always runs).
-/// A cancel token behaves the same way, terminating tasks with
-/// [`Termination::Canceled`] instead.
+/// A deadline is polled between evaluation segments, and once it has
+/// expired no further restart is claimed. Restart 0 always runs, and
+/// every claimed restart runs, so the finished restarts are always a
+/// prefix `0..k`. A cancel token behaves the same way, terminating tasks
+/// with [`Termination::Canceled`] instead.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_dlm(
     model: &Model,
     opts: &DlmOptions,
     backend: EvalBackend,
+    threads: usize,
     telemetry: bool,
     deadline: Option<Instant>,
     cancel: Option<&crate::CancelToken>,
@@ -858,37 +727,39 @@ pub(crate) fn run_dlm(
     let compiled = (backend == EvalBackend::Compiled).then(|| CompiledModel::compile(model));
     let compiled = compiled.as_ref();
 
-    let results: Vec<(RestartResult, crate::telemetry::Recorder)> =
-        if opts.parallel_restarts && restarts > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..restarts)
-                    .map(|r| {
-                        scope.spawn(move || {
-                            run_one(
-                                model, opts, r, budget, compiled, telemetry, deadline, cancel,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("restart thread panicked"))
-                    .collect()
-            })
-        } else {
-            let mut out = Vec::with_capacity(restarts);
-            for r in 0..restarts {
-                out.push(run_one(
-                    model, opts, r, budget, compiled, telemetry, deadline, cancel,
-                ));
-                if deadline.is_some_and(|at| Instant::now() >= at)
-                    || cancel.is_some_and(|c| c.is_canceled())
-                {
-                    break; // later restarts are skipped entirely
-                }
+    let stopped = || {
+        deadline.is_some_and(|at| Instant::now() >= at) || cancel.is_some_and(|c| c.is_canceled())
+    };
+    // the stop check sits inside the claim, so every index handed out is
+    // run: the finished restarts are always 0..k
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        while let Ok(r) = next.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| {
+            (r < restarts && (r == 0 || !stopped())).then_some(r + 1)
+        }) {
+            let out = run_one(
+                model, opts, r, budget, compiled, telemetry, deadline, cancel,
+            );
+            done.push((r, out));
+        }
+        done
+    };
+    let threads = threads.clamp(1, restarts);
+    let mut finished = if threads == 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            let mut all = work();
+            for h in helpers {
+                all.extend(h.join().expect("restart worker panicked"));
             }
-            out
-        };
+            all
+        })
+    };
+    finished.sort_unstable_by_key(|&(r, _)| r);
+    let results: Vec<_> = finished.into_iter().map(|(_, out)| out).collect();
 
     let total_evals = results.iter().map(|(r, _)| r.evals).sum();
     let total_iters = results.iter().map(|(r, _)| r.iters).sum();
@@ -910,7 +781,6 @@ pub(crate) fn run_dlm(
                 objective: r.objective,
                 feasible: r.feasible,
                 // tree walk: once per restart summary, off the eval hot path
-                // tree walk: once per solve summary, off the eval hot path
                 violation: model.violations(&r.point).iter().sum(),
                 max_multiplier: rec.max_multiplier,
                 improvements: rec.improvements.clone(),
@@ -931,6 +801,7 @@ pub(crate) fn run_dlm(
             iterations: total_iters,
         },
         winner,
+        threads,
         traces,
         tape: compiled.map(|c| c.tape_stats()),
     }
@@ -938,13 +809,13 @@ pub(crate) fn run_dlm(
 
 #[cfg(test)]
 pub(crate) fn solve_dlm_impl(model: &Model, opts: &DlmOptions) -> Solution {
-    run_dlm(model, opts, EvalBackend::default(), false, None, None).solution
+    run_dlm(model, opts, EvalBackend::default(), 1, false, None, None).solution
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ConstraintOp, Domain, Expr, Model};
+    use crate::model::{ConstraintOp, Domain, Expr, Model, VarId};
     use crate::telemetry::{Noop, Recorder};
 
     /// max x·y s.t. x+y ≤ 10 → minimize −x·y; optimum 25 at (5,5).
@@ -1065,40 +936,83 @@ mod tests {
         assert_eq!(a.evals, b.evals);
     }
 
-    #[test]
-    fn parallel_scans_match_serial() {
-        // chunked scans with a strict-minimum reduce must be bit-identical
-        // to the serial scan at any worker count
-        let m = knapsack_like();
-        let seq = solve_dlm_impl(&m, &DlmOptions::quick(5));
-        for threads in [2, 4, 7] {
-            let par = solve_dlm_impl(
-                &m,
-                &DlmOptions {
-                    scan_threads: threads,
-                    ..DlmOptions::quick(5)
-                },
-            );
-            assert_eq!(seq.point, par.point, "threads={threads}");
-            assert_eq!(seq.objective.to_bits(), par.objective.to_bits());
-            assert_eq!(seq.evals, par.evals, "threads={threads}");
-        }
+    /// `n` tile-shaped variables: minimize Σ ceil(500/t_i) subject to
+    /// Σ t_i ≤ 40·n. One restart spans many evaluation segments, and
+    /// restarts from different random points end in different places.
+    fn tiles_model(n: usize) -> Model {
+        let mut m = Model::new();
+        let ts: Vec<_> = (0..n)
+            .map(|i| m.add_var(format!("t{i}"), Domain::Int { lo: 1, hi: 500 }))
+            .collect();
+        let tiles =
+            |&t: &VarId| Expr::CeilDiv(Box::new(Expr::Const(500.0)), Box::new(Expr::Var(t)));
+        m.objective = Expr::Add(ts.iter().map(tiles).collect());
+        m.add_constraint(
+            "mem",
+            Expr::Add(ts.iter().map(|&t| Expr::Var(t)).collect()),
+            ConstraintOp::Le,
+            40.0 * n as f64,
+        );
+        m
     }
 
     #[test]
-    fn parallel_restarts_match_sequential() {
-        let m = knapsack_like();
-        let seq = solve_dlm_impl(&m, &DlmOptions::quick(5));
-        let par = solve_dlm_impl(
-            &m,
-            &DlmOptions {
-                parallel_restarts: true,
-                ..DlmOptions::quick(5)
-            },
-        );
-        assert_eq!(seq.point, par.point);
-        assert_eq!(seq.objective, par.objective);
-        assert_eq!(seq.evals, par.evals);
+    fn cancel_during_first_restart_keeps_a_contiguous_prefix() {
+        let m = tiles_model(24);
+        let opts = DlmOptions {
+            restarts: 4,
+            ..DlmOptions::new(5)
+        };
+        let run = |threads, token: &crate::CancelToken| {
+            run_dlm(
+                &m,
+                &opts,
+                EvalBackend::Compiled,
+                threads,
+                true,
+                None,
+                Some(token),
+            )
+        };
+        // tripped before the solve: the first poll, inside restart 0,
+        // aborts it, and no later restart is ever claimed
+        let tripped = crate::CancelToken::new();
+        tripped.cancel();
+        for threads in [1, 2, 8] {
+            let out = run(threads, &tripped);
+            assert_eq!(out.traces.len(), 1, "threads={threads}");
+            assert_eq!(out.traces[0].termination, Termination::Canceled);
+            assert_eq!(out.winner, 0);
+            assert_eq!(out.solution.evals, out.traces[0].evals);
+        }
+        // tripped mid-run from another thread: every restart that was not
+        // cut short must be the reference run's restart at the same
+        // position, which only holds if the finished restarts are 0..k.
+        // The sleeps only spread where the trip lands; the assertions
+        // hold under every interleaving.
+        let started = Instant::now();
+        let full = run(1, &crate::CancelToken::new());
+        let serial = started.elapsed();
+        for (threads, quarters) in [(2, 1), (3, 2), (2, 3), (8, 2)] {
+            let token = crate::CancelToken::new();
+            let out = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    std::thread::sleep(serial * quarters / 4);
+                    token.cancel();
+                });
+                run(threads, &token)
+            });
+            assert!(!out.traces.is_empty());
+            for (k, t) in out.traces.iter().enumerate() {
+                if t.termination != Termination::Canceled {
+                    let want = &full.traces[k];
+                    assert_eq!(t.objective.to_bits(), want.objective.to_bits(), "#{k}");
+                    assert_eq!((t.evals, t.iterations), (want.evals, want.iterations));
+                }
+            }
+            let evals: u64 = out.traces.iter().map(|t| t.evals).sum();
+            assert_eq!(out.solution.evals, evals);
+        }
     }
 
     #[test]
@@ -1124,8 +1038,8 @@ mod tests {
     fn telemetry_does_not_change_the_result() {
         let m = knapsack_like();
         let opts = DlmOptions::quick(21);
-        let plain = run_dlm(&m, &opts, EvalBackend::Compiled, false, None, None);
-        let traced = run_dlm(&m, &opts, EvalBackend::Compiled, true, None, None);
+        let plain = run_dlm(&m, &opts, EvalBackend::Compiled, 1, false, None, None);
+        let traced = run_dlm(&m, &opts, EvalBackend::Compiled, 2, true, None, None);
         assert_eq!(plain.solution.point, traced.solution.point);
         assert_eq!(plain.solution.evals, traced.solution.evals);
         assert_eq!(plain.winner, traced.winner);

@@ -198,9 +198,11 @@ pub struct SolveOptions {
     /// Enforced at iteration granularity: the total can overshoot by at
     /// most one neighbourhood scan per task. Ignored by brute force.
     pub max_evals: Option<u64>,
-    /// Worker threads for [`Strategy::Portfolio`] (`0` = all available
-    /// cores). The answer does not depend on this value, only the
-    /// wall-clock does.
+    /// Worker threads (`0` = all available cores): the pool that runs
+    /// [`Strategy::Dlm`]'s restarts (at most one thread per restart; `1`
+    /// runs them one after another on the calling thread) and
+    /// [`Strategy::Portfolio`]'s tasks. The answer does not depend on this
+    /// value, only the wall-clock does.
     pub threads: usize,
     /// Record per-restart traces and return a [`SolverReport`]. Off by
     /// default; when off the hooks compile to nothing.
@@ -230,12 +232,6 @@ pub struct SolveOptions {
     /// canceled solve must be discarded rather than cached. Ignored by
     /// brute force.
     pub cancel: Option<CancelToken>,
-    /// Worker threads each DLM task may use for its *own* neighborhood
-    /// scan (`1` = serial scans, the default). Scans reduce with a total
-    /// order on `(variable, candidate)`, so — like [`Self::threads`] —
-    /// this changes wall-clock only, never the trajectory. Ignored by
-    /// CSA and brute force (their scans are inherently sequential).
-    pub scan_threads: usize,
 }
 
 impl SolveOptions {
@@ -255,7 +251,6 @@ impl SolveOptions {
             segment_evals: 4_096,
             eval: EvalBackend::default(),
             cancel: None,
-            scan_threads: 1,
         }
     }
 
@@ -277,7 +272,8 @@ impl SolveOptions {
         self
     }
 
-    /// Sets the portfolio thread count (`0` = all cores).
+    /// Sets the worker thread count (`0` = all cores; see
+    /// [`SolveOptions::threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -322,13 +318,6 @@ impl SolveOptions {
     /// Attaches a cooperative cancellation token.
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Sets the per-task scan thread count (see
-    /// [`SolveOptions::scan_threads`]; `0` is treated as `1`).
-    pub fn scan_threads(mut self, scan_threads: usize) -> Self {
-        self.scan_threads = scan_threads.max(1);
         self
     }
 }
@@ -378,26 +367,19 @@ impl Solver for DlmSolver {
         if let Some(budget) = opts.max_evals {
             dlm_opts.max_evals = budget;
         }
-        if opts.scan_threads > 1 {
-            dlm_opts.scan_threads = opts.scan_threads;
-        }
         let deadline = opts.deadline.map(|d| started + d);
         let run = dlm::run_dlm(
             model,
             &dlm_opts,
             opts.eval,
+            portfolio::resolve_threads(opts.threads),
             opts.telemetry,
             deadline,
             opts.cancel.as_ref(),
         );
-        let threads = if dlm_opts.parallel_restarts {
-            dlm_opts.restarts.max(1)
-        } else {
-            1
-        };
         let report = opts.telemetry.then(|| SolverReport {
             strategy: "dlm",
-            threads,
+            threads: run.threads,
             wall: started.elapsed(),
             total_evals: run.solution.evals,
             total_iterations: run.solution.iterations,

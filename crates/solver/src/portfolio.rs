@@ -4,9 +4,9 @@
 //! tasks, interleaved in evaluation-sized segments across a thread pool.
 //! The portfolio exists for two reasons:
 //!
-//! * **wall-clock**: the restarts that a serial DLM run performs one
-//!   after another execute concurrently, so on `N ≥ 2` cores the same
-//!   search finishes roughly `N×` sooner;
+//! * **wall-clock**: the DLM restarts and the CSA chains share one
+//!   thread pool, so on `N ≥ 2` cores the whole search finishes roughly
+//!   `N×` sooner than running the tasks one after another;
 //! * **robustness**: the stochastic CSA chains explore basins the
 //!   deterministic descent misses, and a shared incumbent lets the
 //!   portfolio stop paying for chains that have fallen hopelessly behind.
@@ -32,14 +32,14 @@
 //!
 //! # Budgets
 //!
-//! DLM tasks get exactly the per-restart budget the serial driver would
+//! DLM tasks get exactly the per-restart budget the DLM strategy would
 //! give them (`max_evals / restarts`) and CSA chains their natural
-//! schedule, so the portfolio's answer is never worse than serial DLM for
+//! schedule, so the portfolio's answer is never worse than plain DLM for
 //! the same options: it evaluates a superset of the same candidate
 //! points. A global [`SolveOptions::max_evals`] below that default
 //! shrinks every task budget proportionally. Incumbent pruning is applied
 //! only to CSA chains — cutting a DLM restart short could lose the
-//! serial-superset guarantee.
+//! superset guarantee.
 
 use crate::compiled::CompiledModel;
 use crate::csa::{CsaOptions, CsaTask};
@@ -126,13 +126,10 @@ pub(crate) fn solve_portfolio(
     opts: &SolveOptions,
 ) -> (Solution, Option<SolverReport>) {
     let started = Instant::now();
-    let mut dlm_opts = opts
+    let dlm_opts = opts
         .dlm
         .clone()
         .unwrap_or_else(|| DlmOptions::new(opts.seed));
-    if opts.scan_threads > 1 {
-        dlm_opts.scan_threads = opts.scan_threads;
-    }
     let csa_base = opts
         .csa
         .clone()
@@ -141,7 +138,7 @@ pub(crate) fn solve_portfolio(
     let restarts = dlm_opts.restarts.max(1);
     let chains = opts.csa_chains;
 
-    // Per-task budgets. Defaults match what the serial drivers would
+    // Per-task budgets. Defaults match what the DLM/CSA drivers would
     // spend; a tighter global budget shrinks all tasks proportionally.
     let dlm_default = (dlm_opts.max_evals / restarts as u64).max(1);
     let csa_default = csa_base.natural_budget();

@@ -176,7 +176,7 @@ pub struct TapeStats {
 pub struct SolverReport {
     /// Which strategy produced the report (`"dlm"`, `"portfolio"`, …).
     pub strategy: &'static str,
-    /// Worker threads used (1 for the serial drivers).
+    /// Worker threads used (always 1 for CSA and brute force).
     pub threads: usize,
     /// Wall-clock time of the whole solve.
     pub wall: Duration,

@@ -338,28 +338,27 @@ proptest! {
         }
     }
 
-    /// DLM trajectories with parallel batched scans are bit-identical
-    /// across backends and scan-thread counts: the tree oracle at 1
-    /// thread agrees with the compiled engine at 1 and 4 threads.
+    /// DLM's restart pool never changes the answer: the tree oracle run
+    /// serially agrees with the compiled engine at 1, 2, 3 and 8 restart
+    /// workers on point, objective bits, evals, iterations and winner.
     #[test]
-    fn scan_threads_identical_across_backends(m in arb_model(), seed in 0u64..8) {
+    fn dlm_restart_pool_identical_across_thread_counts(m in arb_model(), seed in 0u64..8) {
         let base = SolveOptions::new(seed)
             .strategy(Method::Dlm)
-            .dlm(DlmOptions::quick(seed));
-        let oracle = solve(&m, &base.clone().eval_backend(EvalBackend::TreeWalk)).solution;
-        for threads in [1usize, 4] {
-            let fast = solve(
-                &m,
-                &base.clone().scan_threads(threads).eval_backend(EvalBackend::Compiled),
-            )
-            .solution;
-            prop_assert_eq!(&oracle.point, &fast.point, "threads={}", threads);
-            prop_assert_eq!(
-                oracle.objective.to_bits(),
-                fast.objective.to_bits(),
-                "threads={}", threads
-            );
-            prop_assert_eq!(oracle.evals, fast.evals, "threads={}", threads);
+            .dlm(DlmOptions::quick(seed))
+            .telemetry(true);
+        let oracle = solve(&m, &base.clone().threads(1).eval_backend(EvalBackend::TreeWalk));
+        let want_winner = oracle.report.expect("telemetry on").winner;
+        for threads in [1usize, 2, 3, 8] {
+            let out = solve(&m, &base.clone().threads(threads).eval_backend(EvalBackend::Compiled));
+            let report = out.report.expect("telemetry on");
+            prop_assert_eq!(report.threads, threads.min(3), "pool is capped at the restart count");
+            let (want, got) = (&oracle.solution, &out.solution);
+            prop_assert_eq!(&want.point, &got.point, "threads={}", threads);
+            prop_assert_eq!(want.objective.to_bits(), got.objective.to_bits(), "threads={}", threads);
+            prop_assert_eq!(want.evals, got.evals, "threads={}", threads);
+            prop_assert_eq!(want.iterations, got.iterations, "threads={}", threads);
+            prop_assert_eq!(want_winner, report.winner, "threads={}", threads);
         }
     }
 }

@@ -75,24 +75,6 @@ fn portfolio_identical_across_thread_counts() {
 }
 
 #[test]
-fn portfolio_identical_across_scan_thread_counts() {
-    // batched neighbourhood scans partition variables across workers;
-    // the result must stay bit-identical to the serial scan regardless
-    // of scan-thread count, portfolio thread count, or both combined
-    let m = synthesis_like();
-    let base = quick_portfolio(42);
-    let serial = solve(&m, &base.clone().threads(1)).solution;
-    let scans4 = solve(&m, &base.clone().threads(1).scan_threads(4)).solution;
-    let both = solve(&m, &base.threads(4).scan_threads(4)).solution;
-    assert_eq!(serial.point, scans4.point);
-    assert_eq!(serial.point, both.point);
-    assert_eq!(serial.objective.to_bits(), scans4.objective.to_bits());
-    assert_eq!(serial.evals, scans4.evals);
-    assert_eq!(serial.evals, both.evals);
-    assert_eq!(serial.iterations, both.iterations);
-}
-
-#[test]
 fn portfolio_telemetry_includes_tape_stats() {
     let m = synthesis_like();
     let out = solve(&m, &quick_portfolio(7).telemetry(true));
