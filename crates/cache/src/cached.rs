@@ -1,11 +1,13 @@
-//! The cached synthesis entry point.
+//! The cached synthesis entry points.
 //!
-//! [`synthesize_dcs_cached`] splits synthesis at the prepare/finish seam
-//! of `tce-core`: the model is always rebuilt (cheap, deterministic), the
-//! solver phase (the expensive part) is skipped on a cache hit, and the
-//! stored outcome is replayed through `finish_dcs` so decode, spatial
-//! adjustment, prediction, and codegen all rerun deterministically —
-//! a hit therefore returns a bit-identical `SynthesisResult`.
+//! [`run_prepared`] splits synthesis at the prepare/finish seam of
+//! `tce-core`, for dense programs and contraction networks alike (both
+//! lowered forms implement [`Lowered`]): the model is always rebuilt
+//! (cheap, deterministic), the solver phase (the expensive part) is
+//! skipped on a cache hit, and the stored outcome is replayed through the
+//! pipeline's own finish (`finish_dcs` / `finish_network`) so decode,
+//! spatial adjustment, prediction, and codegen all rerun
+//! deterministically — a hit therefore returns a bit-identical result.
 //!
 //! The cache key is *renaming-invariant*: the model fingerprint comes from
 //! the Weisfeiler-Lehman canonicalization in `tce_solver::canon`, folded
@@ -13,14 +15,16 @@
 //! answer. Thread count is deliberately excluded (the portfolio seeds
 //! deterministically per task, so results are thread-count independent),
 //! as is `spatial_min_tile` (applied after the solve, inside
-//! `finish_dcs`, on both the hit and miss paths).
+//! `finish_dcs`, on both the hit and miss paths). Network keys carry a
+//! salt of their own ([`network_request_fingerprint`]).
 
 use crate::record::{CacheRecord, RECORD_SCHEMA};
 use crate::store::SynthesisCache;
+use serde::Value;
 use std::time::{Duration, Instant};
 use tce_core::{
     finish_dcs, finish_network, prepare_dcs, prepare_network, NetworkSynthesis, PreparedNetwork,
-    SynthesisConfig, SynthesisError, SynthesisResult,
+    PreparedSynthesis, SynthesisConfig, SynthesisError, SynthesisResult,
 };
 use tce_ir::network::ContractionDag;
 use tce_solver::model::FEAS_TOL;
@@ -33,11 +37,13 @@ use tce_solver::{
 /// request's own model on a hit.
 const OBJECTIVE_REL_TOL: f64 = 1e-9;
 
-/// What a cached synthesis run reports beyond the result itself.
+/// What a cached synthesis run reports beyond the result itself. `R` is
+/// the pipeline's result: [`SynthesisResult`] for a dense program,
+/// [`NetworkSynthesis`] for a contraction network.
 #[derive(Debug)]
-pub struct CachedSynthesis {
+pub struct CachedSynthesis<R = SynthesisResult> {
     /// The synthesis result (bit-identical whether hit or miss).
-    pub result: SynthesisResult,
+    pub result: R,
     /// Whether the solver phase was skipped.
     pub hit: bool,
     /// Hex request fingerprint (cache key).
@@ -47,6 +53,9 @@ pub struct CachedSynthesis {
     /// Solver seconds the original run spent — what the hit saved.
     pub saved_wall_s: f64,
 }
+
+/// What a cached network synthesis run reports.
+pub type CachedNetworkSynthesis = CachedSynthesis<NetworkSynthesis>;
 
 /// Digest of every config field that can change the solver's answer.
 ///
@@ -117,16 +126,102 @@ pub fn network_request_fingerprint(canon: &CanonicalModel, config: &SynthesisCon
     h.finish()
 }
 
+/// A request lowered to its solver model but not yet solved: what the
+/// cache needs from a synthesis pipeline to key, solve, replay and store
+/// it. Implemented by the dense pipeline's [`PreparedSynthesis`] and the
+/// network pipeline's [`PreparedNetwork`].
+pub trait Lowered {
+    /// The finished synthesis.
+    type Output;
+    /// The model the solver sees.
+    fn model(&self) -> &Model;
+    /// Decodes a solver outcome — a live solve's or a replayed one — into
+    /// the finished synthesis.
+    fn finish(
+        self,
+        config: &SynthesisConfig,
+        outcome: SolveOutcome,
+    ) -> Result<Self::Output, SynthesisError>;
+    /// The finished plan, as a cache record stores it.
+    fn plan_value(output: &Self::Output) -> Value;
+    /// The cache key of a request whose model canonicalizes to `canon`.
+    fn fingerprint(canon: &CanonicalModel, config: &SynthesisConfig) -> u64;
+}
+
+impl Lowered for PreparedSynthesis {
+    type Output = SynthesisResult;
+
+    fn model(&self) -> &Model {
+        &self.dcs.model
+    }
+
+    fn finish(
+        self,
+        config: &SynthesisConfig,
+        outcome: SolveOutcome,
+    ) -> Result<SynthesisResult, SynthesisError> {
+        finish_dcs(self, config, outcome)
+    }
+
+    fn plan_value(output: &SynthesisResult) -> Value {
+        serde::Serialize::to_value(&output.plan)
+    }
+
+    fn fingerprint(canon: &CanonicalModel, config: &SynthesisConfig) -> u64 {
+        request_fingerprint(canon, config)
+    }
+}
+
+impl Lowered for PreparedNetwork {
+    type Output = NetworkSynthesis;
+
+    fn model(&self) -> &Model {
+        &self.net.model
+    }
+
+    fn finish(
+        self,
+        config: &SynthesisConfig,
+        outcome: SolveOutcome,
+    ) -> Result<NetworkSynthesis, SynthesisError> {
+        finish_network(self, config, outcome)
+    }
+
+    fn plan_value(output: &NetworkSynthesis) -> Value {
+        serde::Serialize::to_value(&output.plan)
+    }
+
+    fn fingerprint(canon: &CanonicalModel, config: &SynthesisConfig) -> u64 {
+        network_request_fingerprint(canon, config)
+    }
+}
+
 /// A synthesis request that has been prepared and fingerprinted but not
 /// yet solved. Lets callers (e.g. the batch service) learn the cache key
 /// *before* committing to a solve, so identical in-flight requests can be
 /// coalesced without preparing twice.
 #[derive(Debug)]
-pub struct PreparedRequest {
-    prepared: tce_core::PreparedSynthesis,
+pub struct PreparedRequest<L = PreparedSynthesis> {
+    prepared: L,
     canon: CanonicalModel,
     /// Hex request fingerprint (the cache key).
     pub fingerprint: String,
+}
+
+/// A network request that has been lowered and fingerprinted but not yet
+/// solved.
+pub type PreparedNetworkRequest = PreparedRequest<PreparedNetwork>;
+
+impl<L: Lowered> PreparedRequest<L> {
+    fn new(prepared: L, config: &SynthesisConfig) -> PreparedRequest<L> {
+        let canon = canonicalize(prepared.model());
+        let fingerprint = fingerprint_hex(L::fingerprint(&canon, config));
+        PreparedRequest {
+            prepared,
+            canon,
+            fingerprint,
+        }
+    }
 }
 
 /// Prepares a request: tiling, placement enumeration, model build, and
@@ -135,14 +230,15 @@ pub fn prepare_request(
     program: &tce_ir::Program,
     config: &SynthesisConfig,
 ) -> Result<PreparedRequest, SynthesisError> {
-    let prepared = prepare_dcs(program, config)?;
-    let canon = canonicalize(&prepared.dcs.model);
-    let fingerprint = fingerprint_hex(request_fingerprint(&canon, config));
-    Ok(PreparedRequest {
-        prepared,
-        canon,
-        fingerprint,
-    })
+    Ok(PreparedRequest::new(prepare_dcs(program, config)?, config))
+}
+
+/// Lowers and fingerprints a network request without solving it.
+pub fn prepare_network_request(
+    dag: &ContractionDag,
+    config: &SynthesisConfig,
+) -> Result<PreparedNetworkRequest, SynthesisError> {
+    Ok(PreparedRequest::new(prepare_network(dag, config)?, config))
 }
 
 /// Rebuilds a [`SolveOutcome`] from a stored record, validating the point
@@ -192,13 +288,34 @@ pub fn synthesize_dcs_cached(
     run_prepared(prepare_request(program, config)?, config, cache)
 }
 
-/// Runs a prepared request through the cache (hit → replay, miss → solve
-/// and populate).
-pub fn run_prepared(
-    request: PreparedRequest,
+/// Network synthesis through the cache: identical requests solve once.
+pub fn synthesize_network_cached(
+    dag: &ContractionDag,
     config: &SynthesisConfig,
     cache: &SynthesisCache,
-) -> Result<CachedSynthesis, SynthesisError> {
+) -> Result<CachedNetworkSynthesis, SynthesisError> {
+    run_prepared(prepare_network_request(dag, config)?, config, cache)
+}
+
+/// Fails with [`SynthesisError::Canceled`] once the config's cancel token
+/// (if any) has tripped.
+fn check_canceled(config: &SynthesisConfig) -> Result<(), SynthesisError> {
+    match &config.cancel {
+        Some(token) if token.is_canceled() => Err(SynthesisError::Canceled {
+            deadline_exceeded: token.deadline_expired(),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// Runs a prepared request through the cache (hit → replay, miss → solve
+/// and populate). Stored points are revalidated against the request's
+/// own model, and canceled solves are surfaced without being cached.
+pub fn run_prepared<L: Lowered>(
+    request: PreparedRequest<L>,
+    config: &SynthesisConfig,
+    cache: &SynthesisCache,
+) -> Result<CachedSynthesis<L::Output>, SynthesisError> {
     let PreparedRequest {
         prepared,
         canon,
@@ -206,9 +323,9 @@ pub fn run_prepared(
     } = request;
 
     if let Some(rec) = cache.get(&fingerprint) {
-        match replay_outcome(&rec, &canon, &prepared.dcs.model) {
+        match replay_outcome(&rec, &canon, prepared.model()) {
             Some(outcome) => {
-                let result = finish_dcs(prepared, config, outcome)?;
+                let result = prepared.finish(config, outcome)?;
                 cache.note_hit(rec.solve_wall_s);
                 return Ok(CachedSynthesis {
                     result,
@@ -225,35 +342,23 @@ pub fn run_prepared(
     }
 
     // a job whose token already tripped must not start an expensive solve
-    if let Some(token) = &config.cancel {
-        if token.is_canceled() {
-            return Err(SynthesisError::Canceled {
-                deadline_exceeded: token.deadline_expired(),
-            });
-        }
-    }
+    check_canceled(config)?;
 
     let solve_started = Instant::now();
-    let outcome = tce_solver::solve(&prepared.dcs.model, &config.solve_options());
+    let outcome = tce_solver::solve(prepared.model(), &config.solve_options());
     let solve_wall = solve_started.elapsed();
 
     // a solve interrupted by its token is a *partial* search: surface the
     // cancellation and, crucially, cache nothing — a truncated outcome
     // must never be replayed to future (uncanceled) identical requests
-    if let Some(token) = &config.cancel {
-        if token.is_canceled() {
-            return Err(SynthesisError::Canceled {
-                deadline_exceeded: token.deadline_expired(),
-            });
-        }
-    }
+    check_canceled(config)?;
 
     let canonical_point = canon.to_canonical(&outcome.solution.point);
     let solution = outcome.solution.clone();
     let report = outcome.report.clone();
-    let result = finish_dcs(prepared, config, outcome)?;
+    let result = prepared.finish(config, outcome)?;
 
-    // only feasible outcomes reach this point (finish_dcs errors otherwise)
+    // only feasible outcomes reach this point (finish errors otherwise)
     let rec = CacheRecord {
         schema: RECORD_SCHEMA.to_string(),
         canon_version: CANON_VERSION.to_string(),
@@ -265,7 +370,7 @@ pub fn run_prepared(
         iterations: solution.iterations,
         report,
         solve_wall_s: solve_wall.as_secs_f64(),
-        plan: serde::Serialize::to_value(&result.plan),
+        plan: L::plan_value(&result),
     };
     // a failed disk write degrades the cache, not the synthesis
     let _ = cache.put(&fingerprint, rec);
@@ -279,134 +384,6 @@ pub fn run_prepared(
     })
 }
 
-/// What a cached network synthesis run reports beyond the result itself.
-#[derive(Debug)]
-pub struct CachedNetworkSynthesis {
-    /// The synthesis result (bit-identical whether hit or miss).
-    pub result: NetworkSynthesis,
-    /// Whether the solver phase was skipped.
-    pub hit: bool,
-    /// Hex request fingerprint (cache key).
-    pub fingerprint: String,
-    /// Wall time this run spent in the solver (≈0 on a hit).
-    pub solve_wall: Duration,
-    /// Solver seconds the original run spent — what the hit saved.
-    pub saved_wall_s: f64,
-}
-
-/// A network request that has been lowered and fingerprinted but not yet
-/// solved — the network analog of [`PreparedRequest`].
-#[derive(Debug)]
-pub struct PreparedNetworkRequest {
-    prepared: PreparedNetwork,
-    canon: CanonicalModel,
-    /// Hex request fingerprint (the cache key).
-    pub fingerprint: String,
-}
-
-/// Lowers and fingerprints a network request without solving it.
-pub fn prepare_network_request(
-    dag: &ContractionDag,
-    config: &SynthesisConfig,
-) -> Result<PreparedNetworkRequest, SynthesisError> {
-    let prepared = prepare_network(dag, config)?;
-    let canon = canonicalize(&prepared.net.model);
-    let fingerprint = fingerprint_hex(network_request_fingerprint(&canon, config));
-    Ok(PreparedNetworkRequest {
-        prepared,
-        canon,
-        fingerprint,
-    })
-}
-
-/// Network synthesis through the cache: identical requests solve once.
-pub fn synthesize_network_cached(
-    dag: &ContractionDag,
-    config: &SynthesisConfig,
-    cache: &SynthesisCache,
-) -> Result<CachedNetworkSynthesis, SynthesisError> {
-    run_network_prepared(prepare_network_request(dag, config)?, config, cache)
-}
-
-/// Runs a prepared network request through the cache (hit → replay,
-/// miss → solve and populate). The same hit protocol as [`run_prepared`]:
-/// stored points are revalidated against the request's own model, and
-/// canceled solves are surfaced without being cached.
-pub fn run_network_prepared(
-    request: PreparedNetworkRequest,
-    config: &SynthesisConfig,
-    cache: &SynthesisCache,
-) -> Result<CachedNetworkSynthesis, SynthesisError> {
-    let PreparedNetworkRequest {
-        prepared,
-        canon,
-        fingerprint,
-    } = request;
-
-    if let Some(rec) = cache.get(&fingerprint) {
-        match replay_outcome(&rec, &canon, &prepared.net.model) {
-            Some(outcome) => {
-                let result = finish_network(prepared, config, outcome)?;
-                cache.note_hit(rec.solve_wall_s);
-                return Ok(CachedNetworkSynthesis {
-                    result,
-                    hit: true,
-                    fingerprint,
-                    solve_wall: Duration::ZERO,
-                    saved_wall_s: rec.solve_wall_s,
-                });
-            }
-            None => cache.note_reject(),
-        }
-    } else {
-        cache.note_miss();
-    }
-
-    if let Some(token) = &config.cancel {
-        if token.is_canceled() {
-            return Err(SynthesisError::Canceled {
-                deadline_exceeded: token.deadline_expired(),
-            });
-        }
-    }
-
-    let solve_started = Instant::now();
-    let outcome = tce_solver::solve(&prepared.net.model, &config.solve_options());
-    let solve_wall = solve_started.elapsed();
-
-    if let Some(token) = &config.cancel {
-        if token.is_canceled() {
-            return Err(SynthesisError::Canceled {
-                deadline_exceeded: token.deadline_expired(),
-            });
-        }
-    }
-
-    let canonical_point = canon.to_canonical(&outcome.solution.point);
-    let solution = outcome.solution.clone();
-    let report = outcome.report.clone();
-    let result = finish_network(prepared, config, outcome)?;
-
-    let rec = CacheRecord {
-        schema: RECORD_SCHEMA.to_string(),
-        canon_version: CANON_VERSION.to_string(),
-        fingerprint: fingerprint.clone(),
-        canonical_point,
-        objective: solution.objective,
-        feasible: solution.feasible,
-        evals: solution.evals,
-        iterations: solution.iterations,
-        report,
-        solve_wall_s: solve_wall.as_secs_f64(),
-        plan: serde::Serialize::to_value(&result.plan),
-    };
-    let _ = cache.put(&fingerprint, rec);
-
-    Ok(CachedNetworkSynthesis {
-        result,
-        hit: false,
-        fingerprint,
-        solve_wall,
-        saved_wall_s: 0.0,
-    })
-}
+/// [`run_prepared`] named for network requests; one body serves both
+/// pipelines.
+pub use self::run_prepared as run_network_prepared;

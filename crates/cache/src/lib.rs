@@ -17,9 +17,10 @@
 //!   by a lock-striped in-memory LRU ([`SynthesisCache`] over
 //!   [`map::ShardedLruMap`]);
 //! * on a hit the stored point is *revalidated* against the request's own
-//!   model before being replayed through `finish_dcs`, so collisions
-//!   degrade to misses and a hit returns a bit-identical
-//!   `SynthesisResult`.
+//!   model before being replayed through the pipeline's finish
+//!   (`finish_dcs` or `finish_network`, behind [`Lowered`]), so
+//!   collisions degrade to misses and a hit returns a bit-identical
+//!   result.
 //!
 //! Corrupt disk entries are quarantined (renamed `.corrupt`), never
 //! trusted and never fatal.
@@ -37,8 +38,8 @@ pub mod store;
 pub use cached::{
     config_digest, network_request_fingerprint, prepare_network_request, prepare_request,
     request_fingerprint, run_network_prepared, run_prepared, synthesize_dcs_cached,
-    synthesize_network_cached, CachedNetworkSynthesis, CachedSynthesis, PreparedNetworkRequest,
-    PreparedRequest,
+    synthesize_network_cached, CachedNetworkSynthesis, CachedSynthesis, Lowered,
+    PreparedNetworkRequest, PreparedRequest,
 };
 pub use fsfault::{FsFaultInjector, FsFaultKind, FsFaultPlan};
 pub use map::{MapStats, ShardedLruMap};

@@ -123,7 +123,7 @@ pub fn chunk(n: u64, rank: usize, nproc: usize) -> (u64, u64) {
     (start, start + len)
 }
 
-/// Runs `f` on `nproc` simulated processes (crossbeam scoped threads) and
+/// Runs `f` on `nproc` simulated processes (scoped threads) and
 /// returns the per-rank results in rank order. Panics in any rank
 /// propagate.
 pub fn run_parallel<T, F>(nproc: usize, f: F) -> Vec<T>
@@ -134,12 +134,12 @@ where
     assert!(nproc >= 1, "need at least one process");
     let barrier = AbortableBarrier::new(nproc);
     let mut results: Vec<Option<T>> = (0..nproc).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (rank, slot) in results.iter_mut().enumerate() {
             let barrier = &barrier;
             let f = &f;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let ctx = ProcCtx {
                     rank,
                     nproc,
@@ -151,8 +151,7 @@ where
         for h in handles {
             h.join().expect("rank panicked");
         }
-    })
-    .expect("process group scope");
+    });
     results
         .into_iter()
         .map(|r| r.expect("every rank produced a result"))

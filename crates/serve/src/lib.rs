@@ -176,21 +176,16 @@ mod tests {
         assert!(out.contains("\"solver_wall_saved_s\""));
     }
 
-    /// A solver stub that panics on its first `n` calls, then behaves.
+    /// A hook that panics on its first `n` cache runs, then behaves.
     /// Drives the supervision regression: the seed implementation hung
     /// every follower forever when the leader panicked between `begin`
     /// and `finish`.
-    struct PanickingRunner {
+    struct PanickingHook {
         panics_left: std::sync::atomic::AtomicU32,
     }
 
-    impl crate::service::JobRunner for PanickingRunner {
-        fn run(
-            &self,
-            request: tce_cache::PreparedRequest,
-            config: &tce_core::SynthesisConfig,
-            cache: &SynthesisCache,
-        ) -> Result<tce_cache::CachedSynthesis, tce_core::SynthesisError> {
+    impl crate::service::RunHook for PanickingHook {
+        fn before_run(&self) {
             use std::sync::atomic::Ordering;
             if self
                 .panics_left
@@ -199,42 +194,103 @@ mod tests {
             {
                 panic!("injected solver panic");
             }
-            tce_cache::run_prepared(request, config, cache)
+        }
+    }
+
+    /// A job whose program is a small contraction network.
+    fn network_job(name: &str) -> JobSpec {
+        JobSpec {
+            program: tce_ir::to_network_dsl(&tce_ir::network::small_network()),
+            ..job(name, 64, 48)
         }
     }
 
     #[test]
     fn panicking_leader_fails_structurally_and_promotes_a_follower() {
-        // six identical jobs; the first solve attempt panics. The
-        // panicking job must report a structured `panic` failure, one
-        // follower must be promoted and solve for real, and — the
-        // regression — the batch must terminate at all.
-        let jobs: Vec<JobSpec> = (0..6).map(|i| job(&format!("p{i}"), 64, 48)).collect();
-        let cache = SynthesisCache::in_memory();
-        let runner = PanickingRunner {
-            panics_left: std::sync::atomic::AtomicU32::new(1),
-        };
-        let opts = BatchOptions {
-            workers: 4,
-            ..BatchOptions::default()
-        };
-        let report =
-            crate::service::run_batch_runner(&jobs, &opts, &cache, &runner).expect("batch runs");
+        // six identical jobs, dense or network; the first solve attempt
+        // panics. The panicking job must report a structured `panic`
+        // failure, one follower must be promoted and solve for real, and
+        // — the regression — the batch must terminate at all.
+        let dense: Vec<JobSpec> = (0..6).map(|i| job(&format!("p{i}"), 64, 48)).collect();
+        let network: Vec<JobSpec> = (0..6).map(|i| network_job(&format!("p{i}"))).collect();
+        for jobs in [dense, network] {
+            let cache = SynthesisCache::in_memory();
+            let hook = PanickingHook {
+                panics_left: std::sync::atomic::AtomicU32::new(1),
+            };
+            let opts = BatchOptions {
+                workers: 4,
+                ..BatchOptions::default()
+            };
+            let report =
+                crate::service::run_batch_hooked(&jobs, &opts, &cache, &hook).expect("batch runs");
 
-        assert_eq!(report.summary.failed, 1, "{:?}", report.jobs);
-        assert_eq!(report.summary.ok, 5);
-        let failed = report.jobs.iter().find(|j| !j.ok).expect("panicked job");
-        assert_eq!(failed.error_kind.as_deref(), Some("panic"));
-        assert!(failed.error.as_deref().unwrap_or("").contains("panicked"));
-        // the promoted leader really solved: exactly one cache miss
-        assert_eq!(cache.stats().misses, 1);
+            assert_eq!(report.summary.failed, 1, "{:?}", report.jobs);
+            assert_eq!(report.summary.ok, 5);
+            let failed = report.jobs.iter().find(|j| !j.ok).expect("panicked job");
+            assert_eq!(failed.error_kind.as_deref(), Some("panic"));
+            assert!(failed.error.as_deref().unwrap_or("").contains("panicked"));
+            // the promoted leader really solved: exactly one cache miss
+            assert_eq!(cache.stats().misses, 1);
+        }
+    }
+
+    /// A hook that sleeps before every cache run.
+    struct SleepingHook(std::time::Duration);
+
+    impl crate::service::RunHook for SleepingHook {
+        fn before_run(&self) {
+            std::thread::sleep(self.0);
+        }
+    }
+
+    #[test]
+    fn follower_replay_of_an_evicted_record_keeps_the_job_deadline() {
+        // the leader's record is evicted from a one-record cache before
+        // its follower reads it, so the follower's replay becomes a full
+        // solve; it must run under the follower's own deadline
+        let timeout = std::time::Duration::from_millis(1000);
+        let mut spec = job("follower", 64, 48);
+        spec.timeout_ms = Some(timeout.as_millis() as u64);
+        let config = spec.config().expect("config");
+        let cache = SynthesisCache::with_capacity(1);
+        let flights = SingleFlight::default();
+
+        // the test is the leader: it solves, then another request's
+        // record evicts the leader's before the flight settles
+        let program = spec.parse_program().expect("program");
+        let leader = tce_cache::synthesize_dcs_cached(&program, &config, &cache).expect("leader");
+        tce_cache::synthesize_dcs_cached(&two_index_fused(48, 64), &config, &cache)
+            .expect("evicting request");
+        assert!(cache.get(&leader.fingerprint).is_none(), "record evicted");
+        let Role::Leader(guard) = flights.begin(&leader.fingerprint) else {
+            panic!("the test leads the flight")
+        };
+
+        let (opts, hook) = (BatchOptions::default(), SleepingHook(timeout));
+        std::thread::scope(|scope| {
+            let follower = scope.spawn(|| {
+                crate::service::process_job(&spec, &cache, &flights, 0.0, &opts, &hook, None)
+            });
+            while guard.flight().interest() < 2 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            guard.success();
+            let report = follower.join().expect("follower");
+            assert!(report.joined, "the follower replayed: {report:?}");
+            assert_eq!(
+                report.error_kind.as_deref(),
+                Some("deadline_exceeded"),
+                "{report:?}"
+            );
+        });
     }
 
     #[test]
     fn always_panicking_leader_exhausts_the_retry_budget() {
         let jobs: Vec<JobSpec> = (0..4).map(|i| job(&format!("q{i}"), 64, 48)).collect();
         let cache = SynthesisCache::in_memory();
-        let runner = PanickingRunner {
+        let hook = PanickingHook {
             panics_left: std::sync::atomic::AtomicU32::new(u32::MAX),
         };
         let opts = BatchOptions {
@@ -243,7 +299,7 @@ mod tests {
             ..BatchOptions::default()
         };
         let report =
-            crate::service::run_batch_runner(&jobs, &opts, &cache, &runner).expect("batch runs");
+            crate::service::run_batch_hooked(&jobs, &opts, &cache, &hook).expect("batch runs");
         // nobody hangs and nobody succeeds: every job reports either its
         // own panic or an exhausted retry budget
         assert_eq!(report.summary.ok, 0);
@@ -376,13 +432,7 @@ mod tests {
     fn network_jobs_run_through_the_same_engine() {
         // a mixed batch: dense programs and a contraction network, with
         // the network job duplicated so its flight coalesces too
-        let net_dsl = tce_ir::to_network_dsl(&tce_ir::network::small_network());
-        let net = |name: &str| JobSpec {
-            name: name.to_string(),
-            program: net_dsl.clone(),
-            ..job("", 64, 48)
-        };
-        let jobs = vec![net("n0"), job("dense", 64, 48), net("n1")];
+        let jobs = vec![network_job("n0"), job("dense", 64, 48), network_job("n1")];
         let cache = SynthesisCache::in_memory();
         let report = batch(&jobs, 2, &cache);
         assert_eq!(report.summary.ok, 3, "{:?}", report.jobs);

@@ -42,8 +42,8 @@ use crate::journal::{self, JournalWriter};
 use crate::netfault::{self, NetFaultInjector, NetFaultPlan, ReadOutcome};
 use crate::proto::{self, FrameDecoder, JobRequest, ServeStats, WireFrame};
 use crate::service::{
-    process_job, resolve_workers, summarize, BatchOptions, CacheRunner, JobCancel, JobRunner,
-    JournalConfig, LEADER_RETRY_BUDGET,
+    process_job, resolve_workers, summarize, BatchOptions, JobCancel, JournalConfig, NoHook,
+    RunHook, LEADER_RETRY_BUDGET,
 };
 use crate::supervise::SingleFlight;
 use parking_lot::{Condvar, Mutex};
@@ -224,7 +224,7 @@ impl Server {
         jobs: &[JobSpec],
         cache: &SynthesisCache,
     ) -> Result<BatchReport, String> {
-        crate::service::run_batch_runner(jobs, &self.options(), cache, &CacheRunner)
+        crate::service::run_batch_hooked(jobs, &self.options(), cache, &NoHook)
     }
 
     /// Runs JSON-lines input (one job object per non-empty line) and
@@ -250,14 +250,14 @@ impl Server {
         path: &Path,
         cache: &SynthesisCache,
     ) -> Result<BatchReport, String> {
-        self.recover_runner(path, cache, &CacheRunner)
+        self.recover_hooked(path, cache, &NoHook)
     }
 
-    pub(crate) fn recover_runner(
+    pub(crate) fn recover_hooked(
         &self,
         path: &Path,
         cache: &SynthesisCache,
-        runner: &dyn JobRunner,
+        hook: &dyn RunHook,
     ) -> Result<BatchReport, String> {
         let started = Instant::now();
         let state = journal::replay(path);
@@ -266,7 +266,7 @@ impl Server {
                 "journal {path:?} is a batch journal; resume it with the original jobs file"
             ));
         }
-        let recovered = recover_state(state, &self.options(), cache, runner)?;
+        let recovered = recover_state(state, &self.options(), cache, hook)?;
         let resumed = recovered.iter().filter(|(_, verbatim)| *verbatim).count() as u64;
         let latencies = recovered
             .iter()
@@ -293,15 +293,15 @@ impl Server {
         cache: &SynthesisCache,
         shutdown: &AtomicBool,
     ) -> Result<BatchReport, String> {
-        self.serve_runner(listener, cache, shutdown, &CacheRunner)
+        self.serve_hooked(listener, cache, shutdown, &NoHook)
     }
 
-    pub(crate) fn serve_runner(
+    pub(crate) fn serve_hooked(
         &self,
         listener: TcpListener,
         cache: &SynthesisCache,
         shutdown: &AtomicBool,
-        runner: &dyn JobRunner,
+        hook: &dyn RunHook,
     ) -> Result<BatchReport, String> {
         let workers = self.worker_count();
         let opts = BatchOptions {
@@ -327,7 +327,7 @@ impl Server {
                         ));
                     }
                     if state.serve {
-                        recovered = recover_state(state, &opts, cache, runner)?;
+                        recovered = recover_state(state, &opts, cache, hook)?;
                         fresh = false;
                     }
                 }
@@ -386,7 +386,7 @@ impl Server {
         let live: Mutex<Vec<(usize, JobReport)>> = Mutex::new(Vec::new());
         let flights = SingleFlight::default();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let state = &state;
             let live = &live;
             let flights = &flights;
@@ -394,8 +394,7 @@ impl Server {
             let guards = &guards;
             let net = &net;
             for _ in 0..workers {
-                scope
-                    .spawn(move |_| worker_loop(state, writer, cache, flights, opts, runner, live));
+                scope.spawn(move || worker_loop(state, writer, cache, flights, opts, hook, live));
             }
             // the acceptor runs here, on the serve thread itself
             loop {
@@ -425,7 +424,7 @@ impl Server {
                         }
                         state.conns_total.fetch_add(1, Ordering::Relaxed);
                         state.conns_open.fetch_add(1, Ordering::Relaxed);
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             conn_loop(stream, state, writer, guards, net.as_ref(), live)
                         });
                     }
@@ -444,8 +443,7 @@ impl Server {
             // idle readers sleep (their write halves stay open — queued
             // reports still reach their clients)
             state.wake_readers();
-        })
-        .expect("daemon scope");
+        });
 
         // final report: recovered jobs first, then everything served
         // live, in admission order. `live` is collected in place, so no
@@ -491,7 +489,7 @@ fn recover_state(
     mut state: journal::JournalState,
     opts: &BatchOptions,
     cache: &SynthesisCache,
-    runner: &dyn JobRunner,
+    hook: &dyn RunHook,
 ) -> Result<Vec<(JobReport, bool)>, String> {
     let mut specs = Vec::new();
     while let Some(spec) = state.specs.remove(&specs.len()) {
@@ -505,7 +503,7 @@ fn recover_state(
         journal: None,
         ..opts.clone()
     };
-    let rerun = crate::service::run_batch_runner(&rerun_specs, &rerun_opts, cache, runner)?;
+    let rerun = crate::service::run_batch_hooked(&rerun_specs, &rerun_opts, cache, hook)?;
     let mut rerun_reports: VecDeque<JobReport> = rerun.jobs.into();
 
     let mut out = Vec::with_capacity(specs.len());
@@ -530,7 +528,7 @@ fn recover_state(
 }
 
 /// Shared daemon state: the bounded admission queue plus lifetime
-/// counters, all owned by `serve_runner`'s stack frame and borrowed by
+/// counters, all owned by `serve_hooked`'s stack frame and borrowed by
 /// every worker and connection thread.
 struct DaemonState {
     queue: Mutex<VecDeque<QueuedJob>>,
@@ -745,7 +743,7 @@ fn worker_loop(
     cache: &SynthesisCache,
     flights: &SingleFlight,
     opts: &BatchOptions,
-    runner: &dyn JobRunner,
+    hook: &dyn RunHook,
     live: &Mutex<Vec<(usize, JobReport)>>,
 ) {
     loop {
@@ -837,7 +835,7 @@ fn worker_loop(
             flights,
             queue_wait_s,
             opts,
-            runner,
+            hook,
             Some(&job.cancel),
         );
         // deregister and take the final cancel decision under the same
@@ -1243,24 +1241,18 @@ mod tests {
         stream.flush().expect("flush");
     }
 
-    /// A runner that parks every solve until the test opens the gate —
+    /// A hook that parks every cache run until the test opens the gate —
     /// the deterministic way to hold a worker busy so the bounded queue
     /// actually fills.
-    struct GatedRunner {
+    struct GatedHook {
         open: AtomicBool,
     }
 
-    impl JobRunner for GatedRunner {
-        fn run(
-            &self,
-            request: tce_cache::PreparedRequest,
-            config: &tce_core::SynthesisConfig,
-            cache: &SynthesisCache,
-        ) -> Result<tce_cache::CachedSynthesis, tce_core::SynthesisError> {
+    impl RunHook for GatedHook {
+        fn before_run(&self) {
             while !self.open.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            tce_cache::run_prepared(request, config, cache)
         }
     }
 
@@ -1278,7 +1270,7 @@ mod tests {
     fn saturated_pool_rejects_with_queue_full_then_drains_gracefully() {
         let server = Server::builder().workers(1).queue_cap(1).build();
         let cache = SynthesisCache::in_memory();
-        let runner = GatedRunner {
+        let gate = GatedHook {
             open: AtomicBool::new(false),
         };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1288,7 +1280,7 @@ mod tests {
         std::thread::scope(|scope| {
             let report = scope.spawn(|| {
                 server
-                    .serve_runner(listener, &cache, &shutdown, &runner)
+                    .serve_hooked(listener, &cache, &shutdown, &gate)
                     .expect("serve")
             });
 
@@ -1302,7 +1294,7 @@ mod tests {
                 }),
             );
             // wait until the single worker holds job 1 (gated inside the
-            // runner) and the queue is empty again
+            // hook) and the queue is empty again
             loop {
                 let s = stats_of(&mut client);
                 if s.admitted == 1 && s.queue_depth == 0 {
@@ -1342,7 +1334,7 @@ mod tests {
             assert_eq!(rejected, (3, "queue_full".to_string()), "backpressure");
 
             // open the gate: both admitted jobs must complete and report
-            runner.open.store(true, Ordering::Relaxed);
+            gate.open.store(true, Ordering::Relaxed);
             let mut reported = Vec::new();
             while reported.len() < 2 {
                 match read_frame(&mut client).expect("read").expect("frame") {
@@ -1471,7 +1463,7 @@ mod tests {
             .frame_timeout(Some(Duration::from_millis(80)))
             .build();
         let cache = SynthesisCache::in_memory();
-        let runner = GatedRunner {
+        let gate = GatedHook {
             open: AtomicBool::new(false),
         };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1481,7 +1473,7 @@ mod tests {
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 server
-                    .serve_runner(listener, &cache, &shutdown, &runner)
+                    .serve_hooked(listener, &cache, &shutdown, &gate)
                     .expect("serve")
             });
 
@@ -1522,7 +1514,7 @@ mod tests {
             }
 
             // the in-flight job was untouched: open the gate, it reports
-            runner.open.store(true, Ordering::Relaxed);
+            gate.open.store(true, Ordering::Relaxed);
             loop {
                 match read_frame(&mut client).expect("read").expect("frame") {
                     WireFrame::Report { id, report } => {
@@ -1554,7 +1546,7 @@ mod tests {
         // snapshot is taken under that same lock.
         let server = Server::builder().workers(1).build();
         let cache = SynthesisCache::in_memory();
-        let runner = GatedRunner {
+        let gate = GatedHook {
             open: AtomicBool::new(true),
         };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1564,7 +1556,7 @@ mod tests {
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 server
-                    .serve_runner(listener, &cache, &shutdown, &runner)
+                    .serve_hooked(listener, &cache, &shutdown, &gate)
                     .expect("serve")
             });
 
@@ -1630,7 +1622,7 @@ mod tests {
     fn oversized_frame_client_is_rejected_without_affecting_in_flight_jobs() {
         let server = Server::builder().workers(1).build();
         let cache = SynthesisCache::in_memory();
-        let runner = GatedRunner {
+        let gate = GatedHook {
             open: AtomicBool::new(false),
         };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1640,7 +1632,7 @@ mod tests {
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 server
-                    .serve_runner(listener, &cache, &shutdown, &runner)
+                    .serve_hooked(listener, &cache, &shutdown, &gate)
                     .expect("serve")
             });
             let mut client = TcpStream::connect(addr).expect("connect");
@@ -1671,7 +1663,7 @@ mod tests {
                 other => panic!("unexpected frame {other:?}"),
             }
 
-            runner.open.store(true, Ordering::Relaxed);
+            gate.open.store(true, Ordering::Relaxed);
             loop {
                 match read_frame(&mut client).expect("read").expect("frame") {
                     WireFrame::Report { id, report } => {
@@ -1768,7 +1760,7 @@ mod tests {
             .journal(Some(JournalConfig::new(&journal_path)))
             .build();
         let cache = SynthesisCache::in_memory();
-        let runner = GatedRunner {
+        let gate = GatedHook {
             open: AtomicBool::new(false),
         };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1778,7 +1770,7 @@ mod tests {
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 server
-                    .serve_runner(listener, &cache, &shutdown, &runner)
+                    .serve_hooked(listener, &cache, &shutdown, &gate)
                     .expect("serve")
             });
             {
@@ -1808,7 +1800,7 @@ mod tests {
                 drop(probe);
             } // rude dropped: both response writes hit a dead socket
 
-            runner.open.store(true, Ordering::Relaxed);
+            gate.open.store(true, Ordering::Relaxed);
 
             // worker slot released: a later client gets full service
             let mut client = TcpStream::connect(addr).expect("connect");
@@ -1859,7 +1851,7 @@ mod tests {
     fn cancel_dequeues_queued_jobs_and_trips_running_ones() {
         let server = Server::builder().workers(1).queue_cap(8).build();
         let cache = SynthesisCache::in_memory();
-        let runner = GatedRunner {
+        let gate = GatedHook {
             open: AtomicBool::new(false),
         };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1869,7 +1861,7 @@ mod tests {
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 server
-                    .serve_runner(listener, &cache, &shutdown, &runner)
+                    .serve_hooked(listener, &cache, &shutdown, &gate)
                     .expect("serve")
             });
             let mut client = TcpStream::connect(addr).expect("connect");
@@ -1938,7 +1930,7 @@ mod tests {
                 }
                 other => panic!("unexpected frame {other:?}"),
             }
-            runner.open.store(true, Ordering::Relaxed);
+            gate.open.store(true, Ordering::Relaxed);
             match read_frame(&mut client).expect("read").expect("frame") {
                 WireFrame::Report { id, report } => {
                     assert_eq!(id, 1);
@@ -1965,7 +1957,7 @@ mod tests {
     fn queue_wait_past_the_deadline_budget_sheds_with_a_retry_hint() {
         let server = Server::builder().workers(1).queue_cap(8).build();
         let cache = SynthesisCache::in_memory();
-        let runner = GatedRunner {
+        let gate = GatedHook {
             open: AtomicBool::new(false),
         };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1975,7 +1967,7 @@ mod tests {
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 server
-                    .serve_runner(listener, &cache, &shutdown, &runner)
+                    .serve_hooked(listener, &cache, &shutdown, &gate)
                     .expect("serve")
             });
             let mut client = TcpStream::connect(addr).expect("connect");
@@ -2008,7 +2000,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
             std::thread::sleep(Duration::from_millis(10));
-            runner.open.store(true, Ordering::Relaxed);
+            gate.open.store(true, Ordering::Relaxed);
 
             let mut saw_report = false;
             let mut saw_shed = false;
@@ -2050,16 +2042,10 @@ mod tests {
     fn journaled_cancels_resume_as_canceled_without_rerunning() {
         use std::sync::atomic::AtomicUsize;
 
-        struct CountingRunner(AtomicUsize);
-        impl JobRunner for CountingRunner {
-            fn run(
-                &self,
-                request: tce_cache::PreparedRequest,
-                config: &tce_core::SynthesisConfig,
-                cache: &SynthesisCache,
-            ) -> Result<tce_cache::CachedSynthesis, tce_core::SynthesisError> {
+        struct CountingHook(AtomicUsize);
+        impl RunHook for CountingHook {
+            fn before_run(&self) {
                 self.0.fetch_add(1, Ordering::Relaxed);
-                tce_cache::run_prepared(request, config, cache)
             }
         }
 
@@ -2078,11 +2064,11 @@ mod tests {
             w.admit_spec(1, &job("kept", 48, 64, 2));
         }
 
-        let runner = CountingRunner(AtomicUsize::new(0));
+        let counter = CountingHook(AtomicUsize::new(0));
         let cache = SynthesisCache::in_memory();
         let server = Server::builder().workers(1).build();
         let report = server
-            .recover_runner(&path, &cache, &runner)
+            .recover_hooked(&path, &cache, &counter)
             .expect("recover");
 
         assert_eq!(report.summary.jobs, 2);
@@ -2094,9 +2080,9 @@ mod tests {
         assert_eq!(report.jobs[0].fingerprint, "");
         assert!(report.jobs[1].ok, "the untouched admission re-ran");
         assert_eq!(
-            runner.0.load(Ordering::Relaxed),
+            counter.0.load(Ordering::Relaxed),
             1,
-            "the canceled job never reached the runner"
+            "the canceled job never reached the cache"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

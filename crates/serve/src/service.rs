@@ -33,10 +33,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tce_cache::{
-    prepare_network_request, prepare_request, run_network_prepared, run_prepared,
-    CachedNetworkSynthesis, CachedSynthesis, FsFaultPlan, PreparedRequest, SynthesisCache,
+    prepare_network_request, prepare_request, run_prepared, CachedSynthesis, FsFaultPlan, Lowered,
+    PreparedRequest, SynthesisCache,
 };
-use tce_core::{SynthesisConfig, SynthesisError};
+use tce_core::{NetworkSynthesis, SynthesisConfig, SynthesisError, SynthesisResult};
 use tce_solver::CancelToken;
 
 /// How many times followers may promote a new leader for one fingerprint
@@ -92,29 +92,19 @@ impl Default for BatchOptions {
     }
 }
 
-/// The solve step behind a leader, seam-isolated so supervision tests can
-/// substitute a misbehaving solver without touching the real pipeline.
-pub(crate) trait JobRunner: Sync {
-    fn run(
-        &self,
-        request: PreparedRequest,
-        config: &SynthesisConfig,
-        cache: &SynthesisCache,
-    ) -> Result<CachedSynthesis, SynthesisError>;
+/// A hook run immediately before each cache run of a job — a leader's
+/// solve and a follower's replay alike, for dense and network jobs — so
+/// supervision tests can inject a panic, a stall or a count without
+/// touching the real pipeline.
+pub(crate) trait RunHook: Sync {
+    fn before_run(&self);
 }
 
-/// The production runner: straight through the synthesis cache.
-pub(crate) struct CacheRunner;
+/// The production hook: nothing runs before the cache.
+pub(crate) struct NoHook;
 
-impl JobRunner for CacheRunner {
-    fn run(
-        &self,
-        request: PreparedRequest,
-        config: &SynthesisConfig,
-        cache: &SynthesisCache,
-    ) -> Result<CachedSynthesis, SynthesisError> {
-        run_prepared(request, config, cache)
-    }
+impl RunHook for NoHook {
+    fn before_run(&self) {}
 }
 
 /// A cancel handle for one admitted job, created at admission and shared
@@ -254,6 +244,24 @@ fn kind_of(err: &SynthesisError) -> &'static str {
     }
 }
 
+/// The plan figures a job report carries, from either pipeline's result.
+trait PlanFigures {
+    /// `(io_bytes, memory_bytes, predicted_s)`.
+    fn figures(&self) -> (f64, f64, f64);
+}
+
+impl PlanFigures for SynthesisResult {
+    fn figures(&self) -> (f64, f64, f64) {
+        (self.io_bytes, self.memory_bytes, self.predicted.total_s())
+    }
+}
+
+impl PlanFigures for NetworkSynthesis {
+    fn figures(&self) -> (f64, f64, f64) {
+        (self.io_bytes, self.memory_bytes, self.predicted_s)
+    }
+}
+
 /// Runs one job to a report. `queue_wait_s` is measured by the caller.
 /// Shared by the batch engine and the daemon's worker loop. `cancel`,
 /// when given, is the job's admission-time cancel handle: an explicit
@@ -266,496 +274,264 @@ pub(crate) fn process_job(
     flights: &SingleFlight,
     queue_wait_s: f64,
     opts: &BatchOptions,
-    runner: &dyn JobRunner,
+    hook: &dyn RunHook,
     cancel: Option<&JobCancel>,
 ) -> JobReport {
-    // contraction-network jobs (DSL header `network`) run through the
-    // network pipeline under the same supervision/caching machinery
+    let job = SupervisedJob {
+        spec,
+        cache,
+        flights,
+        opts,
+        hook,
+        cancel,
+        queue_wait_s,
+        started: Instant::now(),
+    };
+    // the one place a job's kind matters: contraction networks (DSL
+    // header `network`) and dense programs differ only in how they parse
+    // and lower, and share the supervision loop
     if tce_ir::is_network_src(&spec.program) {
-        return process_network_job(spec, cache, flights, queue_wait_s, opts, cancel);
-    }
-    let started = Instant::now();
-    let program = match spec.parse_program() {
-        Ok(p) => p,
-        Err(e) => return JobReport::failed(&spec.name, "", e, queue_wait_s).kind("invalid_job"),
-    };
-    let config = match job_config(spec, opts) {
-        Ok(c) => c,
-        Err(e) => return JobReport::failed(&spec.name, "", e, queue_wait_s).kind("invalid_job"),
-    };
-    // the job's deadline clock starts when a worker picks it up
-    let timeout = spec
-        .timeout_ms
-        .map(Duration::from_millis)
-        .or(opts.job_timeout);
-    let deadline = timeout.map(|t| started + t);
-    // what a parked follower polls: its own deadline plus its cancel flag
-    let wait_token = match (cancel, deadline) {
-        (Some(c), Some(d)) => Some(c.token().and_deadline(d)),
-        (Some(c), None) => Some(c.token().clone()),
-        (None, Some(d)) => Some(CancelToken::with_deadline(d)),
-        (None, None) => None,
-    };
-
-    let mut request = match prepare_request(&program, &config) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            return JobReport::failed(&spec.name, "", e.to_string(), queue_wait_s)
-                .kind("invalid_job")
+        match tce_ir::parse_network(&spec.program) {
+            Ok(dag) => job.supervise(|config| prepare_network_request(&dag, config)),
+            Err(e) => job.failed("", format!("invalid network: {e}"), "invalid_job"),
         }
-    };
-    let fingerprint = request.as_ref().expect("just prepared").fingerprint.clone();
+    } else {
+        match spec.parse_program() {
+            Ok(program) => job.supervise(|config| prepare_request(&program, config)),
+            Err(e) => job.failed("", e, "invalid_job"),
+        }
+    }
+}
 
-    // the supervision loop: lead, or park and — if the leader fails —
-    // race to be promoted, bounded by the retry budget
-    let mut leader_failures = 0u32;
-    let mut joined = false;
-    loop {
-        match flights.begin(&fingerprint) {
-            Role::Leader(guard) => {
-                let req = match request.take() {
-                    Some(r) => r,
-                    // a promoted follower's original request was consumed
-                    // by an earlier attempt; preparation is cheap and
-                    // deterministic, so just redo it
-                    None => match prepare_request(&program, &config) {
+/// One job on a worker: what the supervision loop needs besides the
+/// lowered request.
+struct SupervisedJob<'a> {
+    spec: &'a JobSpec,
+    cache: &'a SynthesisCache,
+    flights: &'a SingleFlight,
+    opts: &'a BatchOptions,
+    hook: &'a dyn RunHook,
+    cancel: Option<&'a JobCancel>,
+    queue_wait_s: f64,
+    /// Worker pickup; the job's deadline clock starts here.
+    started: Instant,
+}
+
+impl SupervisedJob<'_> {
+    /// The supervision loop: lead, or park and — if the leader fails —
+    /// race to be promoted, bounded by the retry budget. `prepare` lowers
+    /// and fingerprints the job's request.
+    fn supervise<L>(
+        &self,
+        prepare: impl Fn(&SynthesisConfig) -> Result<PreparedRequest<L>, SynthesisError>,
+    ) -> JobReport
+    where
+        L: Lowered,
+        L::Output: PlanFigures,
+    {
+        let config = match job_config(self.spec, self.opts) {
+            Ok(c) => c,
+            Err(e) => return self.failed("", e, "invalid_job"),
+        };
+        let deadline = self
+            .spec
+            .timeout_ms
+            .map(Duration::from_millis)
+            .or(self.opts.job_timeout)
+            .map(|t| self.started + t);
+        // what a follower polls while parked and carries into its replay:
+        // its own deadline plus its cancel flag
+        let wait_token = match (self.cancel, deadline) {
+            (Some(c), Some(d)) => Some(c.token().and_deadline(d)),
+            (Some(c), None) => Some(c.token().clone()),
+            (None, Some(d)) => Some(CancelToken::with_deadline(d)),
+            (None, None) => None,
+        };
+
+        let mut request = match prepare(&config) {
+            Ok(r) => Some(r),
+            Err(e) => return self.failed("", e.to_string(), "invalid_job"),
+        };
+        let fingerprint = request.as_ref().expect("just prepared").fingerprint.clone();
+        // a promoted follower's original request was consumed by an
+        // earlier attempt; preparation is cheap and deterministic, so
+        // just redo it
+        let mut take_request = || request.take().map_or_else(|| prepare(&config), Ok);
+
+        let mut leader_failures = 0u32;
+        loop {
+            match self.flights.begin(&fingerprint) {
+                Role::Leader(guard) => {
+                    let req = match take_request() {
                         Ok(r) => r,
                         Err(e) => {
                             guard.fail(e.to_string());
-                            return JobReport::failed(
-                                &spec.name,
+                            return self.failed(&fingerprint, e.to_string(), "invalid_job");
+                        }
+                    };
+                    // a fresh solve token per leadership attempt: the
+                    // flight trips it when the last interested job
+                    // cancels, and the deadline (if any) trips it on
+                    // expiry. The leader's own *explicit* cancel does not
+                    // abort the solve directly — it only releases
+                    // interest, so the solve survives while followers
+                    // still want the result.
+                    let solve_token = match deadline {
+                        Some(d) => CancelToken::with_deadline(d),
+                        None => CancelToken::new(),
+                    };
+                    guard.flight().lead_with(solve_token.clone());
+                    if let Some(c) = self.cancel {
+                        c.attach(guard.flight());
+                    }
+                    let config = config.clone().cancel_token(solve_token);
+                    // the guard is moved into the closure: if the solve
+                    // panics, unwinding drops it and the flight settles
+                    // as failed — followers wake either way
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        let outcome = self.run(req, &config);
+                        match &outcome {
+                            Ok(_) => guard.success(),
+                            Err(e) => guard.fail(e.to_string()),
+                        }
+                        outcome
+                    }));
+                    return self.report(&fingerprint, run, false, "solve");
+                }
+                Role::Follower(flight) => {
+                    if let Some(c) = self.cancel {
+                        c.attach(&flight);
+                    }
+                    match flight.wait_with(wait_token.as_ref()) {
+                        None => {
+                            // our own cancel or deadline fired while parked
+                            if self.cancel.is_some_and(|c| c.is_canceled()) {
+                                return self.canceled();
+                            }
+                            return self.failed(
                                 &fingerprint,
-                                e.to_string(),
-                                queue_wait_s,
-                            )
-                            .kind("invalid_job");
+                                "job deadline exceeded".to_string(),
+                                "deadline_exceeded",
+                            );
                         }
-                    },
-                };
-                // a fresh solve token per leadership attempt: the flight
-                // trips it when the last interested job cancels, and the
-                // deadline (if any) trips it on expiry. The leader's own
-                // *explicit* cancel does not abort the solve directly —
-                // it only releases interest, so the solve survives while
-                // followers still want the result.
-                let solve_token = match deadline {
-                    Some(d) => CancelToken::with_deadline(d),
-                    None => CancelToken::new(),
-                };
-                guard.flight().lead_with(solve_token.clone());
-                if let Some(c) = cancel {
-                    c.attach(guard.flight());
-                }
-                let config = config.clone().cancel_token(solve_token.clone());
-                // the guard is moved into the closure: if the solve
-                // panics, unwinding drops it and the flight settles as
-                // failed — followers wake either way
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    let outcome = runner.run(req, &config, cache);
-                    match &outcome {
-                        Ok(_) => guard.success(),
-                        Err(e) => guard.fail(e.to_string()),
-                    }
-                    outcome
-                }));
-                // the client canceled: whatever the solve did (completed
-                // into the cache for remaining followers, or aborted as
-                // uncacheable), *this* job reports the canonical canceled
-                // outcome
-                if cancel.is_some_and(|c| c.is_canceled()) {
-                    let mut r = JobReport::canceled(&spec.name, "", queue_wait_s);
-                    r.joined = joined;
-                    r.total_s = started.elapsed().as_secs_f64();
-                    return r;
-                }
-                return match run {
-                    Ok(Ok(done)) => ok_report(spec, &done, joined, queue_wait_s, started),
-                    Ok(Err(e)) => {
-                        let mut r = JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            e.to_string(),
-                            queue_wait_s,
-                        )
-                        .kind(kind_of(&e));
-                        r.joined = joined;
-                        r.total_s = started.elapsed().as_secs_f64();
-                        r
-                    }
-                    Err(_) => {
-                        let mut r = JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            "worker panicked during solve".to_string(),
-                            queue_wait_s,
-                        )
-                        .kind("panic");
-                        r.joined = joined;
-                        r.total_s = started.elapsed().as_secs_f64();
-                        r
-                    }
-                };
-            }
-            Role::Follower(flight) => {
-                if let Some(c) = cancel {
-                    c.attach(&flight);
-                }
-                match flight.wait_with(wait_token.as_ref()) {
-                    None => {
-                        // our own cancel or deadline fired while parked
-                        if cancel.is_some_and(|c| c.is_canceled()) {
-                            let mut r = JobReport::canceled(&spec.name, "", queue_wait_s);
-                            r.total_s = started.elapsed().as_secs_f64();
-                            return r;
-                        }
-                        return JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            "job deadline exceeded".to_string(),
-                            queue_wait_s,
-                        )
-                        .kind("deadline_exceeded");
-                    }
-                    Some(FlightEnd::Success) => {
-                        joined = true;
-                        let req = match request.take() {
-                            Some(r) => r,
-                            None => match prepare_request(&program, &config) {
+                        Some(FlightEnd::Success) => {
+                            let req = match take_request() {
                                 Ok(r) => r,
                                 Err(e) => {
-                                    return JobReport::failed(
-                                        &spec.name,
-                                        &fingerprint,
-                                        e.to_string(),
-                                        queue_wait_s,
-                                    )
-                                    .kind("invalid_job")
+                                    return self.failed(&fingerprint, e.to_string(), "invalid_job")
                                 }
-                            },
-                        };
-                        // replay the leader's outcome from the cache; panics
-                        // here are as fatal to the pool as leader panics, so
-                        // they get the same containment
-                        let run =
-                            catch_unwind(AssertUnwindSafe(|| runner.run(req, &config, cache)));
-                        return match run {
-                            Ok(Ok(done)) => ok_report(spec, &done, joined, queue_wait_s, started),
-                            Ok(Err(e)) => {
-                                let mut r = JobReport::failed(
-                                    &spec.name,
-                                    &fingerprint,
-                                    e.to_string(),
-                                    queue_wait_s,
-                                )
-                                .kind(kind_of(&e));
-                                r.joined = joined;
-                                r.total_s = started.elapsed().as_secs_f64();
-                                r
-                            }
-                            Err(_) => {
-                                let mut r = JobReport::failed(
-                                    &spec.name,
-                                    &fingerprint,
-                                    "worker panicked during replay".to_string(),
-                                    queue_wait_s,
-                                )
-                                .kind("panic");
-                                r.joined = joined;
-                                r.total_s = started.elapsed().as_secs_f64();
-                                r
-                            }
-                        };
-                    }
-                    Some(FlightEnd::Failed(cause)) => {
-                        leader_failures += 1;
-                        if leader_failures > opts.retry_budget {
-                            return JobReport::failed(
-                                &spec.name,
-                                &fingerprint,
-                                format!(
-                                    "leader failed {leader_failures} time(s), retry budget \
-                                 exhausted; last cause: {cause}"
-                                ),
-                                queue_wait_s,
-                            )
-                            .kind("leader_failed");
+                            };
+                            // replay the leader's outcome from the cache.
+                            // The leader's record may already be evicted,
+                            // making this a full solve, so it runs under
+                            // the job's own deadline and cancel; panics
+                            // get the same containment as a leader's
+                            let config = SynthesisConfig {
+                                cancel: wait_token.clone(),
+                                ..config.clone()
+                            };
+                            let run = catch_unwind(AssertUnwindSafe(|| self.run(req, &config)));
+                            return self.report(&fingerprint, run, true, "replay");
                         }
-                        // loop: race to re-begin — first one in is promoted
-                        // to leader and retries, the rest park on its flight
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Runs one contraction-network job to a report: the same supervision
-/// loop as [`process_job`] (single-flight on the canonical fingerprint,
-/// guarded `catch_unwind`, deadline token, bounded leader promotion),
-/// over the network prepare/solve seam instead of the dense one.
-pub(crate) fn process_network_job(
-    spec: &JobSpec,
-    cache: &SynthesisCache,
-    flights: &SingleFlight,
-    queue_wait_s: f64,
-    opts: &BatchOptions,
-    cancel: Option<&JobCancel>,
-) -> JobReport {
-    let started = Instant::now();
-    let dag = match tce_ir::parse_network(&spec.program) {
-        Ok(d) => d,
-        Err(e) => {
-            return JobReport::failed(
-                &spec.name,
-                "",
-                format!("invalid network: {e}"),
-                queue_wait_s,
-            )
-            .kind("invalid_job")
-        }
-    };
-    let config = match job_config(spec, opts) {
-        Ok(c) => c,
-        Err(e) => return JobReport::failed(&spec.name, "", e, queue_wait_s).kind("invalid_job"),
-    };
-    let timeout = spec
-        .timeout_ms
-        .map(Duration::from_millis)
-        .or(opts.job_timeout);
-    let deadline = timeout.map(|t| started + t);
-    let wait_token = match (cancel, deadline) {
-        (Some(c), Some(d)) => Some(c.token().and_deadline(d)),
-        (Some(c), None) => Some(c.token().clone()),
-        (None, Some(d)) => Some(CancelToken::with_deadline(d)),
-        (None, None) => None,
-    };
-
-    let mut request = match prepare_network_request(&dag, &config) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            return JobReport::failed(&spec.name, "", e.to_string(), queue_wait_s)
-                .kind("invalid_job")
-        }
-    };
-    let fingerprint = request.as_ref().expect("just prepared").fingerprint.clone();
-
-    let mut leader_failures = 0u32;
-    let mut joined = false;
-    loop {
-        match flights.begin(&fingerprint) {
-            Role::Leader(guard) => {
-                let req = match request.take() {
-                    Some(r) => r,
-                    None => match prepare_network_request(&dag, &config) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            guard.fail(e.to_string());
-                            return JobReport::failed(
-                                &spec.name,
-                                &fingerprint,
-                                e.to_string(),
-                                queue_wait_s,
-                            )
-                            .kind("invalid_job");
-                        }
-                    },
-                };
-                let solve_token = match deadline {
-                    Some(d) => CancelToken::with_deadline(d),
-                    None => CancelToken::new(),
-                };
-                guard.flight().lead_with(solve_token.clone());
-                if let Some(c) = cancel {
-                    c.attach(guard.flight());
-                }
-                let config = config.clone().cancel_token(solve_token.clone());
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    let outcome = run_network_prepared(req, &config, cache);
-                    match &outcome {
-                        Ok(_) => guard.success(),
-                        Err(e) => guard.fail(e.to_string()),
-                    }
-                    outcome
-                }));
-                if cancel.is_some_and(|c| c.is_canceled()) {
-                    let mut r = JobReport::canceled(&spec.name, "", queue_wait_s);
-                    r.joined = joined;
-                    r.total_s = started.elapsed().as_secs_f64();
-                    return r;
-                }
-                return match run {
-                    Ok(Ok(done)) => network_ok_report(spec, &done, joined, queue_wait_s, started),
-                    Ok(Err(e)) => {
-                        let mut r = JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            e.to_string(),
-                            queue_wait_s,
-                        )
-                        .kind(kind_of(&e));
-                        r.joined = joined;
-                        r.total_s = started.elapsed().as_secs_f64();
-                        r
-                    }
-                    Err(_) => {
-                        let mut r = JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            "worker panicked during solve".to_string(),
-                            queue_wait_s,
-                        )
-                        .kind("panic");
-                        r.joined = joined;
-                        r.total_s = started.elapsed().as_secs_f64();
-                        r
-                    }
-                };
-            }
-            Role::Follower(flight) => {
-                if let Some(c) = cancel {
-                    c.attach(&flight);
-                }
-                match flight.wait_with(wait_token.as_ref()) {
-                    None => {
-                        if cancel.is_some_and(|c| c.is_canceled()) {
-                            let mut r = JobReport::canceled(&spec.name, "", queue_wait_s);
-                            r.total_s = started.elapsed().as_secs_f64();
-                            return r;
-                        }
-                        return JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            "job deadline exceeded".to_string(),
-                            queue_wait_s,
-                        )
-                        .kind("deadline_exceeded");
-                    }
-                    Some(FlightEnd::Success) => {
-                        joined = true;
-                        let req = match request.take() {
-                            Some(r) => r,
-                            None => match prepare_network_request(&dag, &config) {
-                                Ok(r) => r,
-                                Err(e) => {
-                                    return JobReport::failed(
-                                        &spec.name,
-                                        &fingerprint,
-                                        e.to_string(),
-                                        queue_wait_s,
-                                    )
-                                    .kind("invalid_job")
-                                }
-                            },
-                        };
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            run_network_prepared(req, &config, cache)
-                        }));
-                        return match run {
-                            Ok(Ok(done)) => {
-                                network_ok_report(spec, &done, joined, queue_wait_s, started)
-                            }
-                            Ok(Err(e)) => {
-                                let mut r = JobReport::failed(
-                                    &spec.name,
+                        Some(FlightEnd::Failed(cause)) => {
+                            leader_failures += 1;
+                            if leader_failures > self.opts.retry_budget {
+                                return self.failed(
                                     &fingerprint,
-                                    e.to_string(),
-                                    queue_wait_s,
-                                )
-                                .kind(kind_of(&e));
-                                r.joined = joined;
-                                r.total_s = started.elapsed().as_secs_f64();
-                                r
+                                    format!(
+                                        "leader failed {leader_failures} time(s), retry budget \
+                                         exhausted; last cause: {cause}"
+                                    ),
+                                    "leader_failed",
+                                );
                             }
-                            Err(_) => {
-                                let mut r = JobReport::failed(
-                                    &spec.name,
-                                    &fingerprint,
-                                    "worker panicked during replay".to_string(),
-                                    queue_wait_s,
-                                )
-                                .kind("panic");
-                                r.joined = joined;
-                                r.total_s = started.elapsed().as_secs_f64();
-                                r
-                            }
-                        };
-                    }
-                    Some(FlightEnd::Failed(cause)) => {
-                        leader_failures += 1;
-                        if leader_failures > opts.retry_budget {
-                            return JobReport::failed(
-                                &spec.name,
-                                &fingerprint,
-                                format!(
-                                    "leader failed {leader_failures} time(s), retry budget \
-                                 exhausted; last cause: {cause}"
-                                ),
-                                queue_wait_s,
-                            )
-                            .kind("leader_failed");
+                            // loop: race to re-begin — first one in is
+                            // promoted to leader and retries, the rest
+                            // park on its flight
                         }
                     }
                 }
             }
         }
     }
-}
 
-fn network_ok_report(
-    spec: &JobSpec,
-    done: &CachedNetworkSynthesis,
-    joined: bool,
-    queue_wait_s: f64,
-    started: Instant,
-) -> JobReport {
-    JobReport {
-        name: spec.name.clone(),
-        ok: true,
-        error: None,
-        error_kind: None,
-        fingerprint: done.fingerprint.clone(),
-        hit: done.hit,
-        joined,
-        queue_wait_s,
-        solve_wall_s: done.solve_wall.as_secs_f64(),
-        saved_wall_s: done.saved_wall_s,
-        total_s: started.elapsed().as_secs_f64(),
-        io_bytes: done.result.io_bytes,
-        memory_bytes: done.result.memory_bytes,
-        predicted_s: done.result.predicted_s,
+    /// One cache run: the hook, then the cache.
+    fn run<L: Lowered>(
+        &self,
+        request: PreparedRequest<L>,
+        config: &SynthesisConfig,
+    ) -> Result<CachedSynthesis<L::Output>, SynthesisError> {
+        self.hook.before_run();
+        run_prepared(request, config, self.cache)
+    }
+
+    /// The report for a finished cache run: its result, its error, or the
+    /// panic `catch_unwind` contained during `stage`. A job its client
+    /// canceled reports the canonical canceled outcome, whatever the run
+    /// did (completed into the cache for remaining followers, or aborted
+    /// as uncacheable).
+    fn report<R: PlanFigures>(
+        &self,
+        fingerprint: &str,
+        run: std::thread::Result<Result<CachedSynthesis<R>, SynthesisError>>,
+        joined: bool,
+        stage: &str,
+    ) -> JobReport {
+        if self.cancel.is_some_and(|c| c.is_canceled()) {
+            return self.canceled();
+        }
+        let mut report = match run {
+            Ok(Ok(done)) => {
+                let (io_bytes, memory_bytes, predicted_s) = done.result.figures();
+                JobReport {
+                    name: self.spec.name.clone(),
+                    ok: true,
+                    error: None,
+                    error_kind: None,
+                    fingerprint: done.fingerprint,
+                    hit: done.hit,
+                    joined,
+                    queue_wait_s: self.queue_wait_s,
+                    solve_wall_s: done.solve_wall.as_secs_f64(),
+                    saved_wall_s: done.saved_wall_s,
+                    total_s: self.started.elapsed().as_secs_f64(),
+                    io_bytes,
+                    memory_bytes,
+                    predicted_s,
+                }
+            }
+            Ok(Err(e)) => self.failed(fingerprint, e.to_string(), kind_of(&e)),
+            Err(_) => self.failed(
+                fingerprint,
+                format!("worker panicked during {stage}"),
+                "panic",
+            ),
+        };
+        report.joined = joined;
+        report
+    }
+
+    /// A failure report of class `kind`, timed from worker pickup.
+    fn failed(&self, fingerprint: &str, error: String, kind: &str) -> JobReport {
+        let mut report =
+            JobReport::failed(&self.spec.name, fingerprint, error, self.queue_wait_s).kind(kind);
+        report.total_s = self.started.elapsed().as_secs_f64();
+        report
+    }
+
+    /// The canonical canceled report, timed from worker pickup.
+    fn canceled(&self) -> JobReport {
+        let mut report = JobReport::canceled(&self.spec.name, "", self.queue_wait_s);
+        report.total_s = self.started.elapsed().as_secs_f64();
+        report
     }
 }
 
-fn ok_report(
-    spec: &JobSpec,
-    done: &CachedSynthesis,
-    joined: bool,
-    queue_wait_s: f64,
-    started: Instant,
-) -> JobReport {
-    JobReport {
-        name: spec.name.clone(),
-        ok: true,
-        error: None,
-        error_kind: None,
-        fingerprint: done.fingerprint.clone(),
-        hit: done.hit,
-        joined,
-        queue_wait_s,
-        solve_wall_s: done.solve_wall.as_secs_f64(),
-        saved_wall_s: done.saved_wall_s,
-        total_s: started.elapsed().as_secs_f64(),
-        io_bytes: done.result.io_bytes,
-        memory_bytes: done.result.memory_bytes,
-        predicted_s: done.result.predicted.total_s(),
-    }
-}
-
-pub(crate) fn run_batch_runner(
+pub(crate) fn run_batch_hooked(
     jobs: &[JobSpec],
     opts: &BatchOptions,
     cache: &SynthesisCache,
-    runner: &dyn JobRunner,
+    hook: &dyn RunHook,
 ) -> Result<BatchReport, String> {
     let workers = resolve_workers(opts.workers).min(jobs.len().max(1));
     // jobs split the cores over the workers that actually run
@@ -819,9 +595,9 @@ pub(crate) fn run_batch_runner(
     let reports: Mutex<Vec<Option<JobReport>>> =
         Mutex::new((0..jobs.len()).map(|_| None).collect());
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let idx = match queue.lock().pop() {
                     Some(i) => i,
                     None => break,
@@ -830,23 +606,15 @@ pub(crate) fn run_batch_runner(
                     w.start(idx);
                 }
                 let queue_wait_s = batch_started.elapsed().as_secs_f64();
-                let report = process_job(
-                    &jobs[idx],
-                    cache,
-                    &flights,
-                    queue_wait_s,
-                    opts,
-                    runner,
-                    None,
-                );
+                let report =
+                    process_job(&jobs[idx], cache, &flights, queue_wait_s, opts, hook, None);
                 if let Some(w) = writer {
                     w.done(idx, &report);
                 }
                 reports.lock()[idx] = Some(report);
             });
         }
-    })
-    .expect("worker pool");
+    });
 
     let resumed_count = resumed.len() as u64;
     // per-request latency (admission → report) over the jobs this run
