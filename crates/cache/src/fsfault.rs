@@ -1,13 +1,11 @@
 //! Deterministic, seeded filesystem fault injection for the store and the
 //! batch journal.
 //!
-//! `tce-disksim` already proved the pattern at the simulated-disk layer
-//! ([`FaultPlan`](tce_disksim) there): seeded schedules make chaos tests
-//! reproducible instead of flaky. This module lifts the same API shape to
-//! *real* filesystem operations — every write, fsync and rename the cache
-//! store and the serve journal perform goes through the wrappers below, so
-//! a test can deterministically inject the failures that matter for crash
-//! safety:
+//! Every write, fsync and rename the cache store and the serve journal
+//! perform goes through the wrappers below, which consult a seeded
+//! [`Schedule`] (`tce_disksim::fault`, shared with the simulated disks
+//! and the daemon's sockets) once per operation — so a test can
+//! deterministically inject the failures that matter for crash safety:
 //!
 //! * [`FsFaultKind::Enospc`] — the write fails up front (disk full);
 //! * [`FsFaultKind::Eio`] — the operation fails with a generic I/O error;
@@ -18,29 +16,21 @@
 //!   and fsynced but the publishing rename never happens, orphaning the
 //!   temp file (what a real crash between `fsync` and `rename` does).
 //!
-//! A [`FsFaultPlan`] mirrors `tce_disksim::FaultPlan`: a deterministic
-//! fail-after-N trigger with a burst length, plus an independent per-op
-//! probability, all drawn from a seeded stream so identical seeds
-//! reproduce identical fault histories. [`FsFaultPlan::injector`] builds
-//! the shared [`FsFaultInjector`] handle that the store and journal
-//! consult once per operation.
+//! Injected errors carry an [`Injected`] payload, so
+//! [`is_simulated_crash`] tells them from real ones by type.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use tce_disksim::{FaultKind, Injected, Injector, Schedule};
 
 /// Which failure an injected fault simulates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FsFaultKind {
     /// The operation fails before touching the file (disk full).
     Enospc,
     /// The operation fails with a generic I/O error.
+    #[default]
     Eio,
     /// A write lands only half its bytes, then errors — the file is torn.
     ShortWrite,
@@ -49,9 +39,15 @@ pub enum FsFaultKind {
     CrashBeforeRename,
 }
 
-impl FsFaultKind {
-    /// Stable lower-case tag, used in error messages and test assertions.
-    pub fn tag(&self) -> &'static str {
+impl FaultKind for FsFaultKind {
+    const ALL: &'static [Self] = &[
+        FsFaultKind::Enospc,
+        FsFaultKind::Eio,
+        FsFaultKind::ShortWrite,
+        FsFaultKind::CrashBeforeRename,
+    ];
+
+    fn tag(self) -> &'static str {
         match self {
             FsFaultKind::Enospc => "enospc",
             FsFaultKind::Eio => "eio",
@@ -61,189 +57,32 @@ impl FsFaultKind {
     }
 }
 
-/// A deterministic, seeded fault schedule for filesystem operations —
-/// the filesystem-layer mirror of `tce_disksim::FaultPlan`. The default
-/// is fault-free.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FsFaultPlan {
-    /// Seed for probabilistic draws; identical seeds reproduce identical
-    /// fault histories.
-    pub seed: u64,
-    /// Deterministic trigger: after this many *successful* operations,
-    /// inject `count` consecutive faults of the given kind, then recover.
-    pub fail_after: Option<(u64, FsFaultKind, u64)>,
-    /// Per-operation probability of an independent injected fault.
-    pub p_fail: f64,
-    /// The kind injected by probabilistic faults.
-    pub p_kind: FsFaultKind,
-}
+/// A seeded fault schedule for filesystem operations. The default is
+/// fault-free.
+pub type FsFaultPlan = Schedule<FsFaultKind>;
 
-impl Default for FsFaultPlan {
-    fn default() -> Self {
-        FsFaultPlan {
-            seed: 0,
-            fail_after: None,
-            p_fail: 0.0,
-            p_kind: FsFaultKind::Eio,
-        }
-    }
-}
-
-impl FsFaultPlan {
-    /// A fault-free plan.
-    pub fn none() -> Self {
-        FsFaultPlan::default()
-    }
-
-    /// Sets the seed for probabilistic draws.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// After `ops` successful operations, inject `count` consecutive
-    /// faults of `kind`, then recover.
-    pub fn fail_after(mut self, ops: u64, kind: FsFaultKind, count: u64) -> Self {
-        self.fail_after = Some((ops, kind, count));
-        self
-    }
-
-    /// Each operation independently fails with probability `p`, as `kind`.
-    pub fn probabilistic(mut self, p: f64, kind: FsFaultKind) -> Self {
-        self.p_fail = p;
-        self.p_kind = kind;
-        self
-    }
-
-    /// True if this schedule can never affect an operation.
-    pub fn is_idle(&self) -> bool {
-        self.fail_after.is_none() && self.p_fail <= 0.0
-    }
-
-    /// The stream seed for an injector serving `rank` (splitmix-style
-    /// decorrelation, like `tce_disksim::FaultPlan::stream_seed`).
-    pub fn stream_seed(&self, rank: usize) -> u64 {
-        self.seed ^ (rank as u64).wrapping_mul(0xA24B_AED4_963E_E407)
-    }
-
-    /// Builds the shared injector handle for stream `rank`.
-    pub fn injector(&self, rank: usize) -> Arc<FsFaultInjector> {
-        Arc::new(FsFaultInjector {
-            state: Mutex::new(FsFaultState {
-                plan: self.clone(),
-                rng: StdRng::seed_from_u64(self.stream_seed(rank)),
-                ops_seen: 0,
-                burst_left: 0,
-                burst_kind: FsFaultKind::Eio,
-            }),
-            injected: AtomicU64::new(0),
-        })
-    }
-}
-
-struct FsFaultState {
-    plan: FsFaultPlan,
-    rng: StdRng,
-    /// Successful operations seen so far (the `fail_after` clock).
-    ops_seen: u64,
-    /// Remaining consecutive failures of a triggered burst.
-    burst_left: u64,
-    burst_kind: FsFaultKind,
-}
-
-/// Live, shared fault state consulted once per filesystem operation.
-/// Thread-safe: the store and the journal share one injector across the
-/// whole worker pool.
-pub struct FsFaultInjector {
-    state: Mutex<FsFaultState>,
-    injected: AtomicU64,
-}
-
-impl FsFaultInjector {
-    /// Decides the fate of the next operation. Mutates the schedule
-    /// clocks and consumes RNG draws, so the wrappers call it exactly
-    /// once per attempt.
-    pub fn decide(&self) -> Option<FsFaultKind> {
-        let mut st = self.state.lock();
-        if st.burst_left > 0 {
-            st.burst_left -= 1;
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            return Some(st.burst_kind);
-        }
-        if let Some((after, kind, count)) = st.plan.fail_after {
-            if st.ops_seen >= after {
-                // this failure is the first of `count`
-                st.plan.fail_after = None;
-                st.burst_left = count.saturating_sub(1);
-                st.burst_kind = kind;
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                return Some(kind);
-            }
-        }
-        if st.plan.p_fail > 0.0 {
-            let p = st.plan.p_fail;
-            if st.rng.random_bool(p) {
-                let kind = st.plan.p_kind;
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                return Some(kind);
-            }
-        }
-        st.ops_seen += 1;
-        None
-    }
-
-    /// Total faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-}
-
-fn injected_error(kind: FsFaultKind, op: &str) -> io::Error {
-    io::Error::other(format!("injected {} during {op}", kind.tag()))
-}
-
-/// Decides once for `faults` (if any); `None` means proceed.
-fn decide(faults: Option<&FsFaultInjector>) -> Option<FsFaultKind> {
-    faults.and_then(|f| f.decide())
-}
-
-/// Writes `bytes` to a new file at `path` through the fault schedule.
-/// A [`FsFaultKind::ShortWrite`] lands the first half of the bytes before
+/// Appends `bytes` to an open file through the fault schedule. A
+/// [`FsFaultKind::ShortWrite`] lands the first half of the bytes before
 /// erroring, leaving a torn file for crash-recovery paths to handle.
-pub fn write_file(faults: Option<&FsFaultInjector>, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    match decide(faults) {
-        Some(FsFaultKind::ShortWrite) => {
-            let mut f = fs::File::create(path)?;
-            f.write_all(&bytes[..bytes.len() / 2])?;
-            let _ = f.sync_all();
-            Err(injected_error(FsFaultKind::ShortWrite, "write"))
-        }
-        Some(kind) => Err(injected_error(kind, "write")),
-        None => fs::write(path, bytes),
-    }
-}
-
-/// Appends `bytes` to an open file through the fault schedule (same
-/// short-write semantics as [`write_file`]).
 pub fn append_all(
-    faults: Option<&FsFaultInjector>,
+    faults: Option<&Injector<FsFaultKind>>,
     file: &mut fs::File,
     bytes: &[u8],
 ) -> io::Result<()> {
-    match decide(faults) {
+    match faults.and_then(Injector::decide) {
         Some(FsFaultKind::ShortWrite) => {
             file.write_all(&bytes[..bytes.len() / 2])?;
-            Err(injected_error(FsFaultKind::ShortWrite, "append"))
+            Err(Injected::error(FsFaultKind::ShortWrite, "append"))
         }
-        Some(kind) => Err(injected_error(kind, "append")),
+        Some(kind) => Err(Injected::error(kind, "append")),
         None => file.write_all(bytes),
     }
 }
 
 /// Fsyncs an open file through the fault schedule.
-pub fn sync_file(faults: Option<&FsFaultInjector>, file: &fs::File) -> io::Result<()> {
-    match decide(faults) {
-        Some(kind) => Err(injected_error(kind, "fsync")),
+pub fn sync_file(faults: Option<&Injector<FsFaultKind>>, file: &fs::File) -> io::Result<()> {
+    match faults.and_then(Injector::decide) {
+        Some(kind) => Err(Injected::error(kind, "fsync")),
         None => file.sync_all(),
     }
 }
@@ -251,9 +90,9 @@ pub fn sync_file(faults: Option<&FsFaultInjector>, file: &fs::File) -> io::Resul
 /// Fsyncs a directory so a rename inside it is durable. Real filesystems
 /// that cannot fsync directories are tolerated (best effort); *injected*
 /// faults still fail, so chaos tests exercise the error path.
-pub fn sync_dir(faults: Option<&FsFaultInjector>, dir: &Path) -> io::Result<()> {
-    if let Some(kind) = decide(faults) {
-        return Err(injected_error(kind, "dir-fsync"));
+pub fn sync_dir(faults: Option<&Injector<FsFaultKind>>, dir: &Path) -> io::Result<()> {
+    if let Some(kind) = faults.and_then(Injector::decide) {
+        return Err(Injected::error(kind, "dir-fsync"));
     }
     if let Ok(d) = fs::File::open(dir) {
         let _ = d.sync_all();
@@ -265,9 +104,9 @@ pub fn sync_dir(faults: Option<&FsFaultInjector>, dir: &Path) -> io::Result<()> 
 /// [`FsFaultKind::CrashBeforeRename`] skips the rename entirely, leaving
 /// `from` orphaned — the caller must treat the error as a crash, not
 /// clean up.
-pub fn rename(faults: Option<&FsFaultInjector>, from: &Path, to: &Path) -> io::Result<()> {
-    match decide(faults) {
-        Some(kind) => Err(injected_error(kind, "rename")),
+pub fn rename(faults: Option<&Injector<FsFaultKind>>, from: &Path, to: &Path) -> io::Result<()> {
+    match faults.and_then(Injector::decide) {
+        Some(kind) => Err(Injected::error(kind, "rename")),
         None => fs::rename(from, to),
     }
 }
@@ -276,38 +115,35 @@ pub fn rename(faults: Option<&FsFaultInjector>, from: &Path, to: &Path) -> io::R
 /// the one fault after which the temp file must be *left in place* (the
 /// simulated process is "dead"; the orphan sweep owns recovery).
 pub fn is_simulated_crash(err: &io::Error) -> bool {
-    err.to_string()
-        .contains(FsFaultKind::CrashBeforeRename.tag())
+    Injected::kind_of(err) == Some(FsFaultKind::CrashBeforeRename)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn decisions(plan: &FsFaultPlan, rank: usize, n: usize) -> Vec<Option<FsFaultKind>> {
+        let inj = plan.injector(rank).expect("active schedule");
+        (0..n).map(|_| inj.decide()).collect()
+    }
+
     #[test]
     fn fail_after_bursts_then_recovers() {
-        let inj = FsFaultPlan::none()
-            .fail_after(2, FsFaultKind::Enospc, 3)
-            .injector(0);
-        assert_eq!(inj.decide(), None);
-        assert_eq!(inj.decide(), None);
-        for _ in 0..3 {
-            assert_eq!(inj.decide(), Some(FsFaultKind::Enospc));
-        }
-        for _ in 0..10 {
-            assert_eq!(inj.decide(), None);
-        }
-        assert_eq!(inj.injected(), 3);
+        let plan = FsFaultPlan::none().fail_after(2, FsFaultKind::Enospc, 3);
+        let got = decisions(&plan, 0, 15);
+        assert_eq!(got[..2], [None, None]);
+        assert_eq!(got[2..5], [Some(FsFaultKind::Enospc); 3]);
+        assert!(got[5..].iter().all(Option::is_none), "{got:?}");
+        assert_eq!(got.iter().filter(|d| d.is_some()).count(), 3);
     }
 
     #[test]
     fn probabilistic_faults_are_deterministic_per_seed() {
-        let run = |seed: u64| -> Vec<Option<FsFaultKind>> {
-            let inj = FsFaultPlan::none()
+        let run = |seed: u64| {
+            let plan = FsFaultPlan::none()
                 .probabilistic(0.3, FsFaultKind::Eio)
-                .with_seed(seed)
-                .injector(0);
-            (0..200).map(|_| inj.decide()).collect()
+                .with_seed(seed);
+            decisions(&plan, 0, 200)
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
@@ -318,30 +154,38 @@ mod tests {
     #[test]
     fn stream_seeds_decorrelate_ranks() {
         let plan = FsFaultPlan::none().with_seed(9);
-        assert_ne!(plan.stream_seed(0), plan.stream_seed(1));
         assert!(plan.is_idle());
-        assert!(!plan.clone().probabilistic(0.1, FsFaultKind::Eio).is_idle());
+        assert!(plan.injector(0).is_none());
+        let plan = plan.probabilistic(0.1, FsFaultKind::Eio);
+        assert!(!plan.is_idle());
+        assert_ne!(decisions(&plan, 0, 200), decisions(&plan, 1, 200));
     }
 
     #[test]
     fn short_write_leaves_a_torn_file() {
-        let dir = std::env::temp_dir().join(format!("tce-fsfault-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("tce-fsfault-torn-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.json");
         let inj = FsFaultPlan::none()
             .fail_after(0, FsFaultKind::ShortWrite, 1)
             .injector(0);
-        let err = write_file(Some(&inj), &path, b"0123456789abcdef").unwrap_err();
+        let mut file = fs::File::create(&path).unwrap();
+        let err = append_all(inj.as_deref(), &mut file, b"0123456789abcdef").unwrap_err();
         assert!(err.to_string().contains("short-write"), "{err}");
         assert_eq!(fs::read(&path).unwrap(), b"01234567");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn crash_before_rename_is_detectable() {
-        let err = injected_error(FsFaultKind::CrashBeforeRename, "rename");
+        let err = Injected::error(FsFaultKind::CrashBeforeRename, "rename");
         assert!(is_simulated_crash(&err));
-        let err = injected_error(FsFaultKind::Eio, "rename");
+        let err = Injected::error(FsFaultKind::Eio, "rename");
+        assert!(!is_simulated_crash(&err));
+        // detection is by payload type: a foreign error that merely names
+        // the fault is not a simulated crash
+        let err = io::Error::other("disk said: injected crash-before-rename during rename");
         assert!(!is_simulated_crash(&err));
     }
 }

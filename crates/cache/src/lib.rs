@@ -41,7 +41,7 @@ pub use cached::{
     synthesize_network_cached, CachedNetworkSynthesis, CachedSynthesis, Lowered,
     PreparedNetworkRequest, PreparedRequest,
 };
-pub use fsfault::{FsFaultInjector, FsFaultKind, FsFaultPlan};
+pub use fsfault::{FsFaultKind, FsFaultPlan};
 pub use map::{MapStats, ShardedLruMap};
 pub use record::{CacheRecord, RECORD_SCHEMA};
 pub use store::{CacheStats, SynthesisCache, CACHE_DIR_ENV, DEFAULT_LRU_CAP, LRU_CAP_ENV};

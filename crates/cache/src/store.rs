@@ -12,7 +12,7 @@
 //! fractional seconds accumulate through a compare-exchange loop on the
 //! `f64` bit pattern.
 
-use crate::fsfault::{self, FsFaultInjector, FsFaultPlan};
+use crate::fsfault::{self, FsFaultKind, FsFaultPlan};
 use crate::map::{MapStats, ShardedLruMap};
 use crate::record::CacheRecord;
 use std::fs;
@@ -20,6 +20,7 @@ use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use tce_disksim::Injector;
 
 /// Default in-memory LRU capacity (records, not bytes).
 pub const DEFAULT_LRU_CAP: usize = 64;
@@ -94,7 +95,7 @@ impl AtomicCacheStats {
 /// The on-disk half of the cache.
 pub struct DiskStore {
     dir: PathBuf,
-    faults: Option<Arc<FsFaultInjector>>,
+    faults: Option<Arc<Injector<FsFaultKind>>>,
     /// Orphaned `.{key}.tmp` files swept aside when this store opened.
     swept: u64,
 }
@@ -110,7 +111,7 @@ impl DiskStore {
     /// the given fault injector.
     pub fn with_faults(
         dir: impl Into<PathBuf>,
-        faults: Option<Arc<FsFaultInjector>>,
+        faults: Option<Arc<Injector<FsFaultKind>>>,
     ) -> Result<Self, String> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| format!("cannot create cache dir {dir:?}: {e}"))?;
@@ -241,9 +242,8 @@ impl SynthesisCache {
         dir: impl Into<PathBuf>,
         plan: &FsFaultPlan,
     ) -> Result<Self, String> {
-        let faults = (!plan.is_idle()).then(|| plan.injector(0));
         let mut cache = SynthesisCache::in_memory();
-        cache.attach_disk(DiskStore::with_faults(dir, faults)?);
+        cache.attach_disk(DiskStore::with_faults(dir, plan.injector(0))?);
         Ok(cache)
     }
 
@@ -473,8 +473,7 @@ mod tests {
             assert!(err.contains("injected"), "{err}");
             assert!(
                 !dir.join(".abcd.tmp").exists(),
-                "non-crash failure must not leave a tmp ({})",
-                kind.tag()
+                "non-crash failure must not leave a tmp ({kind:?})"
             );
             // the burst is over: the retry goes through on the same handle
             cache.put("abcd", record(2)).unwrap();

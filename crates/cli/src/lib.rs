@@ -45,8 +45,9 @@
 //!                         reference evaluator
 //! --faults <spec>         (run) seeded per-disk fault schedules:
 //!                         "seed=N;rank=R[,after=N][,kind=transient:K|permanent]
-//!                         [,p=P][,spike=P:S];..." — semicolon-separated
-//!                         per-rank specs, optional global seed segment
+//!                         [,count=K][,p=P][,pkind=..][,spike=P:S];..." —
+//!                         semicolon-separated per-rank specs, optional
+//!                         global seed segment
 //! --retry <spec>          (run) retry transient faults:
 //!                         "attempts[,base_s[,factor]]"
 //! --resume                (run) with --full: checkpoint at tile
@@ -104,7 +105,7 @@
 
 use std::fmt::Write as _;
 use tce_core::prelude::*;
-use tce_disksim::{DiskFaults, FaultKind, FaultPlan};
+use tce_disksim::{DiskFaults, FaultPlan, Schedule};
 use tce_exec::interp::default_input_gen;
 use tce_exec::{dense_reference, execute, run_to_completion, ExecMode, ExecOptions, RetryPolicy};
 use tce_ir::Program;
@@ -222,9 +223,8 @@ impl ServeOptions {
             .workers(self.workers)
             .job_timeout(self.job_timeout.map(std::time::Duration::from_secs_f64))
             .journal(self.journal.as_ref().map(|path| tce_serve::JournalConfig {
-                path: path.into(),
                 resume: self.resume_journal,
-                faults: tce_cache::FsFaultPlan::none(),
+                ..tce_serve::JournalConfig::new(path)
             }));
         if self.queue > 0 {
             b = b.queue_cap(self.queue);
@@ -357,87 +357,47 @@ fn parse_prob(key: &str, v: &str) -> Result<f64, CliError> {
     Ok(p)
 }
 
-/// Parses a `--faults` spec: semicolon-separated segments, each either a
-/// global `seed=N` or a per-rank schedule
-/// `rank=R[,after=N][,kind=transient:K|permanent][,p=P][,spike=P:S]`.
-///
-/// `after=N` makes rank `R`'s disk fail once `N` execution-phase
-/// operations have succeeded; `kind` selects whether that failure is
-/// permanent (default) or a burst of `K` transient faults. `p=P` injects
-/// a transient fault on each operation with probability `P`, and
-/// `spike=P:S` adds an `S`-second latency spike with probability `P` —
-/// both drawn from per-rank streams of the plan seed.
+/// Parses a `--faults` spec: semicolon-separated segments, each a
+/// plan-wide `seed=N` or a rank `R`'s schedule `rank=R,...` — the shared
+/// fault-spec keys of [`tce_disksim::Schedule::parse`] plus `spike=P:S`.
+/// `after=N` fails the disk once `N` execution-phase operations have
+/// succeeded (permanently by default), `p=P` fails each operation with
+/// probability `P`, and `spike=P:S` adds an `S`-second latency spike with
+/// probability `P` — drawn from per-rank streams of the plan seed.
 pub fn parse_faults(s: &str) -> Result<FaultPlan, CliError> {
+    let usage = |e: String| CliError::usage(format!("--faults: {e}"));
     let mut plan = FaultPlan::none();
     for seg in s.split(';').map(str::trim).filter(|seg| !seg.is_empty()) {
-        if let Some(v) = seg.strip_prefix("seed=") {
-            let seed = v
-                .trim()
-                .parse()
-                .map_err(|_| CliError::usage("--faults seed= needs an integer"))?;
-            plan = plan.with_seed(seed);
-            continue;
-        }
         let mut rank: Option<usize> = None;
         let mut spec = DiskFaults::default();
-        let mut after: Option<u64> = None;
-        let mut kind: Option<FaultKind> = None;
-        for part in seg.split(',').map(str::trim) {
-            let (key, val) = part.split_once('=').ok_or_else(|| {
-                CliError::usage(format!("--faults: `{part}` is not a key=value pair"))
-            })?;
-            match key {
+        let schedule = Schedule::none()
+            .with_seed(plan.seed)
+            .parse(seg, |key, val| match key {
                 "rank" => {
-                    rank = Some(
-                        val.parse()
-                            .map_err(|_| CliError::usage("--faults rank= needs an integer"))?,
-                    )
+                    rank = Some(val.parse().map_err(|_| "rank= needs an integer")?);
+                    Ok(())
                 }
-                "after" => {
-                    after = Some(
-                        val.parse()
-                            .map_err(|_| CliError::usage("--faults after= needs an integer"))?,
-                    )
-                }
-                "kind" => {
-                    kind = Some(match val {
-                        "permanent" => FaultKind::Permanent,
-                        "transient" => FaultKind::Transient(1),
-                        _ => match val.strip_prefix("transient:") {
-                            Some(k) => FaultKind::Transient(k.parse().map_err(|_| {
-                                CliError::usage("--faults kind=transient:K needs an integer K")
-                            })?),
-                            None => {
-                                return Err(CliError::usage(format!(
-                                    "--faults: unknown kind `{val}` (use permanent or transient:K)"
-                                )))
-                            }
-                        },
-                    })
-                }
-                "p" => spec.p_transient = parse_prob("--faults p=", val)?,
                 "spike" => {
-                    let (p, secs) = val
-                        .split_once(':')
-                        .ok_or_else(|| CliError::usage("--faults spike= needs P:SECONDS"))?;
-                    spec.p_spike = parse_prob("--faults spike=", p)?;
-                    spec.spike_s = secs
-                        .parse()
-                        .map_err(|_| CliError::usage("--faults spike= needs P:SECONDS"))?;
-                    if !spec.spike_s.is_finite() || spec.spike_s < 0.0 {
-                        return Err(CliError::usage("--faults spike seconds must be >= 0"));
-                    }
+                    let bad = "spike= needs P:SECONDS with P in [0, 1] and SECONDS >= 0";
+                    let (p, secs) = val.split_once(':').ok_or(bad)?;
+                    spec.p_spike = parse_prob("spike=", p).map_err(|_| bad)?;
+                    let secs: f64 = secs.parse().map_err(|_| bad)?;
+                    spec.spike_s = (secs.is_finite() && secs >= 0.0)
+                        .then_some(secs)
+                        .ok_or(bad)?;
+                    Ok(())
                 }
-                _ => return Err(CliError::usage(format!("--faults: unknown key `{key}`"))),
-            }
+                _ => Err(format!("unknown key `{key}`")),
+            })
+            .map_err(usage)?;
+        plan.seed = schedule.seed;
+        spec.schedule = schedule;
+        match rank {
+            Some(rank) => plan = plan.with_disk(rank, spec),
+            // a plan-wide `seed=N` segment
+            None if spec.is_idle() => {}
+            None => return Err(usage("each fault spec needs rank=R".into())),
         }
-        let rank = rank.ok_or_else(|| CliError::usage("--faults: each fault spec needs rank=R"))?;
-        match (after, kind) {
-            (Some(n), k) => spec.fail_after = Some((n, k.unwrap_or(FaultKind::Permanent))),
-            (None, Some(_)) => return Err(CliError::usage("--faults: kind= requires after=N")),
-            (None, None) => {}
-        }
-        plan = plan.with_disk(rank, spec);
     }
     Ok(plan)
 }
@@ -1137,6 +1097,7 @@ fn print_artifacts(out: &mut String, program: &Program, r: &SynthesisResult, wha
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tce_disksim::DiskFaultKind;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1229,20 +1190,21 @@ mod tests {
 
     #[test]
     fn parse_fault_and_retry_specs() {
+        // the documented example; the seed segment seeds every rank
         let plan =
-            parse_faults("seed=42; rank=0,after=5,kind=transient:2,spike=0.1:0.5; rank=2,p=0.01")
+            parse_faults("seed=42;rank=0,after=20,kind=transient:2;rank=1,p=0.01,spike=0.1:0.5")
                 .unwrap();
-        assert_eq!(plan.seed, 42);
-        let d0 = plan.disk(0);
-        assert_eq!(d0.fail_after, Some((5, FaultKind::Transient(2))));
-        assert_eq!(d0.p_spike, 0.1);
-        assert_eq!(d0.spike_s, 0.5);
-        let d2 = plan.disk(2);
-        assert_eq!(d2.p_transient, 0.01);
-        assert!(plan.disk(1).is_idle());
+        let seeded = Schedule::none().with_seed(42);
+        let burst = seeded.clone().fail_after(20, DiskFaultKind::Transient, 2);
+        assert_eq!(plan.disk(0).schedule, burst);
+        let noisy = seeded.probabilistic(0.01, DiskFaultKind::Transient);
+        assert_eq!(plan.disk(1).schedule, noisy);
+        assert_eq!((plan.disk(1).p_spike, plan.disk(1).spike_s), (0.1, 0.5));
+        assert!(plan.disk(2).is_idle());
         // after= without kind defaults to a permanent failure
         let plan = parse_faults("rank=1,after=3").unwrap();
-        assert_eq!(plan.disk(1).fail_after, Some((3, FaultKind::Permanent)));
+        let dead = Schedule::none().fail_after(3, DiskFaultKind::Permanent, 1);
+        assert_eq!(plan.disk(1).schedule, dead);
 
         let policy = parse_retry("6,0.01,1.5").unwrap();
         assert_eq!(policy.max_attempts, 6);
@@ -1254,6 +1216,8 @@ mod tests {
         assert!(parse_faults("after=3").is_err()); // missing rank
         assert!(parse_faults("rank=0,kind=permanent").is_err()); // kind without after
         assert!(parse_faults("rank=0,banana=1").is_err());
+        assert!(parse_faults("rank=0,spike=0.5").is_err());
+        assert!(parse_faults("rank=0,spike=0.5:-1").is_err());
         assert!(parse_retry("0").is_err());
         assert!(parse_retry("3,0.1,0.5").is_err()); // factor < 1
     }
@@ -1269,6 +1233,14 @@ mod tests {
         assert_eq!(cli.retry.as_ref().map(|r| r.max_attempts), Some(4));
         // --resume needs --full (checkpoints exist only in full mode)
         assert!(parse_args(&args("run f.tce --resume")).is_err());
+    }
+
+    #[test]
+    fn zero_fault_counts_are_usage_errors() {
+        for spec in ["rank=0,after=1,kind=transient:0", "rank=0,after=1,count=0"] {
+            let err = parse_args(&args(&format!("run f.tce --full --faults {spec}"))).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{spec}: {err}");
+        }
     }
 
     #[test]
@@ -1463,7 +1435,7 @@ mod tests {
         assert_eq!(cli.serve.max_conns, 64);
         assert_eq!(cli.serve.idle_timeout, Some(30.0));
         let plan = cli.serve.net_faults.as_ref().unwrap();
-        assert!(!plan.is_idle());
+        assert!(!plan.schedule.is_idle());
         // the configured server builds without panicking
         let _ = cli.serve.server();
     }

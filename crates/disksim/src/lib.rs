@@ -19,6 +19,6 @@ pub mod fault;
 pub mod profile;
 pub mod sim;
 
-pub use fault::{DiskFaults, FaultKind, FaultPlan};
+pub use fault::{DiskFaultKind, DiskFaults, FaultKind, FaultPlan, Injected, Injector, Schedule};
 pub use profile::{DiskProfile, IoStats};
 pub use sim::{DiskError, SimDisk, WriteSrc};

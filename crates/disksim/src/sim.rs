@@ -1,6 +1,6 @@
 //! The simulated block device.
 
-use crate::fault::{DiskFaults, FaultDecision, FaultKind, FaultState};
+use crate::fault::{DiskFaultKind, DiskFaults, FaultKind, FaultState};
 use crate::profile::{DiskProfile, IoStats};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -122,8 +122,9 @@ impl FileData {
 struct DiskInner {
     stats: IoStats,
     files: HashMap<String, FileData>,
-    /// Live fault schedule (`None` = fault-free disk).
-    fault: Option<FaultState>,
+    /// Live fault stream plus the latency spike `(p_spike, spike_s)`
+    /// (`None` = fault-free disk).
+    fault: Option<(FaultState<DiskFaultKind>, (f64, f64))>,
 }
 
 impl DiskInner {
@@ -131,20 +132,22 @@ impl DiskInner {
     /// attempts charge the seek they wasted to `fault_time_s`; latency
     /// spikes of surviving ops are charged there too.
     fn fault_check(&mut self, seek_s: f64, op: impl Fn() -> String) -> Result<(), DiskError> {
-        let Some(st) = self.fault.as_mut() else {
+        let Some((st, (p_spike, spike_s))) = self.fault.as_mut() else {
             return Ok(());
         };
         match st.decide() {
-            FaultDecision::Proceed { spike_s } => {
-                self.stats.fault_time_s += spike_s;
+            None => {
+                if st.draw(*p_spike) {
+                    self.stats.fault_time_s += *spike_s;
+                }
                 Ok(())
             }
-            FaultDecision::Fail { permanent } => {
+            Some(kind) => {
                 self.stats.faulted_ops += 1;
                 self.stats.fault_time_s += seek_s;
                 Err(DiskError::Injected {
                     op: op(),
-                    permanent,
+                    permanent: kind.latches(),
                 })
             }
         }
@@ -180,33 +183,12 @@ impl SimDisk {
         &self.profile
     }
 
-    /// Installs a fault schedule. All probabilistic draws come from a
-    /// deterministic stream seeded with `stream_seed` (derive it from
-    /// [`crate::FaultPlan::stream_seed`] so ranks decorrelate).
-    pub fn set_faults(&self, spec: DiskFaults, stream_seed: u64) {
-        self.inner.lock().fault = if spec.is_idle() {
-            None
-        } else {
-            Some(FaultState::new(spec, stream_seed))
-        };
-    }
-
-    /// Fault injection shorthand: after `ops` more successful operations,
-    /// every read/write on this disk fails with [`DiskError::Injected`]
-    /// until [`SimDisk::clear_fault`].
-    pub fn inject_failure_after(&self, ops: u64) {
-        self.set_faults(
-            DiskFaults {
-                fail_after: Some((ops, FaultKind::Permanent)),
-                ..DiskFaults::default()
-            },
-            0,
-        );
-    }
-
-    /// Clears any fault schedule ("replaces the disk").
-    pub fn clear_fault(&self) {
-        self.inner.lock().fault = None;
+    /// Installs the fault schedule of stream `rank` (see
+    /// [`crate::FaultPlan::disk`]); an idle schedule clears any fault
+    /// ("replaces the disk").
+    pub fn set_faults(&self, spec: DiskFaults, rank: usize) {
+        self.inner.lock().fault =
+            (!spec.is_idle()).then(|| (spec.schedule.state(rank), (spec.p_spike, spec.spike_s)));
     }
 
     /// Charges one retry: the backoff wait spent before re-attempting an
@@ -382,6 +364,7 @@ impl SimDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultPlan;
 
     fn disk() -> SimDisk {
         SimDisk::new(DiskProfile {
@@ -478,7 +461,7 @@ mod tests {
     fn fault_injection_fires_after_budget() {
         let d = disk();
         d.create("A", 10, false);
-        d.inject_failure_after(2);
+        d.set_faults(FaultPlan::permanent_after(0, 2).disk(0), 0);
         d.read("A", 0, 1, None).unwrap();
         d.write("A", 0, WriteSrc::Dry(1)).unwrap();
         let err = d.read("A", 0, 1, None).unwrap_err();
@@ -490,9 +473,9 @@ mod tests {
             }
         ));
         assert!(!err.is_transient_fault());
-        // stays failed until cleared
+        // stays failed until an idle schedule replaces the disk
         assert!(d.write("A", 0, WriteSrc::Dry(1)).is_err());
-        d.clear_fault();
+        d.set_faults(DiskFaults::default(), 0);
         d.read("A", 0, 1, None).unwrap();
         // failed ops are not charged as transfers, but are accounted
         let s = d.stats();
@@ -503,16 +486,9 @@ mod tests {
 
     #[test]
     fn transient_schedule_recovers() {
-        use crate::fault::{DiskFaults, FaultKind};
         let d = disk();
         d.create("A", 10, false);
-        d.set_faults(
-            DiskFaults {
-                fail_after: Some((1, FaultKind::Transient(2))),
-                ..DiskFaults::default()
-            },
-            0,
-        );
+        d.set_faults(FaultPlan::transient_after(0, 1, 2).disk(0), 0);
         d.read("A", 0, 1, None).unwrap();
         let err = d.read("A", 0, 1, None).unwrap_err();
         assert!(err.is_transient_fault(), "{err}");
@@ -524,7 +500,6 @@ mod tests {
 
     #[test]
     fn latency_spikes_are_charged() {
-        use crate::fault::DiskFaults;
         let d = disk();
         d.create("A", 10, false);
         d.set_faults(
@@ -533,7 +508,7 @@ mod tests {
                 spike_s: 0.5,
                 ..DiskFaults::default()
             },
-            42,
+            0,
         );
         d.read("A", 0, 10, None).unwrap();
         let s = d.stats();

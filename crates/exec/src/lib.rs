@@ -31,5 +31,5 @@ pub use reference::dense_reference;
 pub use resilience::{Checkpoint, CheckpointSite, ResilienceReport};
 // re-exported so executor callers can configure resilience without
 // depending on the substrate crates directly
-pub use tce_disksim::{DiskFaults, FaultKind, FaultPlan};
+pub use tce_disksim::{DiskFaultKind, DiskFaults, FaultPlan};
 pub use tce_ga::RetryPolicy;

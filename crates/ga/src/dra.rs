@@ -213,10 +213,7 @@ impl DraRuntime {
     /// Entries beyond the runtime's rank count are ignored.
     pub fn apply_fault_plan(&self, plan: &FaultPlan) {
         for (rank, disk) in self.disks.iter().enumerate() {
-            let spec = plan.disk(rank);
-            if !spec.is_idle() {
-                disk.set_faults(spec, plan.stream_seed(rank));
-            }
+            disk.set_faults(plan.disk(rank), rank);
         }
     }
 
@@ -655,7 +652,7 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_per_seed() {
-        use tce_disksim::{DiskFaults, FaultPlan};
+        use tce_disksim::{DiskFaultKind, DiskFaults, FaultPlan, Schedule};
         let run = |seed: u64| -> f64 {
             let mut d = rt(2);
             d.set_retry(RetryPolicy {
@@ -666,7 +663,7 @@ mod tests {
             d.apply_fault_plan(&FaultPlan::none().with_seed(99).with_disk(
                 1,
                 DiskFaults {
-                    p_transient: 0.5,
+                    schedule: Schedule::none().probabilistic(0.5, DiskFaultKind::Transient),
                     ..DiskFaults::default()
                 },
             ));

@@ -34,7 +34,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tce_cache::fsfault;
-use tce_cache::FsFaultInjector;
+use tce_cache::FsFaultKind;
+use tce_disksim::Injector;
 
 /// Schema tag in the journal's header line.
 pub const JOURNAL_SCHEMA: &str = "tce-serve/journal/v1";
@@ -157,7 +158,7 @@ fn u64_field(v: &Value, name: &str) -> Option<u64> {
 pub struct JournalWriter {
     file: Mutex<fs::File>,
     dir_synced: bool,
-    faults: Option<Arc<FsFaultInjector>>,
+    faults: Option<Arc<Injector<FsFaultKind>>>,
     skipped: AtomicU64,
 }
 
@@ -167,7 +168,7 @@ impl JournalWriter {
     pub fn open(
         path: &Path,
         fresh: bool,
-        faults: Option<Arc<FsFaultInjector>>,
+        faults: Option<Arc<Injector<FsFaultKind>>>,
     ) -> Result<JournalWriter, String> {
         let file = fs::OpenOptions::new()
             .create(true)
@@ -447,10 +448,8 @@ mod tests {
         use tce_cache::{FsFaultKind, FsFaultPlan};
         let path = temp_journal("faulty");
         let jobs = vec![spec("a")];
-        let inj = FsFaultPlan::none()
-            .fail_after(1, FsFaultKind::Enospc, 2)
-            .injector(0);
-        let w = JournalWriter::open(&path, true, Some(inj)).unwrap();
+        let faults = FsFaultPlan::none().fail_after(1, FsFaultKind::Enospc, 2);
+        let w = JournalWriter::open(&path, true, faults.injector(0)).unwrap();
         w.batch(&jobs); // op 0 (append) ok … op 1 (fsync) injected
         w.admit(0, &jobs[0]); // burst continues
         w.start(0); // recovered

@@ -54,7 +54,7 @@ pub use job::{
     JobSpec, JOBS_SCHEMA, REPORT_SCHEMA,
 };
 pub use journal::{replay, JournalState, JournalWriter, JOURNAL_SCHEMA};
-pub use netfault::{NetFaultInjector, NetFaultKind, NetFaultPlan};
+pub use netfault::{NetFaultKind, NetFaultPlan};
 pub use proto::{
     read_frame, write_frame, FrameDecoder, JobRequest, ServeStats, WireFrame, MAX_FRAME_LEN,
     WIRE_SCHEMA,
@@ -378,9 +378,8 @@ mod tests {
         let resume_server = Server::builder()
             .workers(2)
             .journal(Some(JournalConfig {
-                path: journal.clone(),
                 resume: true,
-                faults: tce_cache::FsFaultPlan::none(),
+                ..JournalConfig::new(journal.clone())
             }))
             .build();
         let resumed = resume_server

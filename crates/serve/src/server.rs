@@ -39,7 +39,7 @@
 
 use crate::job::{percentile, BatchReport, JobReport, JobSpec, REPORT_SCHEMA};
 use crate::journal::{self, JournalWriter};
-use crate::netfault::{self, NetFaultInjector, NetFaultPlan, ReadOutcome};
+use crate::netfault::{self, NetFaultKind, NetFaultPlan, ReadOutcome};
 use crate::proto::{self, FrameDecoder, JobRequest, ServeStats, WireFrame};
 use crate::service::{
     process_job, resolve_workers, summarize, BatchOptions, JobCancel, JournalConfig, NoHook,
@@ -55,6 +55,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use tce_cache::SynthesisCache;
+use tce_disksim::{Injector, Schedule};
 
 /// Default bound on the daemon's admission queue.
 pub const DEFAULT_QUEUE_CAP: usize = 64;
@@ -104,7 +105,7 @@ impl Default for ServerBuilder {
             idle_timeout: None,
             frame_timeout: Some(DEFAULT_FRAME_TIMEOUT),
             write_timeout: Some(DEFAULT_WRITE_TIMEOUT),
-            net_faults: NetFaultPlan::none(),
+            net_faults: Schedule::none().into(),
         }
     }
 }
@@ -178,8 +179,8 @@ impl ServerBuilder {
     /// Seeded network fault schedule injected into the daemon's
     /// accepts, reads, and frame writes (chaos testing; the default is
     /// fault-free).
-    pub fn net_faults(mut self, plan: NetFaultPlan) -> Self {
-        self.net_faults = plan;
+    pub fn net_faults(mut self, plan: impl Into<NetFaultPlan>) -> Self {
+        self.net_faults = plan.into();
         self
     }
 
@@ -316,7 +317,7 @@ impl Server {
         let mut recovered: Vec<(JobReport, bool)> = Vec::new();
         let writer = match &self.config.journal {
             Some(cfg) => {
-                let faults = (!cfg.faults.is_idle()).then(|| cfg.faults.injector(1));
+                let faults = cfg.faults.injector(1);
                 let mut fresh = true;
                 if cfg.resume {
                     let state = journal::replay(&cfg.path);
@@ -381,8 +382,9 @@ impl Server {
             idle_timeout: self.config.idle_timeout,
             frame_timeout: self.config.frame_timeout,
             write_timeout: self.config.write_timeout,
+            net_stall: self.config.net_faults.stall,
         };
-        let net = (!self.config.net_faults.is_idle()).then(|| self.config.net_faults.injector(0));
+        let net = self.config.net_faults.schedule.injector(0);
         let live: Mutex<Vec<(usize, JobReport)>> = Mutex::new(Vec::new());
         let flights = SingleFlight::default();
 
@@ -622,6 +624,7 @@ struct ConnGuards {
     idle_timeout: Option<Duration>,
     frame_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
+    net_stall: Duration,
 }
 
 /// One admitted, not-yet-finished job.
@@ -644,7 +647,9 @@ struct ConnWriter {
     /// Set on the first failed write (or a guard eviction); later sends
     /// are dropped without blocking a worker.
     dead: AtomicBool,
-    faults: Option<Arc<NetFaultInjector>>,
+    faults: Option<Arc<Injector<NetFaultKind>>>,
+    /// How long an injected stall blocks a write.
+    stall: Duration,
     /// Per-connection delivery accounting.
     bytes_out: AtomicU64,
     frames_out: AtomicU64,
@@ -682,7 +687,7 @@ impl ConnWriter {
             return SendOutcome::Dead;
         };
         let mut stream = self.stream.lock();
-        match netfault::write_all(self.faults.as_deref(), &mut stream, &bytes) {
+        match netfault::write_all(self.faults.as_deref(), self.stall, &mut stream, &bytes) {
             Ok(()) => {
                 self.bytes_out
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
@@ -888,7 +893,7 @@ fn conn_loop(
     state: &DaemonState,
     writer: Option<&JournalWriter>,
     guards: &ConnGuards,
-    faults: Option<&Arc<NetFaultInjector>>,
+    faults: Option<&Arc<Injector<NetFaultKind>>>,
     live: &Mutex<Vec<(usize, JobReport)>>,
 ) {
     let _ = reader.set_nodelay(true);
@@ -903,6 +908,7 @@ fn conn_loop(
         stream: Mutex::new(write_half),
         dead: AtomicBool::new(false),
         faults: faults.cloned(),
+        stall: guards.net_stall,
         bytes_out: AtomicU64::new(0),
         frames_out: AtomicU64::new(0),
         inflight: Mutex::new(HashMap::new()),
@@ -956,7 +962,8 @@ fn conn_loop(
                 break; // queued jobs still finish either way
             }
             Ok(n) => {
-                let n = match netfault::filter_read(faults.map(|f| f.as_ref()), &reader, n) {
+                let n = match netfault::filter_read(conn.faults.as_deref(), conn.stall, &reader, n)
+                {
                     ReadOutcome::Keep(k) => k,
                     ReadOutcome::Reset => break,
                 };

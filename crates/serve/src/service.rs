@@ -546,7 +546,7 @@ pub(crate) fn run_batch_hooked(
     let mut resumed: HashMap<usize, JobReport> = HashMap::new();
     let writer = match &opts.journal {
         Some(cfg) => {
-            let faults = (!cfg.faults.is_idle()).then(|| cfg.faults.injector(1));
+            let faults = cfg.faults.injector(1);
             let state = if cfg.resume {
                 journal::replay(&cfg.path)
             } else {

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use tce_exec::{
-    execute, DiskFaults, ExecError, ExecOptions, ExecReport, FaultKind, FaultPlan, RetryPolicy,
+    execute, DiskFaultKind, DiskFaults, ExecError, ExecOptions, ExecReport, FaultPlan, RetryPolicy,
 };
 use tce_ooc::core::prelude::*;
 use tce_ooc::ir::fixtures::two_index_fused;
@@ -41,15 +41,15 @@ fn random_options(seed: u64) -> ExecOptions {
         let mut spec = DiskFaults::default();
         if rng.random_bool(0.6) {
             let after = rng.random_range(0..30u64);
-            let kind = if rng.random_bool(0.5) {
-                FaultKind::Transient(rng.random_range(1..=4u64))
+            let (kind, count) = if rng.random_bool(0.5) {
+                (DiskFaultKind::Transient, rng.random_range(1..=4u64))
             } else {
-                FaultKind::Permanent
+                (DiskFaultKind::Permanent, 1)
             };
-            spec.fail_after = Some((after, kind));
+            spec.schedule.fail_after = Some((after, kind, count));
         }
         if rng.random_bool(0.5) {
-            spec.p_transient = rng.random_range(0.0..0.08f64);
+            spec.schedule.p_fail = rng.random_range(0.0..0.08f64);
         }
         if rng.random_bool(0.4) {
             spec.p_spike = rng.random_range(0.0..0.3f64);

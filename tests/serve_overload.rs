@@ -9,16 +9,19 @@
 //! The journaled chaos soak adds journal faults, a cancel class and a
 //! submit-and-vanish connection, and checks the daemon's own ledger:
 //! no double execution, no leaked worker slot, no orphaned journal entry.
+//! It runs one seed per variant; CI stress runs widen it with
+//! `TCE_CHAOS_SEEDS=<n>`.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use tce_cache::{FsFaultKind, FsFaultPlan, SynthesisCache};
+use tce_disksim::Schedule;
 use tce_ooc::ir::{fixtures::two_index_fused, to_dsl};
 use tce_serve::{
     replay, write_frame, BatchReport, Client, ClientRetry, JobRequest, JobSpec, JournalConfig,
-    NetFaultKind, NetFaultPlan, ServeStats, Server, WireFrame,
+    NetFaultKind, ServeStats, Server, WireFrame,
 };
 
 fn job(name: &str, n: u64, v: u64, seed: u64) -> JobSpec {
@@ -46,7 +49,7 @@ fn client_retries_through_a_mid_response_reset_without_double_solving() {
     // exactly once even though the job was submitted twice.
     let server = Server::builder()
         .workers(1)
-        .net_faults(NetFaultPlan::none().fail_after(2, NetFaultKind::Reset, 1))
+        .net_faults(Schedule::none().fail_after(2, NetFaultKind::Reset, 1))
         .build();
     let cache = SynthesisCache::in_memory();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -98,7 +101,7 @@ fn mini_chaos_soak_is_exactly_once_under_probabilistic_resets() {
     let server = Server::builder()
         .workers(2)
         .net_faults(
-            NetFaultPlan::none()
+            Schedule::none()
                 .with_seed(7)
                 .probabilistic(0.05, NetFaultKind::Reset),
         )
@@ -137,6 +140,9 @@ fn mini_chaos_soak_is_exactly_once_under_probabilistic_resets() {
 
         let mut closer = Client::new(addr.to_string(), ClientRetry::with_attempts(6));
         closer.shutdown().expect("shutdown");
+        // a reset can swallow the shutdown frame (the client takes EOF as
+        // success), so raise the in-process flag too
+        shutdown.store(true, Ordering::Relaxed);
         handle.join().expect("serve thread")
     });
 
@@ -202,7 +208,7 @@ fn journaled_chaos_soak(seed: u64, fs_chaos: bool) -> Soak {
         .max_conns(CLIENTS + 8)
         .idle_timeout(Some(Duration::from_secs(10)))
         .net_faults(
-            NetFaultPlan::none()
+            Schedule::none()
                 .with_seed(seed)
                 .probabilistic(0.04, NetFaultKind::Reset),
         )
@@ -274,6 +280,7 @@ fn journaled_chaos_soak(seed: u64, fs_chaos: bool) -> Soak {
             stats = closer.stats().expect("stats");
         }
         closer.shutdown().expect("shutdown");
+        shutdown.store(true, Ordering::Relaxed); // see the mini soak
         (
             handle.join().expect("serve thread"),
             stats,
@@ -320,27 +327,46 @@ fn assert_exactly_once(soak: &Soak) {
     );
 }
 
+/// Soak seeds: one by default, widened by `TCE_CHAOS_SEEDS=<n>`.
+fn soak_seeds(base: u64) -> impl Iterator<Item = u64> {
+    let n: u64 = std::env::var("TCE_CHAOS_SEEDS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1);
+    (0..n).map(move |k| base + 2 * k)
+}
+
 #[test]
 fn journaled_chaos_soak_loses_and_doubles_nothing_under_net_and_fs_faults() {
-    let soak = journaled_chaos_soak(2004, true);
-    assert_exactly_once(&soak);
-    let _ = std::fs::remove_dir_all(soak.journal.parent().expect("scratch dir"));
+    for seed in soak_seeds(2004) {
+        let soak = journaled_chaos_soak(seed, true);
+        assert_exactly_once(&soak);
+        let _ = std::fs::remove_dir_all(soak.journal.parent().expect("scratch dir"));
+    }
 }
 
 #[test]
 fn journaled_chaos_soak_leaves_no_journal_orphans_without_fs_faults() {
-    let soak = journaled_chaos_soak(2005, false);
-    assert_exactly_once(&soak);
-    // every admitted journal index carries a done or a cancel record
-    let state = replay(&soak.journal);
-    let orphans: Vec<_> = state
-        .specs
-        .keys()
-        .filter(|idx| !state.done.contains_key(idx) && !state.canceled.contains(idx))
-        .collect();
-    assert!(orphans.is_empty(), "journal orphans: {orphans:?}");
-    let bytes = std::fs::metadata(&soak.journal).expect("journal").len();
-    let per_job = bytes as f64 / soak.report.summary.jobs.max(1) as f64;
-    assert!(per_job <= 8192.0, "journal grew {per_job:.0} B/job");
-    let _ = std::fs::remove_dir_all(soak.journal.parent().expect("scratch dir"));
+    for seed in soak_seeds(2005) {
+        let soak = journaled_chaos_soak(seed, false);
+        assert_exactly_once(&soak);
+        // every admitted journal index carries a done or a cancel record
+        let state = replay(&soak.journal);
+        let orphans: Vec<_> = state
+            .specs
+            .keys()
+            .filter(|idx| !state.done.contains_key(idx) && !state.canceled.contains(idx))
+            .collect();
+        assert!(
+            orphans.is_empty(),
+            "seed {seed}: journal orphans: {orphans:?}"
+        );
+        let bytes = std::fs::metadata(&soak.journal).expect("journal").len();
+        let per_job = bytes as f64 / soak.report.summary.jobs.max(1) as f64;
+        assert!(
+            per_job <= 8192.0,
+            "seed {seed}: journal grew {per_job:.0} B/job"
+        );
+        let _ = std::fs::remove_dir_all(soak.journal.parent().expect("scratch dir"));
+    }
 }
