@@ -91,7 +91,7 @@ fn main() {
 }
 
 /// Ablation of the minimum-I/O-block constraints (the design choice the
-/// paper motivates with its transposition tech report [37]): without
+/// paper motivates with its transposition tech report \[37\]): without
 /// them, the optimizer may shave traffic using tiny buffers, but every
 /// transfer pays a seek — the seek share of the predicted time explodes.
 fn ablation_min_blocks() {
@@ -133,7 +133,7 @@ fn ablation_min_blocks() {
     println!();
 }
 
-/// The block-size study of tech report [37] (quoted in Sec. 4.2):
+/// The block-size study of tech report \[37\] (quoted in Sec. 4.2):
 /// out-of-core transposition of a 2 GB matrix across tile sizes shows
 /// where seek time stops mattering — the origin of the 2 MB / 1 MB
 /// minimum-block constants.

@@ -29,8 +29,8 @@ use tce_core::{
 use tce_ir::network::ContractionDag;
 use tce_solver::model::FEAS_TOL;
 use tce_solver::{
-    canonicalize, fingerprint_hex, solver_for, CanonicalModel, Fnv64, Model, Solution,
-    SolveOutcome, CANON_VERSION,
+    canonicalize, fingerprint_hex, CanonicalModel, Fnv64, Model, Solution, SolveOutcome,
+    CANON_VERSION,
 };
 
 /// Relative tolerance when revalidating a stored objective against the
@@ -72,7 +72,7 @@ pub fn config_digest(config: &SynthesisConfig) -> u64 {
     h.str("tce-cache/config/v1");
     h.u64(config.mem_limit);
     h.byte(config.enforce_min_blocks as u8);
-    h.str(solver_for(config.strategy).name());
+    h.str(config.strategy.name());
     h.u64(config.seed);
     match config.deadline {
         Some(d) => {
@@ -310,7 +310,9 @@ fn check_canceled(config: &SynthesisConfig) -> Result<(), SynthesisError> {
 
 /// Runs a prepared request through the cache (hit → replay, miss → solve
 /// and populate). Stored points are revalidated against the request's
-/// own model, and canceled solves are surfaced without being cached.
+/// own model. Canceled solves are surfaced without being cached, and a
+/// solve that ran as long as its wall-clock deadline is returned but not
+/// stored.
 pub fn run_prepared<L: Lowered>(
     request: PreparedRequest<L>,
     config: &SynthesisConfig,
@@ -358,22 +360,30 @@ pub fn run_prepared<L: Lowered>(
     let report = outcome.report.clone();
     let result = prepared.finish(config, outcome)?;
 
-    // only feasible outcomes reach this point (finish errors otherwise)
-    let rec = CacheRecord {
-        schema: RECORD_SCHEMA.to_string(),
-        canon_version: CANON_VERSION.to_string(),
-        fingerprint: fingerprint.clone(),
-        canonical_point,
-        objective: solution.objective,
-        feasible: solution.feasible,
-        evals: solution.evals,
-        iterations: solution.iterations,
-        report,
-        solve_wall_s: solve_wall.as_secs_f64(),
-        plan: L::plan_value(&result),
-    };
-    // a failed disk write degrades the cache, not the synthesis
-    let _ = cache.put(&fingerprint, rec);
+    // a solve that ran into its deadline may have been cut short, and not
+    // only in `Termination::Deadline`: a restart that was never claimed
+    // leaves no trace. How far it got depends on machine speed, so it is
+    // not the request's answer. `solve_wall` starts before the solver's
+    // own clock, so every cut is caught; a false positive costs a miss
+    let cut_short = config.deadline.is_some_and(|d| solve_wall >= d);
+    if !cut_short {
+        // only feasible outcomes reach this point (finish errors otherwise)
+        let rec = CacheRecord {
+            schema: RECORD_SCHEMA.to_string(),
+            canon_version: CANON_VERSION.to_string(),
+            fingerprint: fingerprint.clone(),
+            canonical_point,
+            objective: solution.objective,
+            feasible: solution.feasible,
+            evals: solution.evals,
+            iterations: solution.iterations,
+            report,
+            solve_wall_s: solve_wall.as_secs_f64(),
+            plan: L::plan_value(&result),
+        };
+        // a failed disk write degrades the cache, not the synthesis
+        let _ = cache.put(&fingerprint, rec);
+    }
 
     Ok(CachedSynthesis {
         result,

@@ -507,21 +507,9 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                         .map_err(|_| CliError::usage("--samples needs an integer"))?,
                 )
             }
-            "--strategy" => {
-                cli.strategy = match value("--strategy")?.as_str() {
-                    "dlm" => Strategy::Dlm,
-                    "csa" => Strategy::Csa,
-                    "portfolio" => Strategy::Portfolio,
-                    "brute" => Strategy::BruteForce,
-                    other => return Err(CliError::usage(format!("unknown strategy `{other}`"))),
-                }
-            }
+            "--strategy" => cli.strategy = value("--strategy")?.parse().map_err(CliError::usage)?,
             "--objective" => {
-                cli.objective = match value("--objective")?.as_str() {
-                    "volume" => tce_core::ObjectiveKind::Volume,
-                    "time" => tce_core::ObjectiveKind::Time,
-                    other => return Err(CliError::usage(format!("unknown objective `{other}`"))),
-                }
+                cli.objective = value("--objective")?.parse().map_err(CliError::usage)?
             }
             "--seed" => {
                 cli.seed = value("--seed")?

@@ -21,6 +21,28 @@ pub enum ObjectiveKind {
     Time,
 }
 
+impl ObjectiveKind {
+    /// The objective's command-line and wire name (`"volume"`, `"time"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            ObjectiveKind::Volume => "volume",
+            ObjectiveKind::Time => "time",
+        }
+    }
+}
+
+impl std::str::FromStr for ObjectiveKind {
+    type Err = String;
+
+    /// Parses an [`ObjectiveKind::name`].
+    fn from_str(s: &str) -> Result<Self, String> {
+        [ObjectiveKind::Volume, ObjectiveKind::Time]
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| format!("unknown objective `{s}`"))
+    }
+}
+
 /// The per-placement cost expression under the chosen objective.
 fn placement_cost(
     p: &Placement,

@@ -12,9 +12,10 @@
 //!   uses for I/O placements, so the compiled-tape/batched-probe solver
 //!   backend runs unchanged;
 //! * sparsity-scaled I/O terms: every stream of a tensor is multiplied by
-//!   its annotation's [`Sparsity::io_scale`], and recompute charges the
-//!   producer's reads *and* a compute term (in byte-equivalents) once per
-//!   consumer tile step.
+//!   its annotation's
+//!   [`Sparsity::io_scale`](tce_ir::network::Sparsity::io_scale), and
+//!   recompute charges the producer's reads *and* a compute term (in
+//!   byte-equivalents) once per consumer tile step.
 //!
 //! The module also ships the verification half: a dense reference oracle
 //! ([`network_reference`]), a genuinely tiled plan interpreter

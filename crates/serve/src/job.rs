@@ -7,9 +7,9 @@
 //! hit rates and saved solver time.
 
 use serde::{Deserialize, Serialize, Value};
-use tce_core::{ObjectiveKind, SynthesisConfig};
+use tce_core::SynthesisConfig;
 use tce_ir::Program;
-use tce_solver::{Fnv64, Strategy};
+use tce_solver::Fnv64;
 
 /// Schema tag of a batch jobs file.
 pub const JOBS_SCHEMA: &str = "tce-serve/jobs/v1";
@@ -158,20 +158,10 @@ impl JobSpec {
             SynthesisConfig::new(self.mem_limit)
         };
         if let Some(s) = &self.strategy {
-            config.strategy = match s.as_str() {
-                "dlm" => Strategy::Dlm,
-                "csa" => Strategy::Csa,
-                "portfolio" => Strategy::Portfolio,
-                "brute" | "brute_force" => Strategy::BruteForce,
-                other => return Err(format!("unknown strategy `{other}`")),
-            };
+            config.strategy = s.parse()?;
         }
         if let Some(o) = &self.objective {
-            config.objective = match o.as_str() {
-                "volume" => ObjectiveKind::Volume,
-                "time" => ObjectiveKind::Time,
-                other => return Err(format!("unknown objective `{other}`")),
-            };
+            config.objective = o.parse()?;
         }
         if let Some(seed) = self.seed {
             config.seed = seed;

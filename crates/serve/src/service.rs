@@ -10,7 +10,7 @@
 //! Three robustness layers wrap that core (see `DESIGN.md` §14):
 //!
 //! * **supervision** — every solve runs under `catch_unwind` holding an
-//!   RAII [`FlightGuard`], so a panicking or erroring leader settles its
+//!   RAII `FlightGuard`, so a panicking or erroring leader settles its
 //!   flight (no follower ever hangs) and one follower is promoted to
 //!   retry as the new leader, bounded by [`BatchOptions::retry_budget`];
 //! * **deadlines** — each job may carry a wall-clock deadline (per-job

@@ -5,36 +5,29 @@
 //! (the baseline has its own sampled enumeration in `tce-core`).
 
 use crate::compiled::CompiledModel;
-use crate::eval::{EvalBackend, ModelEval};
 use crate::model::{Model, Solution, FEAS_TOL};
 
 /// Hard cap on the number of points brute force will visit.
 pub const BRUTE_FORCE_LIMIT: u64 = 20_000_000;
 
-#[cfg(test)]
-pub(crate) fn solve_brute_force_impl(model: &Model) -> Solution {
-    run_brute(model, EvalBackend::default())
-}
-
 /// Enumerates the entire Cartesian space and returns the best feasible
 /// point (or the least-violating one if nothing is feasible). Each
-/// odometer increment is committed to the evaluation engine as a batched
-/// move, so the compiled backend re-evaluates only the tape segments the
-/// stepped variables reach.
+/// odometer increment is committed to the evaluator as a batched move,
+/// so only the tape segments the stepped variables reach re-execute.
 ///
 /// # Panics
 ///
 /// Panics if the search space exceeds [`BRUTE_FORCE_LIMIT`] points.
-pub(crate) fn run_brute(model: &Model, backend: EvalBackend) -> Solution {
+pub(crate) fn run_brute(model: &Model) -> Solution {
     let size = model.space_size();
     assert!(
         size <= BRUTE_FORCE_LIMIT,
         "brute force over {size} points refused (limit {BRUTE_FORCE_LIMIT})"
     );
 
-    let compiled = (backend == EvalBackend::Compiled).then(|| CompiledModel::compile(model));
+    let compiled = CompiledModel::compile(model);
     let mut x = model.lower_corner();
-    let mut eval = ModelEval::new(model, compiled.as_ref(), &x);
+    let mut eval = compiled.evaluator(&x);
     let mut best_feasible: Option<(Vec<i64>, f64)> = None;
     // (point, violation sum, objective) — the objective rides along so the
     // infeasible fallback needs no extra evaluation at the end
@@ -122,7 +115,7 @@ mod tests {
 
     #[test]
     fn brute_force_finds_optimum() {
-        let s = solve_brute_force_impl(&small_model());
+        let s = run_brute(&small_model());
         assert!(s.feasible);
         // p=1: t ≤ 24 → ceil(60/24)=3, +2 → 5; p=0: t ≤ 6 → ceil(60/6)=10 → 10.
         assert_eq!(s.objective, 5.0, "point {:?}", s.point);
@@ -131,7 +124,7 @@ mod tests {
     #[test]
     fn dlm_matches_brute_force_on_small_model() {
         let m = small_model();
-        let bf = solve_brute_force_impl(&m);
+        let bf = run_brute(&m);
         let dlm = crate::dlm::solve_dlm_impl(&m, &DlmOptions::quick(17));
         assert!(dlm.feasible);
         assert_eq!(dlm.objective, bf.objective);
@@ -143,7 +136,7 @@ mod tests {
         let t = m.add_var("t", Domain::Int { lo: 0, hi: 3 });
         m.objective = Expr::Var(t);
         m.add_constraint("no", Expr::Var(t), ConstraintOp::Ge, 10.0);
-        let s = solve_brute_force_impl(&m);
+        let s = run_brute(&m);
         assert!(!s.feasible);
         assert_eq!(s.point[0], 3); // closest to satisfying t ≥ 10
     }
@@ -155,6 +148,6 @@ mod tests {
         for k in 0..8 {
             m.add_var(format!("v{k}"), Domain::Int { lo: 0, hi: 100 });
         }
-        let _ = solve_brute_force_impl(&m);
+        let _ = run_brute(&m);
     }
 }

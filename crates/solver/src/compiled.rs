@@ -29,8 +29,8 @@
 //! seeded left-to-right folds, `Select` evaluates all options but returns
 //! the one the tree-walker would have chosen, and folding only collapses
 //! all-constant subtrees. The differential tests in
-//! `tests/compiled_eval.rs` enforce the contract, which is what lets the
-//! solvers swap backends without changing a single trajectory.
+//! `tests/compiled_eval.rs` enforce the contract against the tree walker,
+//! which stays the reference implementation.
 
 use crate::model::{ConstraintOp, Expr, Model, VarId};
 use crate::peephole::{
@@ -125,8 +125,6 @@ pub struct CompiledModel {
     /// left-hand side depends on variable `v` (so probes skip the
     /// violation formulas of untouched constraints).
     var_cons: Vec<Vec<u32>>,
-    objective_vars: Vec<VarId>,
-    constraint_vars: Vec<Vec<VarId>>,
     /// `Const` slots and their values; written once per evaluator, never
     /// re-executed (see [`encode_inst`]).
     const_inits: Vec<(u32, f64)>,
@@ -776,7 +774,6 @@ impl CompiledModel {
                 .map(|v| VarId(v as u32))
                 .collect()
         };
-        let objective_vars = vars_of(&deps[objective_root as usize]);
         let constraint_vars: Vec<Vec<VarId>> = constraint_roots
             .iter()
             .map(|&r| vars_of(&deps[r as usize]))
@@ -947,8 +944,6 @@ impl CompiledModel {
             cons,
             var_deps,
             var_cons,
-            objective_vars,
-            constraint_vars,
             const_inits,
             full_prog,
             delta_progs,
@@ -967,34 +962,6 @@ impl CompiledModel {
     /// Number of instructions in the tape (after CSE and folding).
     pub fn tape_len(&self) -> usize {
         self.insts.len()
-    }
-
-    /// Number of model variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.cons.len()
-    }
-
-    /// Variables the objective depends on (sorted, deduplicated) —
-    /// precomputed once here instead of re-walking the expression tree
-    /// via [`Expr::vars`](crate::model::Expr::vars).
-    pub fn objective_vars(&self) -> &[VarId] {
-        &self.objective_vars
-    }
-
-    /// Variables constraint `j` depends on (sorted, deduplicated).
-    pub fn constraint_vars(&self, j: usize) -> &[VarId] {
-        &self.constraint_vars[j]
-    }
-
-    /// Number of tape instructions a move of variable `v` invalidates
-    /// (the work a delta evaluation performs, vs. [`Self::tape_len`]).
-    pub fn dependents_of(&self, v: VarId) -> usize {
-        self.var_deps[v.as_usize()].len()
     }
 
     /// Creates an evaluator with its caches primed at the point `x0`.
@@ -1093,22 +1060,10 @@ pub struct Evaluator<'c> {
     batch_stacked: bool,
 }
 
-impl<'c> Evaluator<'c> {
-    /// The compiled model this evaluator runs on.
-    pub fn compiled(&self) -> &'c CompiledModel {
-        self.c
-    }
-
+impl Evaluator<'_> {
     /// The committed point.
     pub fn point(&self) -> &[i64] {
         &self.x
-    }
-
-    /// Replaces the committed point and re-executes the whole tape.
-    pub fn set_point(&mut self, x: &[i64]) {
-        assert_eq!(x.len(), self.c.num_vars, "point/variable count mismatch");
-        self.x.copy_from_slice(x);
-        self.full_eval();
     }
 
     fn full_eval(&mut self) {
@@ -1219,14 +1174,6 @@ impl<'c> Evaluator<'c> {
         self.batch_valid = false;
     }
 
-    /// [`Self::probe`] for the single move `var := new_val` — the one
-    /// move shape DLM and CSA ever take. Returns the probed objective;
-    /// violations are read via [`Self::probe_violation_norm`].
-    pub fn eval_delta(&mut self, var: VarId, new_val: i64) -> f64 {
-        self.probe(&[(var.as_usize(), new_val)]);
-        self.probe_objective()
-    }
-
     /// Makes `moves` permanent: dependent tape segments are re-executed
     /// (or reused from a just-staged identical probe) and folded into the
     /// committed caches.
@@ -1298,12 +1245,6 @@ impl<'c> Evaluator<'c> {
     pub fn probe_violation_norm(&self, j: usize) -> f64 {
         debug_assert!(self.probe_valid, "no staged probe");
         self.cnorm_shadow[j]
-    }
-
-    /// Sum of all normalized violations at the staged point.
-    pub fn probe_violation_sum(&self) -> f64 {
-        debug_assert!(self.probe_valid, "no staged probe");
-        self.cnorm_shadow.iter().sum()
     }
 
     /// Whether the staged point satisfies every constraint within `tol`.
@@ -1413,8 +1354,8 @@ impl<'c> Evaluator<'c> {
     }
 
     /// Sum of all normalized violations in lane `l`, in constraint order
-    /// (the same fold as [`Self::probe_violation_sum`], mixing lane norms
-    /// with base norms for untouched constraints).
+    /// (the same fold as [`Self::violation_sum`], mixing lane norms with
+    /// base norms for untouched constraints).
     pub fn batch_violation_sum(&self, l: usize) -> f64 {
         debug_assert!(self.batch_valid, "no staged batch");
         // walk runs of untouched constraints between the batched
@@ -1588,7 +1529,8 @@ mod tests {
         let c = CompiledModel::compile(&m);
         let mut ev = c.evaluator(&[10, 0]);
         for (var, val) in [(0usize, 25i64), (1, 1), (0, 3), (0, 100), (1, 0)] {
-            let obj = ev.eval_delta(VarId(var as u32), val);
+            ev.probe(&[(var, val)]);
+            let obj = ev.probe_objective();
             let mut moved = ev.point().to_vec();
             moved[var] = val;
             assert_eq!(obj.to_bits(), m.objective_at(&moved).to_bits());
@@ -1626,13 +1568,14 @@ mod tests {
     fn var_sets_are_precomputed() {
         let m = tile_model();
         let c = CompiledModel::compile(&m);
-        assert_eq!(c.objective_vars(), &[VarId(0), VarId(1)]);
-        assert_eq!(c.constraint_vars(0), &[VarId(0)]);
-        assert_eq!(c.constraint_vars(1), &[VarId(0)]);
-        assert_eq!(c.objective_vars(), m.objective.vars().as_slice());
+        // both constraints read t only; p reaches the objective alone
+        assert_eq!(c.var_cons, vec![vec![0u32, 1], vec![]]);
+        for v in m.objective.vars() {
+            assert!(c.var_deps[v.as_usize()].contains(&c.objective_root));
+        }
         // a move of t touches more of the tape than a move of p
-        assert!(c.dependents_of(VarId(0)) > c.dependents_of(VarId(1)));
-        assert!(c.dependents_of(VarId(0)) <= c.tape_len());
+        assert!(c.var_deps[0].len() > c.var_deps[1].len());
+        assert!(c.var_deps[0].len() <= c.tape_len());
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! `L` via λ are accepted, pushing the walk toward feasibility). The
 //! temperature follows a geometric cooling schedule.
 //!
-//! Like DLM restarts, a chain is a resumable state machine ([`CsaTask`])
+//! Like DLM restarts, a chain is a resumable state machine (`CsaTask`)
 //! so the [portfolio](crate::portfolio) can interleave it with other
 //! tasks in evaluation-sized segments without changing its trajectory.
 
-use crate::compiled::CompiledModel;
+use crate::compiled::{CompiledModel, Evaluator};
 use crate::dlm::RestartResult;
-use crate::eval::{EvalBackend, ModelEval};
 use crate::model::{Model, Solution, FEAS_TOL};
 use crate::telemetry::{Recorder, Sink, TapeStats, Termination};
 use rand::rngs::StdRng;
@@ -65,10 +64,10 @@ impl CsaOptions {
     }
 }
 
-/// Lagrangian at the engine's committed point. The penalty sum folds
+/// Lagrangian at the evaluator's committed point. The penalty sum folds
 /// left-to-right from 0.0 in constraint order, exactly like the original
 /// `iter().sum::<f64>()`, to keep the value bit-identical.
-fn lag_committed(eval: &ModelEval<'_>, lambda: &[f64], f_scale: f64) -> f64 {
+fn lag_committed(eval: &Evaluator<'_>, lambda: &[f64], f_scale: f64) -> f64 {
     let f = eval.objective() / f_scale;
     let mut penalty = 0.0f64;
     for (j, &l) in lambda.iter().enumerate() {
@@ -79,7 +78,7 @@ fn lag_committed(eval: &ModelEval<'_>, lambda: &[f64], f_scale: f64) -> f64 {
 
 /// Lagrangian at lane `l` of the last batch probe; same fold order as
 /// [`lag_committed`].
-fn lag_batch(eval: &ModelEval<'_>, l: usize, lambda: &[f64], f_scale: f64) -> f64 {
+fn lag_batch(eval: &Evaluator<'_>, l: usize, lambda: &[f64], f_scale: f64) -> f64 {
     let f = eval.batch_objective(l) / f_scale;
     let mut penalty = 0.0f64;
     for (j, &lam) in lambda.iter().enumerate() {
@@ -124,7 +123,7 @@ pub(crate) struct CsaTask<'m> {
     cooling: f64,
     p_var_move: f64,
     rng: StdRng,
-    eval: ModelEval<'m>,
+    eval: Evaluator<'m>,
     lambda: Vec<f64>,
     f_scale: f64,
     cur: f64,
@@ -147,19 +146,18 @@ pub(crate) struct CsaTask<'m> {
 
 impl<'m> CsaTask<'m> {
     /// `budget` caps the chain's Lagrangian evaluations; pass
-    /// `u64::MAX` for the classic unbounded schedule. `compiled` selects
-    /// the flat-tape engine; `None` the tree-walking oracle.
+    /// `u64::MAX` for the classic unbounded schedule.
     pub(crate) fn new(
         model: &'m Model,
         opts: &CsaOptions,
         budget: u64,
-        compiled: Option<&'m CompiledModel>,
+        compiled: &'m CompiledModel,
     ) -> Self {
         let rng = StdRng::seed_from_u64(opts.seed);
         let mut x = model.lower_corner();
         model.clamp(&mut x);
         let lambda = vec![1.0f64; model.constraints().len()];
-        let eval = ModelEval::new(model, compiled, &x);
+        let eval = compiled.evaluator(&x);
         let f_scale = eval.objective().abs().max(1.0);
         let cur = lag_committed(&eval, &lambda, f_scale);
         let mut task = CsaTask {
@@ -227,7 +225,7 @@ impl<'m> CsaTask<'m> {
         self.improved_since_check = false;
     }
 
-    /// Considers the engine's committed point for the chain's best.
+    /// Considers the evaluator's committed point for the chain's best.
     /// Reads cached committed values, so it costs no extra evaluations.
     fn consider<S: Sink>(&mut self, sink: &mut S) {
         let feasible = self.eval.is_feasible(FEAS_TOL);
@@ -363,8 +361,8 @@ impl<'m> CsaTask<'m> {
 pub(crate) struct CsaRun {
     pub solution: Solution,
     pub traces: Vec<crate::telemetry::RestartTrace>,
-    /// Peephole before/after tape statistics (compiled backend only).
-    pub tape: Option<TapeStats>,
+    /// Peephole before/after tape statistics.
+    pub tape: TapeStats,
 }
 
 /// Runs one annealing chain to completion, optionally recording a trace.
@@ -373,14 +371,13 @@ pub(crate) struct CsaRun {
 pub(crate) fn run_csa(
     model: &Model,
     opts: &CsaOptions,
-    backend: EvalBackend,
     telemetry: bool,
     budget: u64,
     deadline: Option<std::time::Instant>,
     cancel: Option<&crate::CancelToken>,
 ) -> CsaRun {
-    let compiled = (backend == EvalBackend::Compiled).then(|| CompiledModel::compile(model));
-    let mut task = CsaTask::new(model, opts, budget, compiled.as_ref());
+    let compiled = CompiledModel::compile(model);
+    let mut task = CsaTask::new(model, opts, budget, &compiled);
     let mut recorder = Recorder::default();
     if telemetry {
         drive(&mut task, deadline, cancel, &mut recorder);
@@ -415,7 +412,7 @@ pub(crate) fn run_csa(
             iterations: schedule,
         },
         traces,
-        tape: compiled.as_ref().map(|c| c.tape_stats()),
+        tape: compiled.tape_stats(),
     }
 }
 
@@ -443,16 +440,7 @@ fn drive<S: Sink>(
 
 #[cfg(test)]
 pub(crate) fn solve_csa_impl(model: &Model, opts: &CsaOptions) -> Solution {
-    run_csa(
-        model,
-        opts,
-        EvalBackend::default(),
-        false,
-        u64::MAX,
-        None,
-        None,
-    )
-    .solution
+    run_csa(model, opts, false, u64::MAX, None, None).solution
 }
 
 #[cfg(test)]
@@ -511,9 +499,9 @@ mod tests {
         m.add_constraint("cap", Expr::Var(x), ConstraintOp::Le, 37.0);
         let opts = CsaOptions::quick(17);
         let compiled = CompiledModel::compile(&m);
-        let mut one = CsaTask::new(&m, &opts, u64::MAX, Some(&compiled));
+        let mut one = CsaTask::new(&m, &opts, u64::MAX, &compiled);
         while !one.step(u64::MAX, &mut Noop) {}
-        let mut sliced = CsaTask::new(&m, &opts, u64::MAX, None);
+        let mut sliced = CsaTask::new(&m, &opts, u64::MAX, &compiled);
         while !sliced.step(101, &mut Noop) {}
         let a = one.result();
         let b = sliced.result();
@@ -527,7 +515,8 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var("x", Domain::Int { lo: 0, hi: 100 });
         m.objective = Expr::Var(x);
-        let mut task = CsaTask::new(&m, &CsaOptions::quick(4), 500, None);
+        let compiled = CompiledModel::compile(&m);
+        let mut task = CsaTask::new(&m, &CsaOptions::quick(4), 500, &compiled);
         while !task.step(u64::MAX, &mut Noop) {}
         let r = task.result();
         assert!(r.evals <= 500);
@@ -539,7 +528,8 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var("x", Domain::Int { lo: 0, hi: 100 });
         m.objective = Expr::Var(x);
-        let mut task = CsaTask::new(&m, &CsaOptions::quick(8), u64::MAX, None);
+        let compiled = CompiledModel::compile(&m);
+        let mut task = CsaTask::new(&m, &CsaOptions::quick(8), u64::MAX, &compiled);
         task.step(50, &mut Noop);
         // first check only clears the improvement flag
         task.note_incumbent(Some(-1.0e9));
@@ -553,8 +543,9 @@ mod tests {
     fn multiplier_lane_read_is_bit_identical_to_scalar() {
         // the multiplier branch reads violations and the Lagrangian from a
         // one-lane batch staged at the committed point; pin bit-identity
-        // against the scalar committed reads on both backends, at a point
-        // that violates some constraints and satisfies others
+        // against the scalar committed reads, and those against the tree
+        // walker, at a point that violates some constraints and
+        // satisfies others
         let mut m = Model::new();
         let x = m.add_var("x", Domain::Int { lo: 0, hi: 100 });
         let y = m.add_var("y", Domain::Int { lo: 0, hi: 100 });
@@ -573,36 +564,28 @@ mod tests {
         let compiled = CompiledModel::compile(&m);
         let point = [3i64, 1];
         let lambda = [1.0f64, 2.5, 0.75];
-        for backend in [None, Some(&compiled)] {
-            let mut eval = ModelEval::new(&m, backend, &point);
-            let scalar: Vec<u64> = (0..lambda.len())
-                .map(|k| eval.violation_norm(k).to_bits())
-                .collect();
-            let scalar_lag = lag_committed(&eval, &lambda, 1.0).to_bits();
-            let committed = eval.point()[0];
-            eval.probe_batch(0, &[committed]);
-            for (k, &bits) in scalar.iter().enumerate() {
-                assert_eq!(
-                    eval.batch_violation_norm(0, k).to_bits(),
-                    bits,
-                    "constraint {k} (compiled: {})",
-                    backend.is_some()
-                );
-            }
-            assert_eq!(
-                lag_batch(&eval, 0, &lambda, 1.0).to_bits(),
-                scalar_lag,
-                "lagrangian (compiled: {})",
-                backend.is_some()
-            );
+        let mut eval = compiled.evaluator(&point);
+        let scalar: Vec<u64> = (0..lambda.len())
+            .map(|k| eval.violation_norm(k).to_bits())
+            .collect();
+        for (k, c) in m.constraints().iter().enumerate() {
+            assert_eq!(scalar[k], c.violation_norm(&point).to_bits(), "tree {k}");
         }
+        let scalar_lag = lag_committed(&eval, &lambda, 1.0).to_bits();
+        let committed = eval.point()[0];
+        eval.probe_batch(0, &[committed]);
+        for (k, &bits) in scalar.iter().enumerate() {
+            assert_eq!(eval.batch_violation_norm(0, k).to_bits(), bits, "lane {k}");
+        }
+        assert_eq!(lag_batch(&eval, 0, &lambda, 1.0).to_bits(), scalar_lag);
     }
 
     #[test]
     fn csa_multiplier_moves_keep_backends_in_lockstep() {
         // starts violated (x = lower corner 0 breaks `5 - x ≤ 0`), so
-        // multiplier moves fire from the first level; the tree and
-        // compiled trajectories must stay bit-identical through them
+        // multiplier moves fire from the first level. The pinned outcome
+        // is the tree-walk run's, recorded while a tree-walk backend still
+        // existed and ran in lockstep with this one
         let mut m = Model::new();
         let x = m.add_var("x", Domain::Int { lo: 0, hi: 100 });
         m.objective = Expr::Var(x);
@@ -612,19 +595,13 @@ mod tests {
             ConstraintOp::Le,
             0.0,
         );
-        let opts = CsaOptions::quick(23);
         let compiled = CompiledModel::compile(&m);
-        let mut fast = CsaTask::new(&m, &opts, u64::MAX, Some(&compiled));
-        while !fast.step(u64::MAX, &mut Noop) {}
-        let mut oracle = CsaTask::new(&m, &opts, u64::MAX, None);
-        while !oracle.step(u64::MAX, &mut Noop) {}
-        let a = fast.result();
-        let b = oracle.result();
-        assert_eq!(a.point, b.point);
-        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        assert_eq!(a.evals, b.evals);
-        assert_eq!(a.iters, b.iters);
-        assert!(a.feasible, "walk should recover feasibility: {a:?}");
-        assert!(a.point[0] >= 5);
+        let mut task = CsaTask::new(&m, &CsaOptions::quick(23), u64::MAX, &compiled);
+        while !task.step(u64::MAX, &mut Noop) {}
+        let r = task.result();
+        assert!(r.feasible, "walk should recover feasibility: {r:?}");
+        assert_eq!(r.point, [5]);
+        assert_eq!(r.objective.to_bits(), 5.0f64.to_bits());
+        assert_eq!((r.evals, r.iters), (12_185, 14_400));
     }
 }

@@ -15,15 +15,14 @@
 //! poor basins.
 //!
 //! Each restart is implemented as a resumable state machine
-//! ([`DlmTask`]): `step(quota)` advances the descent by roughly `quota`
+//! (`DlmTask`): `step(quota)` advances the descent by roughly `quota`
 //! Lagrangian evaluations and returns, preserving every bit of state.
-//! [`run_dlm`] drives whole restarts on a small worker pool; the
+//! `run_dlm` drives whole restarts on a small worker pool; the
 //! [portfolio](crate::portfolio) interleaves segments of many tasks
 //! across threads. Because a task's trajectory depends only on its own
 //! state, neither segmentation nor scheduling changes the result.
 
-use crate::compiled::CompiledModel;
-use crate::eval::{EvalBackend, ModelEval};
+use crate::compiled::{CompiledModel, Evaluator};
 use crate::model::{Domain, Model, Solution, FEAS_TOL};
 use crate::telemetry::{RestartTrace, Sink, TapeStats, Termination};
 use rand::rngs::StdRng;
@@ -120,10 +119,9 @@ fn var_moves(domain: Domain, v: i64, out: &mut Vec<i64>) {
 }
 
 /// The Lagrangian bookkeeping: multipliers, the objective scale, and the
-/// evaluation counter. Model values come from the task's [`ModelEval`],
+/// evaluation counter. Model values come from the task's [`Evaluator`],
 /// so multiplier updates read cached per-constraint violations instead of
-/// re-walking expression trees (the compiled backend) — the var sets the
-/// walk would need are precomputed in [`CompiledModel`].
+/// re-walking expression trees.
 struct Lagrangian {
     lambda: Vec<f64>,
     f_scale: f64,
@@ -139,8 +137,8 @@ impl Lagrangian {
         }
     }
 
-    /// `L(x, λ)` at the engine's committed point.
-    fn value(&mut self, eval: &ModelEval<'_>) -> f64 {
+    /// `L(x, λ)` at the evaluator's committed point.
+    fn value(&mut self, eval: &Evaluator<'_>) -> f64 {
         self.evals += 1;
         let f = eval.objective() / self.f_scale;
         let penalty: f64 = self
@@ -152,11 +150,11 @@ impl Lagrangian {
         f + penalty
     }
 
-    /// `L(x_l, λ)` for lane `l` of the engine's staged batch probe.
+    /// `L(x_l, λ)` for lane `l` of the evaluator's staged batch probe.
     /// Does not count: batched scans account for their probes in bulk
     /// (one `evals += lanes` per scan), which equals counting every
     /// candidate.
-    fn value_batch(&self, eval: &ModelEval<'_>, l: usize) -> f64 {
+    fn value_batch(&self, eval: &Evaluator<'_>, l: usize) -> f64 {
         let f = eval.batch_objective(l) / self.f_scale;
         let penalty: f64 = self
             .lambda
@@ -169,7 +167,7 @@ impl Lagrangian {
 
     /// Raises multipliers on violated constraints; returns true if any
     /// constraint was violated.
-    fn raise_multipliers(&mut self, eval: &ModelEval<'_>, growth: f64) -> bool {
+    fn raise_multipliers(&mut self, eval: &Evaluator<'_>, growth: f64) -> bool {
         let mut any = false;
         for (j, l) in self.lambda.iter_mut().enumerate() {
             let v = eval.violation_norm(j);
@@ -248,7 +246,7 @@ fn scan_descent(
     live: &[bool],
     lag: &Lagrangian,
     cur: f64,
-    eval: &mut ModelEval<'_>,
+    eval: &mut Evaluator<'_>,
     moves: &mut Vec<i64>,
 ) -> (Option<(usize, i64, f64)>, u64) {
     let mut best: Option<(usize, i64, f64)> = None;
@@ -281,7 +279,7 @@ fn scan_polish_singles(
     model: &Model,
     live: &[bool],
     cur: f64,
-    eval: &mut ModelEval<'_>,
+    eval: &mut Evaluator<'_>,
     moves: &mut Vec<i64>,
 ) -> (Option<PolishMove>, u64) {
     let mut best: Option<PolishMove> = None;
@@ -322,7 +320,7 @@ fn scan_polish_pairs(
     model: &Model,
     live: &[bool],
     cur: f64,
-    eval: &mut ModelEval<'_>,
+    eval: &mut Evaluator<'_>,
     moves: &mut Vec<i64>,
     moves2: &mut Vec<i64>,
 ) -> (Option<PolishMove>, u64) {
@@ -383,14 +381,17 @@ pub(crate) struct DlmTask<'m> {
     /// Lagrangian-evaluation budget for the descent phase (the polish
     /// phase is bounded by `max_iters`, like the original method).
     budget: u64,
-    eval: ModelEval<'m>,
+    eval: Evaluator<'m>,
     lag: Lagrangian,
     /// `live[v]` — whether variable `v` appears in the objective or any
-    /// constraint. Computed once per task from the precomputed var sets
-    /// (no per-iteration [`Expr::vars`](crate::model::Expr::vars)
-    /// allocation); dead variables cannot change `L`, so the descent scan
-    /// skips them. Derived from the expression trees so both evaluation
-    /// backends agree exactly.
+    /// constraint. Computed once per task (no per-iteration
+    /// [`Expr::vars`](crate::model::Expr::vars) allocation); dead
+    /// variables cannot change `L`, so the scans skip them. Taken from
+    /// the expression trees rather than the tape's dependency index for
+    /// trajectory stability: folding drops the selector of a `Select`
+    /// whose options fold to identical bits, and skipping that variable
+    /// would change the probe sequence, and with it eval counts and plan
+    /// bits.
     live: Vec<bool>,
     cur: f64,
     stalled: u32,
@@ -412,7 +413,7 @@ impl<'m> DlmTask<'m> {
         opts: &DlmOptions,
         restart: usize,
         budget: u64,
-        compiled: Option<&'m CompiledModel>,
+        compiled: &'m CompiledModel,
     ) -> Self {
         let mut x = if restart == 0 {
             model.lower_corner()
@@ -421,7 +422,7 @@ impl<'m> DlmTask<'m> {
             random_point(model, &mut rng)
         };
         model.clamp(&mut x);
-        let eval = ModelEval::new(model, compiled, &x);
+        let eval = compiled.evaluator(&x);
         let mut lag = Lagrangian::new(
             opts.lambda_init,
             model.constraints().len(),
@@ -672,8 +673,8 @@ pub(crate) struct DlmRun {
     /// Worker threads the restarts ran on.
     pub threads: usize,
     pub traces: Vec<RestartTrace>,
-    /// Peephole before/after tape statistics (compiled backend only).
-    pub tape: Option<TapeStats>,
+    /// Peephole before/after tape statistics.
+    pub tape: TapeStats,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -682,7 +683,7 @@ fn run_one(
     opts: &DlmOptions,
     restart: usize,
     budget: u64,
-    compiled: Option<&CompiledModel>,
+    compiled: &CompiledModel,
     telemetry: bool,
     deadline: Option<Instant>,
     cancel: Option<&crate::CancelToken>,
@@ -705,18 +706,16 @@ fn run_one(
 /// [`RestartResult::cmp_quality`], then index, so without a deadline or
 /// cancel token the outcome is identical at any thread count.
 ///
-/// The model is compiled once (for [`EvalBackend::Compiled`]) and the
-/// immutable tape shared by every restart; each task owns its caches.
-/// A deadline is polled between evaluation segments, and once it has
-/// expired no further restart is claimed. Restart 0 always runs, and
-/// every claimed restart runs, so the finished restarts are always a
-/// prefix `0..k`. A cancel token behaves the same way, terminating tasks
-/// with [`Termination::Canceled`] instead.
-#[allow(clippy::too_many_arguments)]
+/// The model is compiled once and the immutable tape shared by every
+/// restart; each task owns its evaluator. A deadline is polled between
+/// evaluation segments, and once it has expired no further restart is
+/// claimed. Restart 0 always runs, and every claimed restart runs, so the
+/// finished restarts are always a prefix `0..k`. A cancel token behaves
+/// the same way, terminating tasks with [`Termination::Canceled`]
+/// instead.
 pub(crate) fn run_dlm(
     model: &Model,
     opts: &DlmOptions,
-    backend: EvalBackend,
     threads: usize,
     telemetry: bool,
     deadline: Option<Instant>,
@@ -724,8 +723,7 @@ pub(crate) fn run_dlm(
 ) -> DlmRun {
     let restarts = opts.restarts.max(1);
     let budget = (opts.max_evals / restarts as u64).max(1);
-    let compiled = (backend == EvalBackend::Compiled).then(|| CompiledModel::compile(model));
-    let compiled = compiled.as_ref();
+    let compiled = &CompiledModel::compile(model);
 
     let stopped = || {
         deadline.is_some_and(|at| Instant::now() >= at) || cancel.is_some_and(|c| c.is_canceled())
@@ -803,13 +801,13 @@ pub(crate) fn run_dlm(
         winner,
         threads,
         traces,
-        tape: compiled.map(|c| c.tape_stats()),
+        tape: compiled.tape_stats(),
     }
 }
 
 #[cfg(test)]
 pub(crate) fn solve_dlm_impl(model: &Model, opts: &DlmOptions) -> Solution {
-    run_dlm(model, opts, EvalBackend::default(), 1, false, None, None).solution
+    run_dlm(model, opts, 1, false, None, None).solution
 }
 
 #[cfg(test)]
@@ -964,15 +962,7 @@ mod tests {
             ..DlmOptions::new(5)
         };
         let run = |threads, token: &crate::CancelToken| {
-            run_dlm(
-                &m,
-                &opts,
-                EvalBackend::Compiled,
-                threads,
-                true,
-                None,
-                Some(token),
-            )
+            run_dlm(&m, &opts, threads, true, None, Some(token))
         };
         // tripped before the solve: the first poll, inside restart 0,
         // aborts it, and no later restart is ever claimed
@@ -1022,9 +1012,9 @@ mod tests {
         let m = knapsack_like();
         let opts = DlmOptions::quick(13);
         let compiled = CompiledModel::compile(&m);
-        let mut one = DlmTask::new(&m, &opts, 1, 10_000, Some(&compiled));
+        let mut one = DlmTask::new(&m, &opts, 1, 10_000, &compiled);
         while !one.step(u64::MAX, &mut Noop) {}
-        let mut sliced = DlmTask::new(&m, &opts, 1, 10_000, None);
+        let mut sliced = DlmTask::new(&m, &opts, 1, 10_000, &compiled);
         while !sliced.step(37, &mut Noop) {}
         let a = one.result();
         let b = sliced.result();
@@ -1038,8 +1028,8 @@ mod tests {
     fn telemetry_does_not_change_the_result() {
         let m = knapsack_like();
         let opts = DlmOptions::quick(21);
-        let plain = run_dlm(&m, &opts, EvalBackend::Compiled, 1, false, None, None);
-        let traced = run_dlm(&m, &opts, EvalBackend::Compiled, 2, true, None, None);
+        let plain = run_dlm(&m, &opts, 1, false, None, None);
+        let traced = run_dlm(&m, &opts, 2, true, None, None);
         assert_eq!(plain.solution.point, traced.solution.point);
         assert_eq!(plain.solution.evals, traced.solution.evals);
         assert_eq!(plain.winner, traced.winner);
@@ -1054,7 +1044,7 @@ mod tests {
     fn recorder_sees_improvements_on_feasible_path() {
         let m = knapsack_like();
         let compiled = CompiledModel::compile(&m);
-        let mut task = DlmTask::new(&m, &DlmOptions::quick(2), 0, 100_000, Some(&compiled));
+        let mut task = DlmTask::new(&m, &DlmOptions::quick(2), 0, 100_000, &compiled);
         let mut rec = Recorder::default();
         while !task.step(u64::MAX, &mut rec) {}
         assert!(task.best_feasible().is_some());

@@ -62,7 +62,6 @@ pub mod canon;
 pub mod compiled;
 pub mod csa;
 pub mod dlm;
-pub mod eval;
 pub mod model;
 mod peephole;
 pub mod portfolio;
@@ -76,7 +75,6 @@ pub use canon::{canonicalize, fingerprint_hex, CanonicalModel, Fnv64, CANON_VERS
 pub use compiled::{CompiledModel, Evaluator};
 pub use csa::CsaOptions;
 pub use dlm::DlmOptions;
-pub use eval::EvalBackend;
 pub use model::{Constraint, ConstraintOp, Domain, Expr, Model, Solution, VarId};
 pub use telemetry::{Improvement, RestartTrace, SolverReport, TapeStats, Termination};
 
@@ -168,6 +166,42 @@ pub enum Strategy {
     BruteForce,
 }
 
+impl Strategy {
+    /// The strategy's command-line and wire name: its [`Solver::name`]
+    /// (`"dlm"`, `"csa"`, `"portfolio"`, `"brute"`).
+    ///
+    /// ```
+    /// use tce_solver::Strategy;
+    ///
+    /// assert_eq!("portfolio".parse(), Ok(Strategy::Portfolio));
+    /// assert_eq!(Strategy::BruteForce.name().parse(), Ok(Strategy::BruteForce));
+    /// assert_eq!("brute_force".parse(), Ok(Strategy::BruteForce));
+    /// assert!("genetic".parse::<Strategy>().is_err());
+    /// ```
+    pub fn name(self) -> &'static str {
+        solver_for(self).name()
+    }
+}
+
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    /// Parses a [`Strategy::name`]; `brute_force` is also accepted for
+    /// [`Strategy::BruteForce`].
+    fn from_str(s: &str) -> Result<Self, String> {
+        let name = if s == "brute_force" { "brute" } else { s };
+        [
+            Strategy::Dlm,
+            Strategy::Csa,
+            Strategy::Portfolio,
+            Strategy::BruteForce,
+        ]
+        .into_iter()
+        .find(|k| k.name() == name)
+        .ok_or_else(|| format!("unknown strategy `{s}`"))
+    }
+}
+
 /// Options shared by every strategy; built fluently.
 ///
 /// ```
@@ -220,11 +254,6 @@ pub struct SolveOptions {
     /// independent of thread count, but different values may prune CSA
     /// chains at different points.
     pub segment_evals: u64,
-    /// Evaluation engine. [`EvalBackend::Compiled`] (the default) runs the
-    /// flat-tape evaluator with delta moves; [`EvalBackend::TreeWalk`] the
-    /// recursive oracle. Both yield bit-identical outcomes for the same
-    /// seed — the choice affects speed only.
-    pub eval: EvalBackend,
     /// Cooperative cancellation handle, polled alongside the deadline at
     /// segment/round boundaries. Like the deadline this only controls
     /// *when* the search stops, never which points it visits — but unlike
@@ -249,7 +278,6 @@ impl SolveOptions {
             csa: None,
             csa_chains: 2,
             segment_evals: 4_096,
-            eval: EvalBackend::default(),
             cancel: None,
         }
     }
@@ -309,12 +337,6 @@ impl SolveOptions {
         self
     }
 
-    /// Selects the evaluation engine (see [`SolveOptions::eval`]).
-    pub fn eval_backend(mut self, eval: EvalBackend) -> Self {
-        self.eval = eval;
-        self
-    }
-
     /// Attaches a cooperative cancellation token.
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -371,7 +393,6 @@ impl Solver for DlmSolver {
         let run = dlm::run_dlm(
             model,
             &dlm_opts,
-            opts.eval,
             portfolio::resolve_threads(opts.threads),
             opts.telemetry,
             deadline,
@@ -384,7 +405,7 @@ impl Solver for DlmSolver {
             total_evals: run.solution.evals,
             total_iterations: run.solution.iterations,
             winner: run.winner,
-            tape: run.tape,
+            tape: Some(run.tape),
             traces: run.traces,
         });
         SolveOutcome {
@@ -413,7 +434,6 @@ impl Solver for CsaSolver {
         let run = csa::run_csa(
             model,
             &csa_opts,
-            opts.eval,
             opts.telemetry,
             budget,
             deadline,
@@ -426,7 +446,7 @@ impl Solver for CsaSolver {
             total_evals: run.solution.evals,
             total_iterations: run.solution.iterations,
             winner: 0,
-            tape: run.tape,
+            tape: Some(run.tape),
             traces: run.traces,
         });
         SolveOutcome {
@@ -447,7 +467,7 @@ impl Solver for BruteForceSolver {
 
     fn solve(&self, model: &Model, opts: &SolveOptions) -> SolveOutcome {
         let started = Instant::now();
-        let solution = brute::run_brute(model, opts.eval);
+        let solution = brute::run_brute(model);
         let report = opts.telemetry.then(|| SolverReport {
             strategy: "brute",
             threads: 1,

@@ -146,10 +146,9 @@ impl Expr {
 
     /// All variables the expression mentions (sorted, deduplicated).
     ///
-    /// Allocates on every call; hot paths should use the var sets
-    /// precomputed by [`crate::compiled::CompiledModel`] (per-objective and
-    /// per-constraint, built once at compile time) instead of re-walking
-    /// the tree.
+    /// Allocates on every call; hot paths use
+    /// [`Expr::collect_vars_into`] with a reused buffer, or the compiled
+    /// tape's precomputed dependency sets.
     pub fn vars(&self) -> Vec<VarId> {
         let mut out = Vec::new();
         self.collect_vars_into(&mut out);

@@ -44,7 +44,6 @@
 use crate::compiled::CompiledModel;
 use crate::csa::{CsaOptions, CsaTask};
 use crate::dlm::{DlmOptions, DlmTask, RestartResult};
-use crate::eval::EvalBackend;
 use crate::model::{Model, Solution};
 use crate::telemetry::{Noop, Recorder, RestartTrace, SolverReport, Termination};
 use crate::SolveOptions;
@@ -153,14 +152,13 @@ pub(crate) fn solve_portfolio(
     // One compiled tape shared (immutably) by every task; each task's
     // evaluator owns its caches, so the scoped threads below never
     // contend on it.
-    let compiled = (opts.eval == EvalBackend::Compiled).then(|| CompiledModel::compile(model));
-    let compiled = compiled.as_ref();
+    let compiled = CompiledModel::compile(model);
 
     let mut slots: Vec<TaskSlot<'_>> = Vec::with_capacity(restarts + chains);
     for r in 0..restarts {
         slots.push(TaskSlot {
             label: format!("dlm#{r}"),
-            engine: Engine::Dlm(DlmTask::new(model, &dlm_opts, r, dlm_budget, compiled)),
+            engine: Engine::Dlm(DlmTask::new(model, &dlm_opts, r, dlm_budget, &compiled)),
             recorder: opts.telemetry.then(Recorder::default),
         });
     }
@@ -173,7 +171,7 @@ pub(crate) fn solve_portfolio(
         };
         slots.push(TaskSlot {
             label: format!("csa#{k}"),
-            engine: Engine::Csa(CsaTask::new(model, &chain_opts, csa_budget, compiled)),
+            engine: Engine::Csa(CsaTask::new(model, &chain_opts, csa_budget, &compiled)),
             recorder: opts.telemetry.then(Recorder::default),
         });
     }
@@ -253,7 +251,7 @@ pub(crate) fn solve_portfolio(
         total_evals,
         total_iterations: total_iters,
         winner,
-        tape: compiled.map(|c| c.tape_stats()),
+        tape: Some(compiled.tape_stats()),
         traces: slots
             .iter()
             .zip(&results)

@@ -194,22 +194,18 @@ pub struct SolverReport {
 }
 
 // Hand-written: the derive cannot rebuild the `&'static str` strategy
-// field, so deserialization maps the stored name back onto the known
-// strategy statics and rejects anything else.
+// field, so deserialization parses the stored name as a `Strategy` and
+// keeps that strategy's static name, rejecting anything else.
 impl Deserialize for SolverReport {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         fn field<'v>(v: &'v serde::Value, name: &str) -> Result<&'v serde::Value, serde::Error> {
             v.get(name).ok_or_else(|| serde::Error::missing(name))
         }
-        let strategy = match String::from_value(field(v, "strategy")?)?.as_str() {
-            "dlm" => "dlm",
-            "csa" => "csa",
-            "portfolio" => "portfolio",
-            "brute" => "brute",
-            other => {
-                return Err(serde::Error(format!("unknown solver strategy `{other}`")));
-            }
-        };
+        let name = String::from_value(field(v, "strategy")?)?;
+        let strategy = name
+            .parse::<crate::Strategy>()
+            .map_err(|_| serde::Error(format!("unknown solver strategy `{name}`")))?
+            .name();
         Ok(SolverReport {
             strategy,
             threads: usize::from_value(field(v, "threads")?)?,

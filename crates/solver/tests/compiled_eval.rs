@@ -1,64 +1,71 @@
-//! Differential tests for the compiled evaluation backend.
+//! Differential tests for the compiled evaluator, and pinned whole-solve
+//! outcomes.
 //!
 //! The contract under test (DESIGN.md §12): for any model, point and move
-//! sequence, the flat-tape evaluator — full evaluation, staged probes and
-//! committed delta moves alike — produces values bit-identical to the
-//! recursive tree walker, and therefore every solver strategy returns an
-//! identical `SolveOutcome` for the same seed under either backend.
+//! sequence, the flat-tape evaluator — full evaluation, staged probes,
+//! batch lanes and committed delta moves alike — produces values
+//! bit-identical to the recursive tree walker, the reference
+//! implementation. Whole solves are pinned by hash in
+//! `solver_outcomes_are_pinned`.
 
 use proptest::prelude::*;
 use tce_solver::model::FEAS_TOL;
 use tce_solver::{
-    solve, CompiledModel, ConstraintOp, CsaOptions, DlmOptions, Domain, EvalBackend, Expr, Model,
-    SolveOptions, Strategy as Method,
+    solve, CompiledModel, ConstraintOp, CsaOptions, DlmOptions, Domain, Expr, Fnv64, Model,
+    Solution, SolveOptions, Strategy as Method,
 };
 
-/// Random 3-variable model exercising every `Expr` node kind, with the
-/// `ceil(K/t)` subterm shared between objective and constraints the way
-/// the synthesis models share their `NumTiles` factors (so CSE and the
-/// dependency index both have real work to do).
+/// `(a, b, c, w, cap, blk)`: the coefficients of one [`model_of`] model.
+type Coefficients = (i64, i64, i64, i64, i64, i64);
+
+/// The 3-variable model family behind [`arb_model`], from its
+/// [`Coefficients`]. It exercises every `Expr` node
+/// kind, with the `ceil(K/t)` subterm shared between objective and
+/// constraints the way the synthesis models share their `NumTiles`
+/// factors (so CSE and the dependency index both have real work to do).
+fn model_of((a, b, c, w, cap, blk): Coefficients) -> Model {
+    let mut m = Model::new();
+    let t = m.add_var("t", Domain::Int { lo: 1, hi: 16 });
+    let y = m.add_var("y", Domain::Int { lo: 0, hi: 12 });
+    let p = m.add_var("p", Domain::Binary);
+    let tiles = Expr::CeilDiv(Box::new(Expr::Const(48.0)), Box::new(Expr::Var(t)));
+    m.objective = Expr::Add(vec![
+        Expr::Mul(vec![Expr::Const(a as f64), tiles.clone()]),
+        Expr::Mul(vec![Expr::Const(b as f64), Expr::Var(y)]),
+        Expr::Mul(vec![Expr::Const(c as f64), Expr::Var(t), Expr::Var(y)]),
+        Expr::Sub(
+            Box::new(Expr::Select(
+                p,
+                vec![
+                    Expr::Mul(vec![Expr::Const(4.0), Expr::Var(t)]),
+                    Expr::Var(t),
+                ],
+            )),
+            Box::new(Expr::Const(a as f64)),
+        ),
+    ]);
+    m.add_constraint(
+        "mem",
+        Expr::Add(vec![
+            tiles,
+            Expr::Mul(vec![Expr::Const(w as f64), Expr::Var(y)]),
+        ]),
+        ConstraintOp::Le,
+        cap as f64,
+    );
+    m.add_constraint("blk", Expr::Var(t), ConstraintOp::Ge, blk as f64);
+    m.add_constraint(
+        "bind",
+        Expr::Mul(vec![Expr::Var(p), Expr::Var(p)]),
+        ConstraintOp::Eq,
+        0.0,
+    );
+    m
+}
+
+/// Random models of the [`model_of`] family.
 fn arb_model() -> impl Strategy<Value = Model> {
-    (-3i64..4, -3i64..4, -2i64..3, 1i64..5, 3i64..40, 1i64..20).prop_map(
-        |(a, b, c, w, cap, blk)| {
-            let mut m = Model::new();
-            let t = m.add_var("t", Domain::Int { lo: 1, hi: 16 });
-            let y = m.add_var("y", Domain::Int { lo: 0, hi: 12 });
-            let p = m.add_var("p", Domain::Binary);
-            let tiles = Expr::CeilDiv(Box::new(Expr::Const(48.0)), Box::new(Expr::Var(t)));
-            m.objective = Expr::Add(vec![
-                Expr::Mul(vec![Expr::Const(a as f64), tiles.clone()]),
-                Expr::Mul(vec![Expr::Const(b as f64), Expr::Var(y)]),
-                Expr::Mul(vec![Expr::Const(c as f64), Expr::Var(t), Expr::Var(y)]),
-                Expr::Sub(
-                    Box::new(Expr::Select(
-                        p,
-                        vec![
-                            Expr::Mul(vec![Expr::Const(4.0), Expr::Var(t)]),
-                            Expr::Var(t),
-                        ],
-                    )),
-                    Box::new(Expr::Const(a as f64)),
-                ),
-            ]);
-            m.add_constraint(
-                "mem",
-                Expr::Add(vec![
-                    tiles,
-                    Expr::Mul(vec![Expr::Const(w as f64), Expr::Var(y)]),
-                ]),
-                ConstraintOp::Le,
-                cap as f64,
-            );
-            m.add_constraint("blk", Expr::Var(t), ConstraintOp::Ge, blk as f64);
-            m.add_constraint(
-                "bind",
-                Expr::Mul(vec![Expr::Var(p), Expr::Var(p)]),
-                ConstraintOp::Eq,
-                0.0,
-            );
-            m
-        },
-    )
+    (-3i64..4, -3i64..4, -2i64..3, 1i64..5, 3i64..40, 1i64..20).prop_map(model_of)
 }
 
 /// A random in-domain point for [`arb_model`]'s three variables.
@@ -123,8 +130,8 @@ proptest! {
             // delta probe: only the tape segments depending on `v` rerun
             let mut xp = x.clone();
             xp[v] = val;
-            let probed = ev.eval_delta(tce_solver::VarId(v as u32), val);
-            prop_assert_eq!(probed.to_bits(), m.objective_at(&xp).to_bits());
+            ev.probe(&[(v, val)]);
+            prop_assert_eq!(ev.probe_objective().to_bits(), m.objective_at(&xp).to_bits());
             for (j, c) in m.constraints().iter().enumerate() {
                 prop_assert_eq!(
                     ev.probe_violation_norm(j).to_bits(),
@@ -147,31 +154,6 @@ proptest! {
         let fresh = compiled.evaluator(&x);
         prop_assert_eq!(fresh.objective().to_bits(), ev.objective().to_bits());
         prop_assert_eq!(fresh.violation_sum().to_bits(), ev.violation_sum().to_bits());
-    }
-
-    /// Full solver runs are trajectory-identical under both backends:
-    /// same seed → same `SolveOutcome` (point, objective bits, eval and
-    /// iteration counts) for DLM, CSA and the portfolio.
-    #[test]
-    fn solver_outcomes_identical_across_backends(m in arb_model(), seed in 0u64..16) {
-        for strategy in [Method::Dlm, Method::Csa, Method::Portfolio] {
-            let base = SolveOptions::new(seed)
-                .strategy(strategy)
-                .dlm(DlmOptions::quick(seed))
-                .csa(CsaOptions::quick(seed))
-                .csa_chains(1);
-            let tree = solve(&m, &base.clone().eval_backend(EvalBackend::TreeWalk)).solution;
-            let fast = solve(&m, &base.eval_backend(EvalBackend::Compiled)).solution;
-            prop_assert_eq!(&tree.point, &fast.point, "{:?} point", strategy);
-            prop_assert_eq!(
-                tree.objective.to_bits(),
-                fast.objective.to_bits(),
-                "{:?} objective", strategy
-            );
-            prop_assert_eq!(tree.feasible, fast.feasible, "{:?} feasible", strategy);
-            prop_assert_eq!(tree.evals, fast.evals, "{:?} evals", strategy);
-            prop_assert_eq!(tree.iterations, fast.iterations, "{:?} iterations", strategy);
-        }
     }
 }
 
@@ -338,35 +320,49 @@ proptest! {
         }
     }
 
-    /// DLM's restart pool never changes the answer: the tree oracle run
-    /// serially agrees with the compiled engine at 1, 2, 3 and 8 restart
-    /// workers on point, objective bits, evals, iterations and winner.
+    /// DLM's restart pool never changes the answer: the serial run agrees
+    /// with 2, 3 and 8 restart workers on point, objective bits, evals,
+    /// iterations and winner.
     #[test]
     fn dlm_restart_pool_identical_across_thread_counts(m in arb_model(), seed in 0u64..8) {
         let base = SolveOptions::new(seed)
             .strategy(Method::Dlm)
             .dlm(DlmOptions::quick(seed))
             .telemetry(true);
-        let oracle = solve(&m, &base.clone().threads(1).eval_backend(EvalBackend::TreeWalk));
-        let want_winner = oracle.report.expect("telemetry on").winner;
-        for threads in [1usize, 2, 3, 8] {
-            let out = solve(&m, &base.clone().threads(threads).eval_backend(EvalBackend::Compiled));
+        let serial = solve(&m, &base.clone().threads(1));
+        let serial_report = serial.report.expect("telemetry on");
+        prop_assert_eq!(serial_report.threads, 1);
+        for threads in [2usize, 3, 8] {
+            let out = solve(&m, &base.clone().threads(threads));
             let report = out.report.expect("telemetry on");
             prop_assert_eq!(report.threads, threads.min(3), "pool is capped at the restart count");
-            let (want, got) = (&oracle.solution, &out.solution);
+            let (want, got) = (&serial.solution, &out.solution);
             prop_assert_eq!(&want.point, &got.point, "threads={}", threads);
             prop_assert_eq!(want.objective.to_bits(), got.objective.to_bits(), "threads={}", threads);
             prop_assert_eq!(want.evals, got.evals, "threads={}", threads);
             prop_assert_eq!(want.iterations, got.iterations, "threads={}", threads);
-            prop_assert_eq!(want_winner, report.winner, "threads={}", threads);
+            prop_assert_eq!(serial_report.winner, report.winner, "threads={}", threads);
         }
     }
 }
 
-/// Brute force enumerates identically under both backends (it batches
-/// odometer increments as multi-variable delta commits).
-#[test]
-fn brute_force_identical_across_backends() {
+/// FNV-1a of everything a solve returns: the point, the objective bits,
+/// feasibility, and the evaluation and iteration counts.
+fn outcome_hash(s: &Solution) -> u64 {
+    let mut h = Fnv64::new();
+    for &v in &s.point {
+        h.i64(v);
+    }
+    h.u64(s.objective.to_bits());
+    h.byte(u8::from(s.feasible));
+    h.u64(s.evals);
+    h.u64(s.iterations);
+    h.finish()
+}
+
+/// The brute-force row's model. The odometer steps both variables at
+/// once on every carry, so its commits are multi-variable delta moves.
+fn brute_model() -> Model {
     let mut m = Model::new();
     let t = m.add_var("t", Domain::Int { lo: 1, hi: 40 });
     let p = m.add_var("p", Domain::Binary);
@@ -386,10 +382,79 @@ fn brute_force_identical_across_backends() {
         ConstraintOp::Le,
         24.0,
     );
-    let base = SolveOptions::new(0).strategy(Method::BruteForce);
-    let tree = solve(&m, &base.clone().eval_backend(EvalBackend::TreeWalk)).solution;
-    let fast = solve(&m, &base.eval_backend(EvalBackend::Compiled)).solution;
-    assert_eq!(tree.point, fast.point);
-    assert_eq!(tree.objective.to_bits(), fast.objective.to_bits());
-    assert_eq!(tree.evals, fast.evals);
+    m
+}
+
+/// Whole-solve outcomes, pinned as [`outcome_hash`]es: DLM, CSA and the
+/// portfolio (one CSA chain) at seeds 0 and 7 on 24 models of the
+/// [`model_of`] family (24 of the 144 rows end infeasible), plus brute
+/// force on [`brute_model`].
+///
+/// The values were generated while a tree-walk solver backend still
+/// existed, running it and the compiled engine side by side; the two
+/// agreed on every row. A drift here is a changed trajectory.
+#[test]
+fn solver_outcomes_are_pinned() {
+    #[rustfmt::skip]
+    let rows: [(Coefficients, [u64; 6]); 24] = [
+        ((-3, -3, -2, 1, 3, 1), [0x95fd1022d9f6c844, 0x6273578372d1ab9b, 0xd4d440ee5b73ddc5, 0x11a41d8892b4dda6, 0x3ca733a04daf6b0d, 0xf9d2d0dda57cc680]),
+        ((3, 3, 2, 4, 39, 19), [0x46e4d856a3d89689, 0xbb98d25b6f661c37, 0xa5d8a0df2a3bc457, 0x925b931a1b32b9d9, 0xbb98d25b6f661c37, 0xc470c6927eef689a]),
+        ((0, 0, 0, 1, 20, 1), [0xddd9ebccde8e994d, 0x9a13db9c31c24d3c, 0x1dde7ee5770d6e96, 0x7a68ced47fad86e4, 0xec81e9095072d71a, 0x4c1a27adb9094334]),
+        ((1, -1, 0, 2, 10, 4), [0x4629c7b30cfe050c, 0xc857b4868a8ba07f, 0x7802ce6da87a6508, 0xd9de9cc80c448675, 0x0d927245071e64f4, 0x18f3e7616a6d03d1]),
+        ((-1, 2, 1, 3, 25, 8), [0xa5c6bd0d3c458632, 0xcdbaabbf27f93fa0, 0xd4eb991f69273be4, 0x8848f9e1954ce24b, 0xd838827194c81d11, 0xff0d2998d738b532]),
+        ((2, -2, -1, 4, 5, 16), [0x7b2f432f92070538, 0x0cdf06cfc39743d1, 0x74002654a5fc9a73, 0xbc8a9eb043a2a6ca, 0xd4b53e2be4327329, 0xfe851883fa73c034]),
+        ((3, 0, -2, 1, 39, 12), [0xde56eff176937229, 0x7d3ffe437e2fd8c5, 0x4b26e203f38fa4c7, 0xac385dbf44aba41e, 0xdfbe3bbe0082f54f, 0x2a22bf78881b62d6]),
+        ((-2, 3, 2, 2, 15, 2), [0x986c3076accadeb2, 0xc0601f28987e9820, 0x7a31325bc006f7c1, 0xb1e0a5034bf285e8, 0xcef58489c411257b, 0x282590eafd96e5e3]),
+        ((0, -3, 1, 4, 30, 17), [0x827717806b028776, 0xbb15a2e1bf5c2893, 0x424cf0be66a6d6fd, 0x0f797e4fc7c6868f, 0x315c85ca54d0f909, 0x4ee5065aa3b3223f]),
+        ((1, 1, -1, 1, 8, 6), [0xed736097e45c49de, 0x7419d0eb947ef543, 0x66f64b4f9f0e3042, 0x61b4e818cd27506e, 0x30e65ffecf4acedf, 0x9e859c269eb4132c]),
+        ((-3, 2, 0, 3, 12, 10), [0xe03a064eeefb226b, 0x42f4ad44b0af9bbb, 0x3a3a938626351804, 0x245f08fe26ba64ca, 0xaa2f22dd74586ad1, 0x9bf0f639be703140]),
+        ((2, 1, 2, 2, 33, 3), [0xe1017052b07a28e4, 0xd6b4179ba8cf2aca, 0x4a24df3d34a32d84, 0xe1017052b07a28e4, 0x132307d833da606d, 0x56882d43610adf0d]),
+        ((-1, -2, -2, 4, 18, 14), [0xcda68df1f9cc282d, 0x35d112a9ec7a7094, 0xda0cb1f7372c77a4, 0xeed00fca4c7208da, 0x331942ccc6a86244, 0x922c3688150b41d0]),
+        ((3, -3, 1, 3, 4, 1), [0xcf9fa9ea414e6e2d, 0x7e30ef0afa9d7bbd, 0x70ee893cc60416ef, 0xfdfb10cce93f987a, 0x9b3aa845b0ce24d6, 0xf0b7d66afc4d9611]),
+        ((0, 2, -1, 2, 27, 9), [0x0c99cf4ff4957932, 0x119e9b1a6fb76e76, 0x14827d30bff66744, 0xacba3999f287976f, 0xeb814cb497da11d5, 0xcbb0a6c6243294d9]),
+        ((-2, 0, 2, 1, 36, 5), [0xdc8d070ade6252c6, 0x81879560ac280882, 0x2d1f2d39e4e9aa7d, 0x03ce382494701e9b, 0x5a9fb387dd0b24de, 0x7588c2e0f6c7f355]),
+        ((1, 3, 0, 4, 22, 18), [0x53f291cf10c33eaa, 0xbed44fa0a3a776e3, 0xbf3f67f6e3da5083, 0xdf78cf5a73bf64a3, 0xe1c34f38bda7a7c3, 0x806c745b442aa755]),
+        ((-3, -1, -1, 2, 9, 7), [0xe831046bdb57ceed, 0x84db22011816cb2e, 0x878eafda9eaee500, 0xd139ee9239290771, 0x1ba34fba391a3785, 0x5bfbf9c1caf2bed9]),
+        ((2, 2, 1, 1, 14, 11), [0xc386e4b4c05dfdfd, 0xff9a51d9c00097fd, 0x03dde019ca017ef5, 0xff2c5ece33be18c1, 0x431a1c4d9917ce00, 0x76796a1fb7e26d83]),
+        ((-1, 0, 2, 3, 6, 13), [0x1baf5ddb25de8c42, 0x34f6b47c3df9ea57, 0x9c400eed02619726, 0xbc2590231c4ca5b1, 0x9d33676a37960f41, 0xf38a570e28f504c1]),
+        ((3, 1, -2, 4, 24, 15), [0x2618a707c154a2df, 0x9c04a0cbd36eb6e3, 0x9d1c77a2c94017ce, 0x41ddbf1bf66af06a, 0xa7bac916879fa98c, 0x5d25ad0b819ea7b9]),
+        ((0, -1, 0, 3, 38, 2), [0x5e1f234a17d026ed, 0x235dda8b77e45e8b, 0x65483c5c10f8f503, 0x99f524ae08bf364d, 0xaaf0b308653dcf8a, 0x0f7f53dd21d12c25]),
+        ((-2, -3, 1, 1, 29, 19), [0x0f4d0e179df818f8, 0x2548f0416d5102fd, 0xe4444b363e016a6d, 0x3ff36c3e5faded41, 0x44834fa47aa1b7af, 0x23bbfb626b578300]),
+        ((1, 0, -1, 2, 16, 4), [0xd534a443f07fddcb, 0x9700e2e0ee862b0d, 0x79d9c05fe7cacc59, 0xdf3eae6a0c95ca73, 0x2615689b4ad39a0c, 0xb2f44c5410a2816e]),
+    ];
+    let pinned_solve = |m: &Model, seed: u64, strategy: Method| {
+        let opts = SolveOptions::new(seed)
+            .strategy(strategy)
+            .dlm(DlmOptions::quick(seed))
+            .csa(CsaOptions::quick(seed))
+            .csa_chains(1);
+        outcome_hash(&solve(m, &opts).solution)
+    };
+    let mut drifted = Vec::new();
+    for (params, want) in rows {
+        let m = model_of(params);
+        let got: Vec<u64> = [0u64, 7]
+            .into_iter()
+            .flat_map(|seed| {
+                [Method::Dlm, Method::Csa, Method::Portfolio].map(|s| pinned_solve(&m, seed, s))
+            })
+            .collect();
+        if got != want {
+            let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
+            drifted.push(format!("{params:?} -> [{}]", hex.join(", ")));
+        }
+    }
+    let brute = solve(
+        &brute_model(),
+        &SolveOptions::new(0).strategy(Method::BruteForce),
+    );
+    let brute = outcome_hash(&brute.solution);
+    if brute != 0x0b5a_ba3e_2d5b_ee1f {
+        drifted.push(format!("brute force -> {brute:#018x}"));
+    }
+    assert!(
+        drifted.is_empty(),
+        "whole-solve outcomes drifted:\n{}",
+        drifted.join("\n")
+    );
 }

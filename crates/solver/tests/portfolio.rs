@@ -79,7 +79,9 @@ fn portfolio_telemetry_includes_tape_stats() {
     let m = synthesis_like();
     let out = solve(&m, &quick_portfolio(7).telemetry(true));
     let report = out.report.expect("telemetry requested");
-    let tape = report.tape.expect("compiled backend reports tape stats");
+    let tape = report
+        .tape
+        .expect("every DLM/CSA/portfolio solve reports tape stats");
     assert!(tape.insts > 0);
     // word counts can move either way (embedding an immediate widens an
     // operand to two words; fusion removes whole headers) — they just

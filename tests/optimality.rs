@@ -196,10 +196,11 @@ fn tighter_memory_costs_more_io() {
 }
 
 /// The time-based objective extension: optimizing predicted seconds
-/// directly (no block constraints) should not lose to the paper's
-/// volume objective + block constraints on the predicted-time metric.
+/// directly (no block constraints) never loses to the paper's volume
+/// objective + block constraints on the predicted-time metric, as the
+/// ablation in EXPERIMENTS.md states.
 #[test]
-fn time_objective_is_competitive_on_predicted_seconds() {
+fn time_objective_beats_volume_with_blocks_on_predicted_seconds() {
     use tce_ooc::core::ObjectiveKind;
     use tce_ooc::ir::fixtures::four_index_fused;
 
@@ -212,10 +213,10 @@ fn time_objective_is_competitive_on_predicted_seconds() {
     time_cfg.enforce_min_blocks = false; // the seek term replaces them
     let time = synthesize_dcs(&p, &time_cfg).expect("time objective");
 
-    // both feasible; the time-optimized plan's predicted seconds within
-    // 25% of (or better than) the volume-optimized plan's
+    // both feasible; the time-optimized plan predicts no more seconds
+    // than the volume-optimized one
     assert!(
-        time.predicted.total_s() <= vol.predicted.total_s() * 1.25,
+        time.predicted.total_s() <= vol.predicted.total_s(),
         "time objective {}s vs volume objective {}s",
         time.predicted.total_s(),
         vol.predicted.total_s()
