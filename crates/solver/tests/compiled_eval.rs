@@ -6,7 +6,9 @@
 //! batch lanes and committed delta moves alike — produces values
 //! bit-identical to the recursive tree walker, the reference
 //! implementation. Whole solves are pinned by hash in
-//! `solver_outcomes_are_pinned`.
+//! `solver_outcomes_are_pinned`, and checked against the tree walker in
+//! `solver_outcomes_identical_across_backends` and
+//! `brute_force_identical_across_backends`.
 
 use proptest::prelude::*;
 use tce_solver::model::FEAS_TOL;
@@ -457,4 +459,67 @@ fn solver_outcomes_are_pinned() {
         "whole-solve outcomes drifted:\n{}",
         drifted.join("\n")
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Whatever DLM, CSA and the portfolio return on the compiled engine,
+    /// the tree walker agrees with it: the reported objective is the
+    /// tree's objective at the returned point, bit for bit, and the
+    /// reported feasibility is the tree's. A rerun with the same seed
+    /// returns the same outcome.
+    #[test]
+    fn solver_outcomes_identical_across_backends(m in arb_model(), seed in 0u64..16) {
+        for strategy in [Method::Dlm, Method::Csa, Method::Portfolio] {
+            let opts = SolveOptions::new(seed)
+                .strategy(strategy)
+                .dlm(DlmOptions::quick(seed))
+                .csa(CsaOptions::quick(seed))
+                .csa_chains(1);
+            let got = solve(&m, &opts).solution;
+            prop_assert_eq!(
+                got.objective.to_bits(),
+                m.objective_at(&got.point).to_bits(),
+                "{:?} objective", strategy
+            );
+            prop_assert_eq!(
+                got.feasible,
+                m.is_feasible(&got.point, FEAS_TOL),
+                "{:?} feasible", strategy
+            );
+            let again = solve(&m, &opts).solution;
+            prop_assert_eq!(outcome_hash(&got), outcome_hash(&again), "{:?} rerun", strategy);
+        }
+    }
+}
+
+/// Brute force on the compiled engine, whose odometer commits are
+/// multi-variable delta moves, visits the same points and returns the
+/// same answer as an enumeration through the tree walker in the same
+/// odometer order (variable 0 fastest, first strict improvement wins).
+#[test]
+fn brute_force_identical_across_backends() {
+    let m = brute_model();
+    let fast = solve(&m, &SolveOptions::new(0).strategy(Method::BruteForce)).solution;
+
+    let mut tree: Option<(Vec<i64>, f64)> = None;
+    let mut visited = 0u64;
+    for p in 0..=1 {
+        for t in 1..=40 {
+            let x = vec![t, p];
+            visited += 1;
+            if m.is_feasible(&x, FEAS_TOL) {
+                let obj = m.objective_at(&x);
+                if tree.as_ref().is_none_or(|(_, b)| obj < *b) {
+                    tree = Some((x, obj));
+                }
+            }
+        }
+    }
+    let (point, objective) = tree.expect("the brute-force model has feasible points");
+    assert!(fast.feasible);
+    assert_eq!(fast.point, point);
+    assert_eq!(fast.objective.to_bits(), objective.to_bits());
+    assert_eq!(fast.evals, visited);
 }
