@@ -70,9 +70,12 @@
 //!                         overrides it. Timed-out jobs report
 //!                         `deadline_exceeded`
 //! --journal <path>        (serve) stream a write-ahead journal of job
-//!                         admissions, starts, and completions
-//! --resume-journal        (serve) resume a crashed batch from --journal:
-//!                         completed jobs merge verbatim, the rest re-run
+//!                         admissions (full specs), cancels, and
+//!                         completions
+//! --resume-journal        (serve) resume a crashed batch or daemon from
+//!                         --journal: completed jobs merge verbatim, the
+//!                         rest re-run; a batch must match every journaled
+//!                         admission
 //! --max-conns <n>         (serve) cap on concurrently open daemon
 //!                         connections; surplus connects are refused
 //!                         with `overloaded` (default: unlimited)
@@ -1532,7 +1535,7 @@ mod tests {
         let out = run_cli(&parse_args(&args(&argv)).unwrap()).unwrap();
         assert!(out.contains("\"ok\": 1"), "{out}");
         let text = std::fs::read_to_string(&journal).unwrap();
-        assert!(text.contains("tce-serve/journal/v1"), "{text}");
+        assert!(text.contains("tce-serve/journal/v2"), "{text}");
         assert!(text.contains("\"done\""), "{text}");
 
         // resuming the *complete* journal re-runs nothing

@@ -175,9 +175,9 @@ impl JobSpec {
 }
 
 /// Content digest of a job spec. The write-ahead journal stamps every
-/// admitted job with this digest so a `--resume-journal` run can prove
-/// the journal belongs to the *same* jobs file before reusing any of its
-/// recorded outcomes.
+/// admission with this digest, so replay drops a damaged spec and a
+/// `--resume-journal` batch can prove each journaled admission is the
+/// same job as its jobs-file entry before reusing any recorded outcome.
 pub fn spec_digest(spec: &JobSpec) -> u64 {
     let mut h = Fnv64::new();
     h.str("tce-serve/job/v1");
@@ -208,17 +208,6 @@ pub fn spec_digest(spec: &JobSpec) -> u64 {
             h.str(o);
         }
         None => h.byte(0),
-    }
-    h.finish()
-}
-
-/// Digest of a whole batch (fold of [`spec_digest`] in submission order).
-pub fn batch_digest(jobs: &[JobSpec]) -> u64 {
-    let mut h = Fnv64::new();
-    h.str("tce-serve/batch/v1");
-    h.u64(jobs.len() as u64);
-    for spec in jobs {
-        h.u64(spec_digest(spec));
     }
     h.finish()
 }

@@ -12,14 +12,14 @@
 //! are in flight at once only one solves, and the rest replay its cached
 //! outcome.
 //!
-//! The service is *crash-safe and self-healing* (`DESIGN.md` §14–§15):
+//! The service is *crash-safe and self-healing* (`DESIGN.md` §14):
 //! solves run under panic supervision with RAII flight settlement and
 //! bounded leader promotion ([`supervise`]), jobs carry cooperative
 //! wall-clock deadlines threaded into the solver
-//! ([`service::BatchOptions::job_timeout`]), and both batches and the
-//! daemon stream a write-ahead journal and resume after a crash with
-//! bit-identical merged outcomes ([`journal`],
-//! [`Server::recover_journal`]).
+//! ([`ServerBuilder::job_timeout`]), and batches and the daemon stream
+//! one write-ahead journal format, opened and recovered by one code path,
+//! and resume after a crash with bit-identical merged outcomes
+//! ([`journal`], [`Server::recover_journal`]).
 //!
 //! The daemon's network edge is *overload-hardened* (`DESIGN.md` §16):
 //! connection guards ([`ServerBuilder::max_conns`], idle and mid-frame
@@ -50,10 +50,10 @@ pub mod supervise;
 
 pub use client::{Client, ClientError, ClientRetry};
 pub use job::{
-    batch_digest, parse_jobs_file, percentile, spec_digest, BatchReport, BatchSummary, JobReport,
-    JobSpec, JOBS_SCHEMA, REPORT_SCHEMA,
+    parse_jobs_file, percentile, spec_digest, BatchReport, BatchSummary, JobReport, JobSpec,
+    JOBS_SCHEMA, REPORT_SCHEMA,
 };
-pub use journal::{replay, JournalState, JournalWriter, JOURNAL_SCHEMA};
+pub use journal::{replay, JournalConfig, JournalState, JournalWriter, JOURNAL_SCHEMA};
 pub use netfault::{NetFaultKind, NetFaultPlan};
 pub use proto::{
     read_frame, write_frame, FrameDecoder, JobRequest, ServeStats, WireFrame, MAX_FRAME_LEN,
@@ -62,7 +62,7 @@ pub use proto::{
 pub use server::{
     Server, ServerBuilder, DEFAULT_FRAME_TIMEOUT, DEFAULT_QUEUE_CAP, DEFAULT_WRITE_TIMEOUT,
 };
-pub use service::{BatchOptions, JobCancel, JournalConfig, LEADER_RETRY_BUDGET};
+pub use service::{JobCancel, LEADER_RETRY_BUDGET};
 pub use supervise::{Flight, FlightEnd, FlightGuard, Role, SingleFlight};
 pub use tce_solver::CancelToken;
 
@@ -218,12 +218,11 @@ mod tests {
             let hook = PanickingHook {
                 panics_left: std::sync::atomic::AtomicU32::new(1),
             };
-            let opts = BatchOptions {
-                workers: 4,
-                ..BatchOptions::default()
-            };
-            let report =
-                crate::service::run_batch_hooked(&jobs, &opts, &cache, &hook).expect("batch runs");
+            let report = Server::builder()
+                .workers(4)
+                .build()
+                .run_batch_hooked(&jobs, &cache, &hook)
+                .expect("batch runs");
 
             assert_eq!(report.summary.failed, 1, "{:?}", report.jobs);
             assert_eq!(report.summary.ok, 5);
@@ -267,7 +266,7 @@ mod tests {
             panic!("the test leads the flight")
         };
 
-        let (opts, hook) = (BatchOptions::default(), SleepingHook(timeout));
+        let (opts, hook) = (Server::builder(), SleepingHook(timeout));
         std::thread::scope(|scope| {
             let follower = scope.spawn(|| {
                 crate::service::process_job(&spec, &cache, &flights, 0.0, &opts, &hook, None)
@@ -293,13 +292,12 @@ mod tests {
         let hook = PanickingHook {
             panics_left: std::sync::atomic::AtomicU32::new(u32::MAX),
         };
-        let opts = BatchOptions {
-            workers: 4,
-            retry_budget: 1,
-            ..BatchOptions::default()
-        };
-        let report =
-            crate::service::run_batch_hooked(&jobs, &opts, &cache, &hook).expect("batch runs");
+        let report = Server::builder()
+            .workers(4)
+            .retry_budget(1)
+            .build()
+            .run_batch_hooked(&jobs, &cache, &hook)
+            .expect("batch runs");
         // nobody hangs and nobody succeeds: every job reports either its
         // own panic or an exhausted retry budget
         assert_eq!(report.summary.ok, 0);

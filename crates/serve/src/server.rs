@@ -18,11 +18,11 @@
 //!   final [`BatchReport`] whose summary carries per-request p50/p99
 //!   latency;
 //! * **journaling** — with a journal configured, every admission is
-//!   written *ahead* of execution with its full spec (`admit_spec`), so
+//!   written *ahead* of execution with its full spec, so
 //!   [`Server::recover_journal`] can rebuild and finish the jobs of a
 //!   killed daemon from the journal alone, merging already-completed
-//!   reports verbatim — the same crash-resume bit-identity contract as
-//!   batch mode;
+//!   reports verbatim — the same journal, and the same crash-resume
+//!   bit-identity contract, as batch mode (see [`crate::journal`]);
 //! * **cancellation** — a [`WireFrame::Cancel`] (or a connection
 //!   teardown) cancels a prior admission by its client id: queued jobs
 //!   are dequeued before any worker can start them, running jobs have
@@ -37,13 +37,13 @@
 //!   `retry_after_ms` backoff hint, instead of being solved into a
 //!   report its deadline already invalidated.
 
-use crate::job::{percentile, BatchReport, JobReport, JobSpec, REPORT_SCHEMA};
-use crate::journal::{self, JournalWriter};
+use crate::job::{percentile, BatchReport, JobReport, JobSpec};
+use crate::journal::{self, JournalConfig, JournalWriter};
 use crate::netfault::{self, NetFaultKind, NetFaultPlan, ReadOutcome};
 use crate::proto::{self, FrameDecoder, JobRequest, ServeStats, WireFrame};
 use crate::service::{
-    process_job, resolve_workers, summarize, BatchOptions, JobCancel, JournalConfig, NoHook,
-    RunHook, LEADER_RETRY_BUDGET,
+    final_report, process_job, resolve_workers, run_pool, JobCancel, NoHook, RunHook,
+    LEADER_RETRY_BUDGET,
 };
 use crate::supervise::SingleFlight;
 use parking_lot::{Condvar, Mutex};
@@ -81,10 +81,10 @@ const READ_POLL_CAP: Duration = Duration::from_millis(500);
 /// Builder for a [`Server`]; start from [`Server::builder`].
 #[derive(Clone)]
 pub struct ServerBuilder {
-    workers: usize,
+    pub(crate) workers: usize,
     queue_cap: usize,
-    job_timeout: Option<Duration>,
-    retry_budget: u32,
+    pub(crate) job_timeout: Option<Duration>,
+    pub(crate) retry_budget: u32,
     journal: Option<JournalConfig>,
     max_conns: usize,
     idle_timeout: Option<Duration>,
@@ -202,21 +202,6 @@ impl Server {
         ServerBuilder::default()
     }
 
-    /// The batch options this server runs jobs under.
-    fn options(&self) -> BatchOptions {
-        BatchOptions {
-            workers: self.config.workers,
-            job_timeout: self.config.job_timeout,
-            journal: self.config.journal.clone(),
-            retry_budget: self.config.retry_budget,
-        }
-    }
-
-    /// Resolved worker-thread count.
-    fn worker_count(&self) -> usize {
-        resolve_workers(self.config.workers)
-    }
-
     /// Runs a batch of jobs to completion (the one-shot `--batch` mode).
     /// Reports come back in submission order. Only journal setup can
     /// fail.
@@ -225,7 +210,41 @@ impl Server {
         jobs: &[JobSpec],
         cache: &SynthesisCache,
     ) -> Result<BatchReport, String> {
-        crate::service::run_batch_hooked(jobs, &self.options(), cache, &NoHook)
+        self.run_batch_hooked(jobs, cache, &NoHook)
+    }
+
+    /// The batch behind [`Server::run_batch`]. A resumed journal must
+    /// have admitted a prefix of `jobs`; the jobs past it are admitted
+    /// write-ahead, then everything the journal has not settled runs.
+    pub(crate) fn run_batch_hooked(
+        &self,
+        jobs: &[JobSpec],
+        cache: &SynthesisCache,
+        hook: &dyn RunHook,
+    ) -> Result<BatchReport, String> {
+        let started = Instant::now();
+        let (writer, settled) = match &self.config.journal {
+            Some(cfg) => {
+                let faults = cfg.faults.injector(1);
+                let (writer, state) =
+                    JournalWriter::open_replayed(&cfg.path, cfg.resume, Some(jobs), faults)?;
+                let (admitted, settled) = state.recovery();
+                for (idx, spec) in jobs.iter().enumerate().skip(admitted.len()) {
+                    writer.admit(idx, spec);
+                }
+                (Some(writer), settled)
+            }
+            None => (None, HashMap::new()),
+        };
+        let pooled = run_pool(jobs, settled, &self.config, writer.as_ref(), cache, hook);
+        let workers = resolve_workers(self.config.workers).min(jobs.len().max(1));
+        Ok(final_report(
+            pooled,
+            Vec::new(),
+            Vec::new(),
+            workers,
+            started,
+        ))
     }
 
     /// Runs JSON-lines input (one job object per non-empty line) and
@@ -241,11 +260,11 @@ impl Server {
         Ok((report, out))
     }
 
-    /// Recovers a killed daemon's work from its journal *without*
-    /// serving: admitted-but-unfinished jobs re-run on this server's
-    /// worker pool, completed jobs' reports merge verbatim, and the
+    /// Recovers a killed daemon's (or batch's) work from its journal
+    /// *without* serving or writing: admitted-but-unsettled jobs re-run
+    /// on this server's worker pool, settled jobs merge verbatim, and the
     /// merged report's outcome projection is bit-identical to what the
-    /// uninterrupted daemon would have produced for the admitted jobs.
+    /// uninterrupted run would have produced for the admitted jobs.
     pub fn recover_journal(
         &self,
         path: &Path,
@@ -261,27 +280,15 @@ impl Server {
         hook: &dyn RunHook,
     ) -> Result<BatchReport, String> {
         let started = Instant::now();
-        let state = journal::replay(path);
-        if !state.serve && state.header.is_some() {
-            return Err(format!(
-                "journal {path:?} is a batch journal; resume it with the original jobs file"
-            ));
-        }
-        let recovered = recover_state(state, &self.options(), cache, hook)?;
-        let resumed = recovered.iter().filter(|(_, verbatim)| *verbatim).count() as u64;
-        let latencies = recovered
-            .iter()
-            .filter(|(_, verbatim)| !*verbatim)
-            .map(|(r, _)| r.queue_wait_s + r.total_s)
-            .collect();
-        let jobs: Vec<JobReport> = recovered.into_iter().map(|(r, _)| r).collect();
-        let summary = summarize(&jobs, resumed, started.elapsed().as_secs_f64(), latencies);
-        Ok(BatchReport {
-            schema: REPORT_SCHEMA.to_string(),
-            workers: self.worker_count() as u64,
-            jobs,
-            summary,
-        })
+        let (specs, settled) = journal::replay(path)?.recovery();
+        let pooled = run_pool(&specs, settled, &self.config, None, cache, hook);
+        Ok(final_report(
+            pooled,
+            Vec::new(),
+            Vec::new(),
+            resolve_workers(self.config.workers),
+            started,
+        ))
     }
 
     /// Runs the long-lived daemon on `listener` until `shutdown` is set
@@ -304,49 +311,22 @@ impl Server {
         shutdown: &AtomicBool,
         hook: &dyn RunHook,
     ) -> Result<BatchReport, String> {
-        let workers = self.worker_count();
-        let opts = BatchOptions {
-            journal: None, // the daemon journals itself, write-ahead
-            ..self.options()
-        };
+        let workers = resolve_workers(self.config.workers);
         let started = Instant::now();
 
-        // journal setup; resuming recovers the previous daemon's jobs
-        // first, then keeps appending to the same journal with admission
-        // indices continuing where it left off
-        let mut recovered: Vec<(JobReport, bool)> = Vec::new();
-        let writer = match &self.config.journal {
+        // resuming finishes the previous run's jobs first, journaling
+        // their `done`s here, then keeps appending to the same journal
+        // with admission indices continuing where it left off
+        let (writer, recovered) = match &self.config.journal {
             Some(cfg) => {
                 let faults = cfg.faults.injector(1);
-                let mut fresh = true;
-                if cfg.resume {
-                    let state = journal::replay(&cfg.path);
-                    if state.header.is_some() {
-                        return Err(format!(
-                            "journal {:?} is a batch journal; it cannot seed a daemon",
-                            cfg.path
-                        ));
-                    }
-                    if state.serve {
-                        recovered = recover_state(state, &opts, cache, hook)?;
-                        fresh = false;
-                    }
-                }
-                let mut w = JournalWriter::open(&cfg.path, fresh, faults)?;
-                if fresh {
-                    w.serve_header();
-                }
-                w.sync_parent(&cfg.path);
-                // re-journal the reports recovery had to re-run, so the
-                // *next* crash resumes them verbatim instead
-                for (idx, (report, verbatim)) in recovered.iter().enumerate() {
-                    if !verbatim {
-                        w.done(idx, report);
-                    }
-                }
-                Some(w)
+                let (writer, state) =
+                    JournalWriter::open_replayed(&cfg.path, cfg.resume, None, faults)?;
+                let (specs, settled) = state.recovery();
+                let recovered = run_pool(&specs, settled, &self.config, Some(&writer), cache, hook);
+                (Some(writer), recovered)
             }
-            None => None,
+            None => (None, Vec::new()),
         };
         let writer = writer.as_ref();
 
@@ -392,7 +372,7 @@ impl Server {
             let state = &state;
             let live = &live;
             let flights = &flights;
-            let opts = &opts;
+            let opts = &self.config;
             let guards = &guards;
             let net = &net;
             for _ in 0..workers {
@@ -450,83 +430,26 @@ impl Server {
         // final report: recovered jobs first, then everything served
         // live, in admission order. `live` is collected in place, so no
         // report is held twice.
-        let resumed = recovered.iter().filter(|(_, v)| *v).count() as u64;
-        let mut latencies = state.latencies.into_inner();
-        latencies.extend(
-            recovered
-                .iter()
-                .filter(|(_, v)| !*v)
-                .map(|(r, _)| r.queue_wait_s + r.total_s),
-        );
         let mut live = live.into_inner();
         live.sort_by_key(|(idx, _)| *idx);
-        let mut jobs: Vec<JobReport> = live.into_iter().map(|(_, r)| r).collect();
-        if !recovered.is_empty() {
-            jobs.splice(0..0, recovered.into_iter().map(|(r, _)| r));
-        }
-        let summary = summarize(&jobs, resumed, started.elapsed().as_secs_f64(), latencies);
+        let live = live.into_iter().map(|(_, r)| r).collect();
+        let report = final_report(
+            recovered,
+            live,
+            state.latencies.into_inner(),
+            workers,
+            started,
+        );
         if let Some(w) = writer {
             w.stats(
                 state.completed.load(Ordering::Relaxed),
                 state.rejected.load(Ordering::Relaxed),
-                summary.p50_s,
-                summary.p99_s,
+                report.summary.p50_s,
+                report.summary.p99_s,
             );
         }
-        Ok(BatchReport {
-            schema: REPORT_SCHEMA.to_string(),
-            workers: workers as u64,
-            jobs,
-            summary,
-        })
+        Ok(report)
     }
-}
-
-/// Replays a serve journal's state into finished reports: `done` records
-/// merge verbatim (flag `true`), admitted-but-unfinished specs re-run on
-/// the batch engine (flag `false`). Only the contiguous admission prefix
-/// is recovered — a torn admission line ends what the journal can prove
-/// was admitted.
-fn recover_state(
-    mut state: journal::JournalState,
-    opts: &BatchOptions,
-    cache: &SynthesisCache,
-    hook: &dyn RunHook,
-) -> Result<Vec<(JobReport, bool)>, String> {
-    let mut specs = Vec::new();
-    while let Some(spec) = state.specs.remove(&specs.len()) {
-        specs.push(spec);
-    }
-    let pending: Vec<usize> = (0..specs.len())
-        .filter(|idx| !state.done.contains_key(idx) && !state.canceled.contains(idx))
-        .collect();
-    let rerun_specs: Vec<JobSpec> = pending.iter().map(|&i| specs[i].clone()).collect();
-    let rerun_opts = BatchOptions {
-        journal: None,
-        ..opts.clone()
-    };
-    let rerun = crate::service::run_batch_hooked(&rerun_specs, &rerun_opts, cache, hook)?;
-    let mut rerun_reports: VecDeque<JobReport> = rerun.jobs.into();
-
-    let mut out = Vec::with_capacity(specs.len());
-    for (idx, spec) in specs.iter().enumerate() {
-        match state.done.remove(&idx) {
-            Some(report) => out.push((report, true)),
-            // a `cancel` record without a `done` is terminal: the job
-            // must never re-run; resume synthesizes the same canonical
-            // canceled report the live daemon would have sent
-            None if state.canceled.contains(&idx) => {
-                out.push((JobReport::canceled(&spec.name, "", 0.0), true))
-            }
-            None => out.push((
-                rerun_reports
-                    .pop_front()
-                    .expect("one report per re-run job"),
-                false,
-            )),
-        }
-    }
-    Ok(out)
 }
 
 /// Shared daemon state: the bounded admission queue plus lifetime
@@ -740,14 +663,14 @@ fn send_tracked(state: &DaemonState, conn: &ConnWriter, frame: &WireFrame) {
     }
 }
 
-/// Worker: pop → journal start → solve → journal done → report to the
-/// connection. Exits when draining and the queue is empty.
+/// Worker: pop → solve → journal done → report to the connection. Exits
+/// when draining and the queue is empty.
 fn worker_loop(
     state: &DaemonState,
     writer: Option<&JournalWriter>,
     cache: &SynthesisCache,
     flights: &SingleFlight,
-    opts: &BatchOptions,
+    opts: &ServerBuilder,
     hook: &dyn RunHook,
     live: &Mutex<Vec<(usize, JobReport)>>,
 ) {
@@ -830,9 +753,6 @@ fn worker_loop(
             }
             live.lock().push((job.idx, report));
             continue;
-        }
-        if let Some(w) = writer {
-            w.start(job.idx);
         }
         let report = process_job(
             &job.spec,
@@ -1205,7 +1125,7 @@ fn admit(
     // before the job can possibly complete, or a crash could journal a
     // `done` for a job resume knows nothing about
     if let Some(w) = writer {
-        w.admit_spec(idx, &req.spec);
+        w.admit(idx, &req.spec);
     }
     let cancel = JobCancel::new();
     conn.inflight.lock().insert(req.id, (idx, cancel.clone()));
@@ -1845,8 +1765,7 @@ mod tests {
             assert!(after.ok);
 
             // `done` was journaled for the vanished client's jobs
-            let state = journal::replay(&journal_path);
-            assert!(state.serve);
+            let state = journal::replay(&journal_path).expect("replay");
             for idx in 0..3 {
                 assert!(state.done.contains_key(&idx), "done journaled for {idx}");
             }
@@ -2065,10 +1984,9 @@ mod tests {
         // before its `done` could be written, job 1 untouched
         {
             let w = JournalWriter::open(&path, true, None).expect("open journal");
-            w.serve_header();
-            w.admit_spec(0, &job("gone", 64, 48, 1));
+            w.admit(0, &job("gone", 64, 48, 1));
             w.cancel(0);
-            w.admit_spec(1, &job("kept", 48, 64, 2));
+            w.admit(1, &job("kept", 48, 64, 2));
         }
 
         let counter = CountingHook(AtomicUsize::new(0));

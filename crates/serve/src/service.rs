@@ -12,28 +12,27 @@
 //! * **supervision** — every solve runs under `catch_unwind` holding an
 //!   RAII `FlightGuard`, so a panicking or erroring leader settles its
 //!   flight (no follower ever hangs) and one follower is promoted to
-//!   retry as the new leader, bounded by [`BatchOptions::retry_budget`];
+//!   retry as the new leader, bounded by [`ServerBuilder::retry_budget`];
 //! * **deadlines** — each job may carry a wall-clock deadline (per-job
-//!   `timeout_ms` or the batch-wide [`BatchOptions::job_timeout`]) as a
+//!   `timeout_ms` or the server-wide [`ServerBuilder::job_timeout`]) as a
 //!   [`CancelToken`] threaded into the solver's budget machinery; expired
 //!   jobs fail with `deadline_exceeded` instead of blocking the pool;
-//! * **journaling** — with [`BatchOptions::journal`] set, admission,
-//!   start, and completion events stream to a write-ahead journal, and a
-//!   resumed run reuses completed jobs' reports verbatim (see
-//!   [`crate::journal`]).
+//! * **journaling** — given a journal writer, the pool journals each
+//!   finished job's `done` record, and jobs a replayed journal already
+//!   settled merge verbatim instead of running (see [`crate::journal`]).
 
-use crate::job::{batch_digest, BatchReport, BatchSummary, JobReport, JobSpec, REPORT_SCHEMA};
-use crate::journal::{self, JournalWriter};
+use crate::job::{BatchReport, BatchSummary, JobReport, JobSpec, REPORT_SCHEMA};
+use crate::journal::JournalWriter;
+use crate::server::ServerBuilder;
 use crate::supervise::{Flight, FlightEnd, Role, SingleFlight};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tce_cache::{
-    prepare_network_request, prepare_request, run_prepared, CachedSynthesis, FsFaultPlan, Lowered,
+    prepare_network_request, prepare_request, run_prepared, CachedSynthesis, Lowered,
     PreparedRequest, SynthesisCache,
 };
 use tce_core::{NetworkSynthesis, SynthesisConfig, SynthesisError, SynthesisResult};
@@ -42,55 +41,6 @@ use tce_solver::CancelToken;
 /// How many times followers may promote a new leader for one fingerprint
 /// after the previous leader failed, before giving up.
 pub const LEADER_RETRY_BUDGET: u32 = 2;
-
-/// Write-ahead journal configuration for one batch run.
-#[derive(Clone)]
-pub struct JournalConfig {
-    /// Journal file path.
-    pub path: PathBuf,
-    /// Resume from an existing journal instead of starting fresh.
-    pub resume: bool,
-    /// Fault schedule applied to journal writes (chaos testing); idle by
-    /// default.
-    pub faults: FsFaultPlan,
-}
-
-impl JournalConfig {
-    /// A fresh (non-resuming, fault-free) journal at `path`.
-    pub fn new(path: impl Into<PathBuf>) -> JournalConfig {
-        JournalConfig {
-            path: path.into(),
-            resume: false,
-            faults: FsFaultPlan::none(),
-        }
-    }
-}
-
-/// Knobs for one batch run. `Default` reproduces the historical batch
-/// behavior: core-count workers, no deadlines, no journal.
-#[derive(Clone)]
-pub struct BatchOptions {
-    /// Worker threads; `0` means one per available core.
-    pub workers: usize,
-    /// Batch-wide per-job deadline, measured from job pickup. A job's own
-    /// `timeout_ms` overrides it.
-    pub job_timeout: Option<Duration>,
-    /// Write-ahead journal; `None` disables journaling.
-    pub journal: Option<JournalConfig>,
-    /// Leader-promotion budget after leader failures.
-    pub retry_budget: u32,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            workers: 0,
-            job_timeout: None,
-            journal: None,
-            retry_budget: LEADER_RETRY_BUDGET,
-        }
-    }
-}
 
 /// A hook run immediately before each cache run of a job — a leader's
 /// solve and a follower's replay alike, for dense and network jobs — so
@@ -224,7 +174,7 @@ fn solver_threads(cores: usize, workers: usize) -> usize {
 
 /// The job's synthesis configuration, with the solver sized to its share
 /// of the cores.
-fn job_config(spec: &JobSpec, opts: &BatchOptions) -> Result<SynthesisConfig, String> {
+fn job_config(spec: &JobSpec, opts: &ServerBuilder) -> Result<SynthesisConfig, String> {
     let mut config = spec.config()?;
     config.threads = solver_threads(cores(), resolve_workers(opts.workers));
     Ok(config)
@@ -273,7 +223,7 @@ pub(crate) fn process_job(
     cache: &SynthesisCache,
     flights: &SingleFlight,
     queue_wait_s: f64,
-    opts: &BatchOptions,
+    opts: &ServerBuilder,
     hook: &dyn RunHook,
     cancel: Option<&JobCancel>,
 ) -> JobReport {
@@ -309,7 +259,7 @@ struct SupervisedJob<'a> {
     spec: &'a JobSpec,
     cache: &'a SynthesisCache,
     flights: &'a SingleFlight,
-    opts: &'a BatchOptions,
+    opts: &'a ServerBuilder,
     hook: &'a dyn RunHook,
     cancel: Option<&'a JobCancel>,
     queue_wait_s: f64,
@@ -527,71 +477,29 @@ impl SupervisedJob<'_> {
     }
 }
 
-pub(crate) fn run_batch_hooked(
+/// Runs `jobs` on a supervised pool sized by `opts` and returns each
+/// job's report in order, flagged `true` when it was merged verbatim: a
+/// job with a report in `settled` does not run, every other job runs and,
+/// given a `writer`, journals its `done`.
+pub(crate) fn run_pool(
     jobs: &[JobSpec],
-    opts: &BatchOptions,
+    mut settled: HashMap<usize, JobReport>,
+    opts: &ServerBuilder,
+    writer: Option<&JournalWriter>,
     cache: &SynthesisCache,
     hook: &dyn RunHook,
-) -> Result<BatchReport, String> {
-    let workers = resolve_workers(opts.workers).min(jobs.len().max(1));
-    // jobs split the cores over the workers that actually run
-    let opts = &BatchOptions {
-        workers,
-        ..opts.clone()
-    };
-    let batch_started = Instant::now();
-
-    // journal setup: replay on resume, then open for append; fresh runs
-    // truncate and write the header + admissions up front (write-ahead)
-    let mut resumed: HashMap<usize, JobReport> = HashMap::new();
-    let writer = match &opts.journal {
-        Some(cfg) => {
-            let faults = cfg.faults.injector(1);
-            let state = if cfg.resume {
-                journal::replay(&cfg.path)
-            } else {
-                journal::JournalState::default()
-            };
-            let continuing = match state.header {
-                Some((header_jobs, header_digest)) => {
-                    if header_jobs != jobs.len() as u64 || header_digest != batch_digest(jobs) {
-                        return Err(format!(
-                            "journal {:?} was written for a different jobs file; \
-                             refusing to merge its results",
-                            cfg.path
-                        ));
-                    }
-                    resumed = state
-                        .done
-                        .into_iter()
-                        .filter(|(idx, _)| *idx < jobs.len())
-                        .collect();
-                    true
-                }
-                // resuming an empty/unreadable journal is just a fresh run
-                None => false,
-            };
-            let mut w = JournalWriter::open(&cfg.path, !continuing, faults)?;
-            if !continuing {
-                w.batch(jobs);
-                for (idx, spec) in jobs.iter().enumerate() {
-                    w.admit(idx, spec);
-                }
-            }
-            w.sync_parent(&cfg.path);
-            Some(w)
-        }
-        None => None,
-    };
-    let writer = writer.as_ref();
-
-    let flights = SingleFlight::default();
+) -> Vec<(JobReport, bool)> {
     let queue: Mutex<Vec<usize>> = Mutex::new(
         (0..jobs.len())
             .rev()
-            .filter(|i| !resumed.contains_key(i))
+            .filter(|i| !settled.contains_key(i))
             .collect(),
     );
+    // jobs split the cores over the workers that actually run
+    let workers = resolve_workers(opts.workers).min(queue.lock().len());
+    let opts = &opts.clone().workers(workers);
+    let started = Instant::now();
+    let flights = SingleFlight::default();
     let reports: Mutex<Vec<Option<JobReport>>> =
         Mutex::new((0..jobs.len()).map(|_| None).collect());
 
@@ -602,10 +510,7 @@ pub(crate) fn run_batch_hooked(
                     Some(i) => i,
                     None => break,
                 };
-                if let Some(w) = writer {
-                    w.start(idx);
-                }
-                let queue_wait_s = batch_started.elapsed().as_secs_f64();
+                let queue_wait_s = started.elapsed().as_secs_f64();
                 let report =
                     process_job(&jobs[idx], cache, &flights, queue_wait_s, opts, hook, None);
                 if let Some(w) = writer {
@@ -616,41 +521,56 @@ pub(crate) fn run_batch_hooked(
         }
     });
 
-    let resumed_count = resumed.len() as u64;
-    // per-request latency (admission → report) over the jobs this run
-    // actually executed; resumed jobs replayed verbatim don't count
-    let mut latencies = Vec::new();
-    let jobs: Vec<JobReport> = reports
+    reports
         .into_inner()
         .into_iter()
         .enumerate()
         .map(|(idx, r)| match r {
-            Some(r) => {
-                latencies.push(r.queue_wait_s + r.total_s);
-                r
-            }
-            // not queued: merged verbatim from the resumed journal
-            None => resumed.remove(&idx).expect("every job reported"),
+            Some(r) => (r, false),
+            None => (settled.remove(&idx).expect("every job reported"), true),
         })
-        .collect();
+        .collect()
+}
 
+/// The final report of a run: the pool's reports (see [`run_pool`]) in
+/// order, then the reports a daemon served `live`. Verbatim merges count
+/// as resumed; the latency percentiles cover the jobs this run executed —
+/// the pool's (admission → report) plus the daemon's `live_latencies`.
+pub(crate) fn final_report(
+    pooled: Vec<(JobReport, bool)>,
+    live: Vec<JobReport>,
+    mut live_latencies: Vec<f64>,
+    workers: usize,
+    started: Instant,
+) -> BatchReport {
+    let resumed = pooled.iter().filter(|(_, verbatim)| *verbatim).count() as u64;
+    live_latencies.extend(
+        pooled
+            .iter()
+            .filter(|(_, verbatim)| !verbatim)
+            .map(|(r, _)| r.queue_wait_s + r.total_s),
+    );
+    // spliced into `live` in place: a daemon holds one report per job
+    // served, so none is held twice
+    let mut jobs = live;
+    jobs.splice(0..0, pooled.into_iter().map(|(r, _)| r));
     let summary = summarize(
         &jobs,
-        resumed_count,
-        batch_started.elapsed().as_secs_f64(),
-        latencies,
+        resumed,
+        started.elapsed().as_secs_f64(),
+        live_latencies,
     );
-    Ok(BatchReport {
+    BatchReport {
         schema: REPORT_SCHEMA.to_string(),
         workers: workers as u64,
         jobs,
         summary,
-    })
+    }
 }
 
 /// Folds per-job reports (plus the measured per-request latencies) into a
-/// [`BatchSummary`]. Shared by the batch engine and the daemon.
-pub(crate) fn summarize(
+/// [`BatchSummary`].
+fn summarize(
     jobs: &[JobReport],
     resumed: u64,
     wall_s: f64,

@@ -98,6 +98,20 @@ fn serve_once(server: &Server, jobs: &[JobSpec], cache: &SynthesisCache) -> Batc
     })
 }
 
+/// Every crash point of a journal, as the exact bytes the crash leaves:
+/// after each whole line (`k` lines survive) and half-way through each
+/// line (a torn append with no trailing newline).
+fn crash_cuts(full: &[u8]) -> Vec<(String, &[u8])> {
+    let mut cuts = vec![("k0".to_string(), &full[..0])];
+    let mut end = 0;
+    for (k, line) in full.split_inclusive(|&b| b == b'\n').enumerate() {
+        cuts.push((format!("k{k}-torn"), &full[..end + line.len() / 2]));
+        end += line.len();
+        cuts.push((format!("k{}", k + 1), &full[..end]));
+    }
+    cuts
+}
+
 /// The per-job deterministic outcome list of a report's first `m` jobs.
 fn outcomes(report: &BatchReport, m: usize) -> String {
     let seq: Vec<_> = report.jobs[..m].iter().map(|j| j.outcome_value()).collect();
@@ -196,54 +210,45 @@ fn killing_the_daemon_at_every_journal_boundary_recovers_bit_identically() {
         let clean = serve_once(&server, &jobs, &SynthesisCache::in_memory());
         assert_eq!(clean.summary.jobs, 4);
 
-        let full = std::fs::read_to_string(&journal).expect("journal text");
-        let lines: Vec<&str> = full.lines().collect();
-        // serve header + per-job admit_spec/start/done + stats
-        assert!(lines.len() > jobs.len() * 2, "journal too short: {full}");
+        let full = std::fs::read(&journal).expect("journal bytes");
+        // header + per-job admit/done + stats
+        assert_eq!(
+            full.split_inclusive(|&b| b == b'\n').count(),
+            2 + jobs.len() * 2,
+            "{}",
+            String::from_utf8_lossy(&full)
+        );
 
         // "kill the daemon" after every whole line and mid-way through
         // every line (a torn append), then recover from the journal alone
-        for k in 0..=lines.len() {
-            let mut variants = vec![(format!("k{k}"), lines[..k].join("\n"))];
-            if k < lines.len() {
-                let half = &lines[k][..lines[k].len() / 2];
-                variants.push((
-                    format!("k{k}-torn"),
-                    format!("{}\n{half}", lines[..k].join("\n")),
-                ));
-            }
-            for (tag, text) in variants {
-                let crash = dir.join(format!("crash-{seed}-{tag}.journal"));
-                std::fs::write(&crash, format!("{text}\n")).expect("write crash journal");
+        for (tag, cut) in crash_cuts(&full) {
+            let crash = dir.join(format!("crash-{seed}-{tag}.journal"));
+            std::fs::write(&crash, cut).expect("write crash journal");
 
-                // what the torn journal can prove was admitted: the
-                // contiguous prefix of admit_spec records
-                let state = replay(&crash);
-                let mut admitted = 0;
-                while state.specs.contains_key(&admitted) {
-                    admitted += 1;
-                }
+            // what the torn journal can prove was admitted: the
+            // contiguous prefix of admit records
+            let state = replay(&crash).expect("replay");
+            let admitted = state.admitted();
 
-                let recovered = Server::builder()
-                    .workers(2)
-                    .build()
-                    .recover_journal(&crash, &SynthesisCache::in_memory())
-                    .expect("recover");
-                assert_eq!(
-                    recovered.summary.jobs, admitted as u64,
-                    "seed {seed}, crash at {tag}: wrong recovery scope"
-                );
-                assert_eq!(
-                    recovered.summary.resumed,
-                    state.done.len().min(admitted) as u64,
-                    "seed {seed}, crash at {tag}: done records must merge verbatim"
-                );
-                assert_eq!(
-                    outcomes(&recovered, admitted),
-                    outcomes(&clean, admitted),
-                    "seed {seed}, crash at {tag}: recovered outcomes diverged"
-                );
-            }
+            let recovered = Server::builder()
+                .workers(2)
+                .build()
+                .recover_journal(&crash, &SynthesisCache::in_memory())
+                .expect("recover");
+            assert_eq!(
+                recovered.summary.jobs, admitted as u64,
+                "seed {seed}, crash at {tag}: wrong recovery scope"
+            );
+            assert_eq!(
+                recovered.summary.resumed,
+                state.done.len().min(admitted) as u64,
+                "seed {seed}, crash at {tag}: done records must merge verbatim"
+            );
+            assert_eq!(
+                outcomes(&recovered, admitted),
+                outcomes(&clean, admitted),
+                "seed {seed}, crash at {tag}: recovered outcomes diverged"
+            );
         }
     }
 }
@@ -356,72 +361,58 @@ fn a_cancel_at_every_journal_boundary_replays_exactly_once_and_never_caches() {
         assert!(!probe.joined);
 
         // kill at every whole-line and torn boundary; the journal now
-        // carries a cancel record among admits/starts/dones
-        let full = std::fs::read_to_string(&journal).expect("journal text");
-        let lines: Vec<&str> = full.lines().collect();
+        // carries a cancel record among admits and dones
+        let full = std::fs::read(&journal).expect("journal bytes");
         assert!(
-            full.contains("\"cancel\""),
-            "journal must record the cancel: {full}"
+            String::from_utf8_lossy(&full).contains("\"cancel\""),
+            "journal must record the cancel"
         );
-        for k in 0..=lines.len() {
-            let mut variants = vec![(format!("k{k}"), lines[..k].join("\n"))];
-            if k < lines.len() {
-                let half = &lines[k][..lines[k].len() / 2];
-                variants.push((
-                    format!("k{k}-torn"),
-                    format!("{}\n{half}", lines[..k].join("\n")),
-                ));
-            }
-            for (tag, text) in variants {
-                let crash = dir.join(format!("crash-{seed}-{tag}.journal"));
-                std::fs::write(&crash, format!("{text}\n")).expect("write crash journal");
+        for (tag, cut) in crash_cuts(&full) {
+            let crash = dir.join(format!("crash-{seed}-{tag}.journal"));
+            std::fs::write(&crash, cut).expect("write crash journal");
 
-                let state = replay(&crash);
-                let mut admitted = 0;
-                while state.specs.contains_key(&admitted) {
-                    admitted += 1;
-                }
+            let state = replay(&crash).expect("replay");
+            let admitted = state.admitted();
 
-                let recovered = Server::builder()
-                    .workers(2)
-                    .build()
-                    .recover_journal(&crash, &SynthesisCache::in_memory())
-                    .expect("recover");
-                // exactly once: every admitted job reported once, in
-                // admission order, none lost, none duplicated
+            let recovered = Server::builder()
+                .workers(2)
+                .build()
+                .recover_journal(&crash, &SynthesisCache::in_memory())
+                .expect("recover");
+            // exactly once: every admitted job reported once, in
+            // admission order, none lost, none duplicated
+            assert_eq!(
+                recovered.summary.jobs, admitted as u64,
+                "seed {seed}, crash at {tag}: wrong recovery scope"
+            );
+            let names: Vec<_> = recovered.jobs.iter().map(|j| j.name.as_str()).collect();
+            let want: Vec<_> = plain_jobs[..admitted]
+                .iter()
+                .map(|j| j.name.as_str())
+                .collect();
+            assert_eq!(names, want, "seed {seed}, crash at {tag}");
+
+            // a durable cancel (or its done record) replays as the
+            // canonical canceled report; a cancel lost to truncation
+            // means the job legitimately re-runs like the plain batch
+            for idx in 0..admitted {
+                let durable = state.done.contains_key(&idx) || state.canceled.contains(&idx);
+                let expect = if durable {
+                    clean.jobs[idx].outcome_value()
+                } else {
+                    plain.jobs[idx].outcome_value()
+                };
                 assert_eq!(
-                    recovered.summary.jobs, admitted as u64,
-                    "seed {seed}, crash at {tag}: wrong recovery scope"
+                    recovered.jobs[idx].outcome_value(),
+                    expect,
+                    "seed {seed}, crash at {tag}, job {idx}: outcome diverged"
                 );
-                let names: Vec<_> = recovered.jobs.iter().map(|j| j.name.as_str()).collect();
-                let want: Vec<_> = plain_jobs[..admitted]
-                    .iter()
-                    .map(|j| j.name.as_str())
-                    .collect();
-                assert_eq!(names, want, "seed {seed}, crash at {tag}");
-
-                // a durable cancel (or its done record) replays as the
-                // canonical canceled report; a cancel lost to truncation
-                // means the job legitimately re-runs like the plain batch
-                for idx in 0..admitted {
-                    let durable = state.done.contains_key(&idx) || state.canceled.contains(&idx);
-                    let expect = if durable {
-                        clean.jobs[idx].outcome_value()
-                    } else {
-                        plain.jobs[idx].outcome_value()
-                    };
-                    assert_eq!(
-                        recovered.jobs[idx].outcome_value(),
-                        expect,
-                        "seed {seed}, crash at {tag}, job {idx}: outcome diverged"
-                    );
-                }
             }
         }
 
         // the intact journal resumes everything verbatim, including the
         // canceled victim, with nothing left to re-run
-        let state = replay(&journal);
+        let state = replay(&journal).expect("replay");
         assert!(state.canceled.contains(&(victim as usize)));
         let resumed = Server::builder()
             .workers(1)
@@ -507,4 +498,59 @@ fn resumed_daemon_continues_serving_after_recovered_jobs() {
     assert_eq!(final_state.summary.jobs, 5);
     assert_eq!(final_state.summary.resumed, 5, "nothing left to re-run");
     assert_eq!(outcomes(&final_state, 5), outcomes(&report, 5));
+}
+
+#[test]
+fn a_torn_tail_does_not_swallow_the_first_record_after_resume() {
+    // regression: a resumed daemon used to append straight onto a torn
+    // tail with no trailing newline, gluing its first admission onto the
+    // fragment so that replay skipped both — an admitted, answered job
+    // vanished from the journal
+    let dir = scratch("torn-tail");
+    let journal = dir.join("daemon.journal");
+    let journal_cfg = |resume| {
+        Some(JournalConfig {
+            path: journal.clone(),
+            resume,
+            faults: FsFaultPlan::none(),
+        })
+    };
+    let first = Server::builder()
+        .workers(1)
+        .journal(journal_cfg(false))
+        .build();
+    let jobs = [job("a", 64, 48, 5), job("b", 48, 64, 5)];
+    serve_once(&first, &jobs, &SynthesisCache::in_memory());
+
+    // crash 7 bytes into the last line, leaving no newline
+    let full = std::fs::read(&journal).expect("journal bytes");
+    let last = full[..full.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |p| p + 1);
+    std::fs::write(&journal, &full[..last + 7]).expect("tear the tail");
+
+    let second = Server::builder()
+        .workers(1)
+        .journal(journal_cfg(true))
+        .build();
+    let extra = job("extra", 64, 64, 6);
+    let served = serve_once(
+        &second,
+        std::slice::from_ref(&extra),
+        &SynthesisCache::in_memory(),
+    );
+    assert_eq!(served.summary.jobs, 3);
+    assert!(served.jobs[2].ok, "{:?}", served.jobs[2]);
+
+    let recovered = Server::builder()
+        .workers(1)
+        .build()
+        .recover_journal(&journal, &SynthesisCache::in_memory())
+        .expect("recover");
+    assert_eq!(recovered.summary.jobs, 3, "the served job is journaled");
+    assert_eq!(recovered.summary.resumed, 3);
+    assert_eq!(outcomes(&recovered, 3), outcomes(&served, 3));
+    let state = replay(&journal).expect("replay");
+    assert_eq!(state.skipped_lines, 0, "the torn tail was cut off");
 }

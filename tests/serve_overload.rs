@@ -351,7 +351,7 @@ fn journaled_chaos_soak_leaves_no_journal_orphans_without_fs_faults() {
         let soak = journaled_chaos_soak(seed, false);
         assert_exactly_once(&soak);
         // every admitted journal index carries a done or a cancel record
-        let state = replay(&soak.journal);
+        let state = replay(&soak.journal).expect("replay");
         let orphans: Vec<_> = state
             .specs
             .keys()
