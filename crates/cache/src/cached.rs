@@ -13,24 +13,23 @@
 //! the Weisfeiler-Lehman canonicalization in `tce_solver::canon`, folded
 //! with a digest of every configuration field that can change the solver's
 //! answer. Thread count is deliberately excluded (the portfolio seeds
-//! deterministically per task, so results are thread-count independent),
-//! as is `spatial_min_tile` (applied after the solve, inside
-//! `finish_dcs`, on both the hit and miss paths). Network keys carry a
-//! salt of their own ([`network_request_fingerprint`]).
+//! deterministically per task, so results are thread-count independent).
+//! Network keys carry a salt of their own
+//! ([`network_request_fingerprint`]).
 
 use crate::record::{CacheRecord, RECORD_SCHEMA};
 use crate::store::SynthesisCache;
 use serde::Value;
 use std::time::{Duration, Instant};
 use tce_core::{
-    finish_dcs, finish_network, prepare_dcs, prepare_network, NetworkSynthesis, PreparedNetwork,
-    PreparedSynthesis, SynthesisConfig, SynthesisError, SynthesisResult,
+    finish_dcs, finish_network, prepare_dcs, prepare_network, NetworkSynthesis, ObjectiveKind,
+    PreparedNetwork, PreparedSynthesis, SynthesisConfig, SynthesisError, SynthesisResult,
 };
 use tce_ir::network::ContractionDag;
 use tce_solver::model::FEAS_TOL;
 use tce_solver::{
-    canonicalize, fingerprint_hex, CanonicalModel, Fnv64, Model, Solution, SolveOutcome,
-    CANON_VERSION,
+    canonicalize, fingerprint_hex, CanonicalModel, DlmOptions, Fnv64, Model, Solution,
+    SolveOutcome, CANON_VERSION,
 };
 
 /// Relative tolerance when revalidating a stored objective against the
@@ -89,13 +88,31 @@ pub fn config_digest(config: &SynthesisConfig) -> u64 {
         None => h.byte(0),
     }
     h.byte(config.telemetry as u8);
-    h.str(&format!("{:?}", config.objective));
+    h.str(match config.objective {
+        ObjectiveKind::Volume => "Volume",
+        ObjectiveKind::Time => "Time",
+    });
     match &config.dlm {
-        // DlmOptions is all plain scalars, so its Debug form is a faithful
-        // value digest without a hand-written field walk
         Some(o) => {
             h.byte(1);
-            h.str(&format!("{o:?}"));
+            // destructured, not `..`-elided: a new field fails to compile
+            // here until it is keyed
+            let DlmOptions {
+                seed,
+                restarts,
+                max_iters,
+                max_evals,
+                lambda_init,
+                lambda_growth,
+                max_stalled_updates,
+            } = *o;
+            h.u64(seed);
+            h.u64(restarts as u64);
+            h.u64(max_iters);
+            h.u64(max_evals);
+            h.f64(lambda_init);
+            h.f64(lambda_growth);
+            h.u64(u64::from(max_stalled_updates));
         }
         None => h.byte(0),
     }

@@ -14,8 +14,7 @@
 //! * cache values are full solver outcomes plus the generated plan,
 //!   stored as versioned, integrity-hashed JSON records
 //!   ([`record::CacheRecord`]) in a content-addressed directory fronted
-//!   by a lock-striped in-memory LRU ([`SynthesisCache`] over
-//!   [`map::ShardedLruMap`]);
+//!   by an exact in-memory LRU under one mutex ([`SynthesisCache`]);
 //! * on a hit the stored point is *revalidated* against the request's own
 //!   model before being replayed through the pipeline's finish
 //!   (`finish_dcs` or `finish_network`, behind [`Lowered`]), so
@@ -31,7 +30,6 @@
 
 pub mod cached;
 pub mod fsfault;
-pub mod map;
 pub mod record;
 pub mod store;
 
@@ -42,7 +40,6 @@ pub use cached::{
     PreparedNetworkRequest, PreparedRequest,
 };
 pub use fsfault::{FsFaultKind, FsFaultPlan};
-pub use map::{MapStats, ShardedLruMap};
 pub use record::{CacheRecord, RECORD_SCHEMA};
 pub use store::{CacheStats, SynthesisCache, CACHE_DIR_ENV, DEFAULT_LRU_CAP, LRU_CAP_ENV};
 
@@ -186,6 +183,19 @@ mod tests {
             fp, "3e5c661381b5b053",
             "dense request fingerprint changed — existing caches would all miss"
         );
+    }
+
+    #[test]
+    fn dlm_override_fingerprint_is_pinned() {
+        // the same fixture under a `DlmOptions::quick` override: the
+        // options are keyed field by field, so this moves only when a
+        // field is added or the digest changes on purpose
+        let (p, config) = fixture();
+        let config = config.dlm_options(tce_solver::DlmOptions::quick(7));
+        let prepared = tce_core::prepare_dcs(&p, &config).expect("prepare");
+        let canon = canonicalize(&prepared.dcs.model);
+        let fp = fingerprint_hex(request_fingerprint(&canon, &config));
+        assert_eq!(fp, "59f67c5e7afac09b", "dlm override fingerprint changed");
     }
 
     #[test]

@@ -48,12 +48,6 @@ pub struct SynthesisConfig {
     /// What the solver minimizes: the paper's byte-volume objective or
     /// the predicted-time extension (see [`ObjectiveKind`]).
     pub objective: ObjectiveKind,
-    /// Spatial-locality adjustment (Sec. 3 / ref. \[10\]): after solving,
-    /// tiles of indices that scan the fastest-varying dimension of any
-    /// disk-resident array are raised to at least this many elements
-    /// (one cache line = 8 doubles) when the memory limit allows.
-    /// 0 disables the pass.
-    pub spatial_min_tile: u64,
     /// Cooperative cancellation handle for the solver phase, polled at the
     /// same segment/round boundaries as [`SynthesisConfig::deadline`].
     /// Unlike the deadline this is *not* part of the request identity
@@ -79,7 +73,6 @@ impl SynthesisConfig {
             threads: 0,
             telemetry: false,
             objective: ObjectiveKind::Volume,
-            spatial_min_tile: 8,
             cancel: None,
         }
     }
@@ -286,24 +279,25 @@ pub(crate) fn assemble_result(
     }
 }
 
+/// The smallest tile the spatial-locality adjustment leaves, memory
+/// permitting, on an index that scans the fastest-varying dimension of a
+/// disk-resident array: one cache line of doubles (Sec. 3 / ref. \[10\]).
+pub const SPATIAL_MIN_TILE: u64 = 8;
+
 /// The spatial-locality adjustment of the TCE's memory-to-cache work
-/// (Sec. 3): raise the tile of every index that scans the fastest-varying
-/// dimension of a disk-resident buffer to at least `min_tile` elements,
-/// as long as the memory limit still holds. Larger tiles never increase
-/// the I/O volume (the redundancy factors are non-increasing in tile
-/// size) and only enlarge buffers, so block-size constraints stay
-/// satisfied too.
+/// (Sec. 3): after solving, raise the tile of every index that scans the
+/// fastest-varying dimension of a disk-resident buffer to at least
+/// [`SPATIAL_MIN_TILE`] elements, as long as the memory limit still
+/// holds. Larger tiles never increase the I/O volume (the redundancy
+/// factors are non-increasing in tile size) and only enlarge buffers, so
+/// block-size constraints stay satisfied too.
 pub(crate) fn spatial_adjust(
     space: &SynthesisSpace,
     ranges: &tce_ir::RangeMap,
     tiles: &mut TileAssignment,
     selection: &PlacementSelection,
     mem_limit: u64,
-    min_tile: u64,
 ) {
-    if min_tile <= 1 {
-        return;
-    }
     // indices scanning the last (fastest-varying) dimension of any
     // disk-resident buffer in the selection
     let mut fastest: Vec<tce_ir::Index> = Vec::new();
@@ -329,7 +323,7 @@ pub(crate) fn spatial_adjust(
     for idx in fastest {
         let n = ranges.extent(&idx);
         let cur = tiles.get(&idx);
-        let want = min_tile.min(n);
+        let want = SPATIAL_MIN_TILE.min(n);
         if cur >= want {
             continue;
         }
@@ -410,14 +404,7 @@ pub fn finish_dcs(
     }
     let ranges = tiled.base().ranges().clone();
     let (mut tiles, selection) = decode_point(&dcs, &solution.point);
-    spatial_adjust(
-        &space,
-        &ranges,
-        &mut tiles,
-        &selection,
-        config.mem_limit,
-        config.spatial_min_tile,
-    );
+    spatial_adjust(&space, &ranges, &mut tiles, &selection, config.mem_limit);
     Ok(assemble_result(
         tiled,
         space,
@@ -549,14 +536,14 @@ mod tests {
         let sel = space.default_selection();
         // start with unit tiles: fastest-varying indices should be bumped
         let mut tiles = TileAssignment::ones(p.ranges());
-        spatial_adjust(&space, p.ranges(), &mut tiles, &sel, 64 * 1024, 8);
+        spatial_adjust(&space, p.ranges(), &mut tiles, &sel, 64 * 1024);
         // j is the last dim of A and C2 buffers; i of C1/T; n of B
         assert!(tiles.get(&Index::new("j")) >= 8, "{tiles}");
         let mem = space.total_memory(&sel).eval(p.ranges(), &tiles);
         assert!(mem <= 64.0 * 1024.0);
         // a tight limit reverts the boost instead of overflowing
         let mut tight = TileAssignment::ones(p.ranges());
-        spatial_adjust(&space, p.ranges(), &mut tight, &sel, 600, 8);
+        spatial_adjust(&space, p.ranges(), &mut tight, &sel, 600);
         let mem = space.total_memory(&sel).eval(p.ranges(), &tight);
         assert!(mem <= 600.0, "adjustment overflowed: {mem}");
     }

@@ -26,7 +26,7 @@ pub mod predict;
 pub use baseline::{synthesize_uniform_sampling, BaselineOptions};
 pub use dcs::{
     finish_dcs, prepare_dcs, synthesize_dcs, PreparedSynthesis, SynthesisConfig, SynthesisError,
-    SynthesisResult,
+    SynthesisResult, SPATIAL_MIN_TILE,
 };
 pub use model::{build_model, build_model_with, decode_point, DcsModel, ObjectiveKind};
 pub use network::{

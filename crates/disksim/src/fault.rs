@@ -16,12 +16,11 @@
 //! [`DiskFaults`] with latency spikes, charged to [`crate::IoStats`]
 //! (`faulted_ops`, `fault_time_s`) so cost accounting stays honest.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One layer's set of injectable failures.
 pub trait FaultKind: Copy + Eq + Default + fmt::Debug + Send + Sync + 'static {
@@ -239,7 +238,7 @@ impl<K: FaultKind> Injector<K> {
     /// Decides the fate of the next operation: `Some(kind)` fails it.
     /// Injection sites call it exactly once per operation.
     pub fn decide(&self) -> Option<K> {
-        self.0.lock().decide()
+        crate::lock::lock(&self.0).decide()
     }
 }
 

@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod fault;
+pub mod lock;
 pub mod profile;
 pub mod sim;
 

@@ -1,10 +1,11 @@
 //! The simulated block device.
 
 use crate::fault::{DiskFaultKind, DiskFaults, FaultKind, FaultState};
+use crate::lock::lock;
 use crate::profile::{DiskProfile, IoStats};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Mutex;
 
 /// What a write puts on disk.
 pub enum WriteSrc<'a> {
@@ -187,21 +188,21 @@ impl SimDisk {
     /// [`crate::FaultPlan::disk`]); an idle schedule clears any fault
     /// ("replaces the disk").
     pub fn set_faults(&self, spec: DiskFaults, rank: usize) {
-        self.inner.lock().fault =
+        lock(&self.inner).fault =
             (!spec.is_idle()).then(|| (spec.schedule.state(rank), (spec.p_spike, spec.spike_s)));
     }
 
     /// Charges one retry: the backoff wait spent before re-attempting an
     /// operation on this disk, in simulated seconds.
     pub fn charge_retry(&self, backoff_s: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.stats.retried_ops += 1;
         inner.stats.backoff_time_s += backoff_s;
     }
 
     /// Replaces the accounting wholesale (checkpoint restore).
     pub fn restore_stats(&self, stats: IoStats) {
-        self.inner.lock().stats = stats;
+        lock(&self.inner).stats = stats;
     }
 
     /// Creates (or replaces) a file of `len` elements. Materialized files
@@ -212,22 +213,22 @@ impl SimDisk {
         } else {
             FileData::Dry { len }
         };
-        self.inner.lock().files.insert(name.to_string(), data);
+        lock(&self.inner).files.insert(name.to_string(), data);
     }
 
     /// True if `name` exists.
     pub fn exists(&self, name: &str) -> bool {
-        self.inner.lock().files.contains_key(name)
+        lock(&self.inner).files.contains_key(name)
     }
 
     /// True if `name` exists and holds real data (not a dry file).
     pub fn is_materialized(&self, name: &str) -> bool {
-        matches!(self.inner.lock().files.get(name), Some(FileData::Real(_)))
+        matches!(lock(&self.inner).files.get(name), Some(FileData::Real(_)))
     }
 
     /// Length (elements) of `name`.
     pub fn file_len(&self, name: &str) -> Result<u64, DiskError> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner
             .files
             .get(name)
@@ -238,7 +239,7 @@ impl SimDisk {
     /// Fills a materialized file with values from a generator (used to
     /// load synthetic input tensors without charging I/O time).
     pub fn fill_with(&self, name: &str, mut gen: impl FnMut(u64) -> f64) -> Result<(), DiskError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match inner.files.get_mut(name) {
             None => Err(DiskError::NoSuchFile(name.to_string())),
             Some(FileData::Dry { .. }) => Err(DiskError::DryFile(name.to_string())),
@@ -261,7 +262,7 @@ impl SimDisk {
         len: u64,
         dst: Option<&mut [f64]>,
     ) -> Result<(), DiskError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.fault_check(self.profile.seek_s, || format!("read `{name}`"))?;
         let file = inner
             .files
@@ -300,7 +301,7 @@ impl SimDisk {
     /// Writes elements at `offset` as one I/O operation.
     pub fn write(&self, name: &str, offset: u64, src: WriteSrc<'_>) -> Result<(), DiskError> {
         let len = src.len();
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.fault_check(self.profile.seek_s, || format!("write `{name}`"))?;
         let file = inner
             .files
@@ -342,7 +343,7 @@ impl SimDisk {
     /// Reads the full contents of a materialized file without charging
     /// I/O (verification helper).
     pub fn snapshot(&self, name: &str) -> Result<Vec<f64>, DiskError> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         match inner.files.get(name) {
             None => Err(DiskError::NoSuchFile(name.to_string())),
             Some(FileData::Dry { .. }) => Err(DiskError::DryFile(name.to_string())),
@@ -352,12 +353,12 @@ impl SimDisk {
 
     /// Current accounting.
     pub fn stats(&self) -> IoStats {
-        self.inner.lock().stats.clone()
+        lock(&self.inner).stats.clone()
     }
 
     /// Clears accounting (keeps files).
     pub fn reset_stats(&self) {
-        self.inner.lock().stats = IoStats::default();
+        lock(&self.inner).stats = IoStats::default();
     }
 }
 

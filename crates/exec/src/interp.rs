@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tce_codegen::{BufId, BufRef, ComputeOp, ConcretePlan, Op};
 use tce_cost::DimExtent;
+use tce_disksim::lock::lock;
 use tce_disksim::{DiskProfile, FaultPlan, IoStats};
 use tce_ga::{
     chunk, run_parallel, DraError, DraRuntime, GlobalArray, ProcCtx, RetryPolicy, Section,
@@ -249,10 +250,7 @@ struct CkptShared {
 
 impl CkptShared {
     fn latest(&self) -> Option<Arc<Checkpoint>> {
-        self.latest
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        lock(&self.latest).clone()
     }
 }
 
@@ -364,7 +362,7 @@ impl Interp<'_> {
                 per_rank: self.dra.stats_per_disk(),
                 flops: self.flops.load(Ordering::SeqCst),
             };
-            *ck.latest.lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::new(snap));
+            *lock(&ck.latest) = Some(Arc::new(snap));
             ck.count.fetch_add(1, Ordering::SeqCst);
         }
         self.sync()?;

@@ -26,12 +26,12 @@
 use crate::global::GlobalArray;
 use crate::group::chunk;
 use crate::section::Section;
-use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
+use tce_disksim::lock::{lock, read, write};
 use tce_disksim::{DiskError, DiskProfile, FaultPlan, IoStats, SimDisk, WriteSrc};
 
 /// DRA operation failure.
@@ -244,7 +244,7 @@ impl DraRuntime {
                 Ok(()) => return Ok(()),
                 Err(e) if e.is_transient_fault() && attempt < policy.max_attempts => {
                     let scale = if policy.jitter > 0.0 {
-                        let mut rng = self.jitter_rngs[rank].lock();
+                        let mut rng = lock(&self.jitter_rngs[rank]);
                         1.0 + policy.jitter * (rng.random::<f64>() * 2.0 - 1.0)
                     } else {
                         1.0
@@ -284,7 +284,7 @@ impl DraRuntime {
             .fold(1u64, |acc, &d| acc.saturating_mul(d))
             .max(1);
         let data = materialize.then(|| GlobalArray::zeros(dims));
-        self.arrays.write().insert(
+        write(&self.arrays).insert(
             name.to_string(),
             Arc::new(DraArray {
                 dims: dims.to_vec(),
@@ -300,7 +300,7 @@ impl DraRuntime {
 
     /// True if the array exists.
     pub fn exists(&self, name: &str) -> bool {
-        self.arrays.read().contains_key(name)
+        read(&self.arrays).contains_key(name)
     }
 
     /// Shape of the array.
@@ -309,8 +309,7 @@ impl DraRuntime {
     }
 
     fn get(&self, name: &str) -> Result<Arc<DraArray>, DraError> {
-        self.arrays
-            .read()
+        read(&self.arrays)
             .get(name)
             .cloned()
             .ok_or_else(|| DraError::NoSuchArray(name.to_string()))

@@ -81,15 +81,8 @@ impl GlobalArray {
     /// Atomically accumulates into an element by flat offset.
     #[inline]
     pub fn add_flat(&self, off: usize, v: f64) {
-        let cell = &self.data[off];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + v).to_bits();
-            match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        let add = |cur: u64| Some((f64::from_bits(cur) + v).to_bits());
+        let _ = self.data[off].fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
     }
 
     /// Reads an element by multi-index.

@@ -1,6 +1,12 @@
 //! Simulated process groups: scoped worker threads + abortable barriers.
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
+use tce_disksim::lock::{lock, wait_timeout};
+
+/// How long a barrier waiter sleeps between checks of its release
+/// condition when no notify arrives (a release or abort notifies at once).
+const BARRIER_POLL: Duration = Duration::from_millis(50);
 
 struct BarrierState {
     arrived: usize,
@@ -36,7 +42,7 @@ impl AbortableBarrier {
     /// Waits for all participants. Returns `true` on a normal release,
     /// `false` if the barrier was aborted (now or earlier).
     pub fn wait(&self) -> bool {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if st.aborted {
             return false;
         }
@@ -49,7 +55,7 @@ impl AbortableBarrier {
         }
         let gen = st.generation;
         while st.generation == gen && !st.aborted {
-            self.cv.wait(&mut st);
+            st = wait_timeout(&self.cv, st, BARRIER_POLL);
         }
         !st.aborted
     }
@@ -57,14 +63,14 @@ impl AbortableBarrier {
     /// Aborts the barrier: wakes every waiter with `false` and makes all
     /// future waits return `false` immediately.
     pub fn abort(&self) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.aborted = true;
         self.cv.notify_all();
     }
 
     /// True if the barrier has been aborted.
     pub fn is_aborted(&self) -> bool {
-        self.state.lock().aborted
+        lock(&self.state).aborted
     }
 }
 

@@ -38,15 +38,15 @@
 //! to fail.
 
 use crate::job::{spec_digest, JobReport, JobSpec};
-use parking_lot::Mutex;
 use serde::{Deserialize, Value};
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tce_cache::fsfault;
 use tce_cache::{FsFaultKind, FsFaultPlan};
+use tce_disksim::lock::lock;
 use tce_disksim::Injector;
 
 /// Schema tag in the journal's header line.
@@ -306,7 +306,7 @@ impl JournalWriter {
             return;
         };
         let line = format!("{json}\n");
-        let mut file = self.file.lock();
+        let mut file = lock(&self.file);
         let wrote = fsfault::append_all(self.faults.as_deref(), &mut file, line.as_bytes())
             .and_then(|()| fsfault::sync_file(self.faults.as_deref(), &file));
         if wrote.is_err() {

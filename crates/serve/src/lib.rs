@@ -294,7 +294,6 @@ mod tests {
         };
         let report = Server::builder()
             .workers(4)
-            .retry_budget(1)
             .build()
             .run_batch_hooked(&jobs, &cache, &hook)
             .expect("batch runs");

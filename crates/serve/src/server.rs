@@ -43,18 +43,17 @@ use crate::netfault::{self, NetFaultKind, NetFaultPlan, ReadOutcome};
 use crate::proto::{self, FrameDecoder, JobRequest, ServeStats, WireFrame};
 use crate::service::{
     final_report, process_job, resolve_workers, run_pool, JobCancel, NoHook, RunHook,
-    LEADER_RETRY_BUDGET,
 };
 use crate::supervise::SingleFlight;
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 use tce_cache::SynthesisCache;
+use tce_disksim::lock::{into_inner, lock, wait_timeout};
 use tce_disksim::{Injector, Schedule};
 
 /// Default bound on the daemon's admission queue.
@@ -84,7 +83,6 @@ pub struct ServerBuilder {
     pub(crate) workers: usize,
     queue_cap: usize,
     pub(crate) job_timeout: Option<Duration>,
-    pub(crate) retry_budget: u32,
     journal: Option<JournalConfig>,
     max_conns: usize,
     idle_timeout: Option<Duration>,
@@ -99,7 +97,6 @@ impl Default for ServerBuilder {
             workers: 0,
             queue_cap: DEFAULT_QUEUE_CAP,
             job_timeout: None,
-            retry_budget: LEADER_RETRY_BUDGET,
             journal: None,
             max_conns: 0,
             idle_timeout: None,
@@ -128,12 +125,6 @@ impl ServerBuilder {
     /// Batch-wide per-job deadline (a job's own `timeout_ms` overrides).
     pub fn job_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.job_timeout = timeout;
-        self
-    }
-
-    /// Leader-promotion budget after leader failures.
-    pub fn retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
         self
     }
 
@@ -430,13 +421,13 @@ impl Server {
         // final report: recovered jobs first, then everything served
         // live, in admission order. `live` is collected in place, so no
         // report is held twice.
-        let mut live = live.into_inner();
+        let mut live = into_inner(live);
         live.sort_by_key(|(idx, _)| *idx);
         let live = live.into_iter().map(|(_, r)| r).collect();
         let report = final_report(
             recovered,
             live,
-            state.latencies.into_inner(),
+            into_inner(state.latencies),
             workers,
             started,
         );
@@ -492,7 +483,7 @@ struct DaemonState {
 
 impl DaemonState {
     fn stats(&self) -> ServeStats {
-        let mut latencies = self.latencies.lock().clone();
+        let mut latencies = lock(&self.latencies).clone();
         latencies.sort_by(f64::total_cmp);
         ServeStats {
             admitted: self.admitted.load(Ordering::Relaxed),
@@ -500,7 +491,7 @@ impl DaemonState {
             rejected: self.rejected.load(Ordering::Relaxed),
             canceled: self.canceled.load(Ordering::Relaxed),
             deadline_shed: self.deadline_shed.load(Ordering::Relaxed),
-            queue_depth: self.queue.lock().len() as u64,
+            queue_depth: lock(&self.queue).len() as u64,
             workers: self.workers,
             p50_s: percentile(&latencies, 50.0),
             p99_s: percentile(&latencies, 99.0),
@@ -519,16 +510,16 @@ impl DaemonState {
     /// until the current backlog clears (queue waves × p50 latency),
     /// clamped to a sane band so the hint is always actionable.
     fn retry_after_ms(&self) -> u64 {
-        let mut latencies = self.latencies.lock().clone();
+        let mut latencies = lock(&self.latencies).clone();
         latencies.sort_by(f64::total_cmp);
         let p50 = percentile(&latencies, 50.0).max(0.005);
-        let depth = self.queue.lock().len() as f64;
+        let depth = lock(&self.queue).len() as f64;
         let waves = (depth / self.workers.max(1) as f64).ceil().max(1.0);
         ((waves * p50 * 1000.0) as u64).clamp(10, 5_000)
     }
 
     fn register_conn(&self, conn: &Arc<ConnWriter>) {
-        let mut conns = self.conns.lock();
+        let mut conns = lock(&self.conns);
         conns.retain(|w| w.strong_count() > 0);
         conns.push(Arc::downgrade(conn));
     }
@@ -536,7 +527,7 @@ impl DaemonState {
     /// Wakes every connection reader by shutting its read half down;
     /// write halves stay open so queued reports still deliver.
     fn wake_readers(&self) {
-        for conn in self.conns.lock().iter().filter_map(Weak::upgrade) {
+        for conn in lock(&self.conns).iter().filter_map(Weak::upgrade) {
             conn.wake_reader();
         }
     }
@@ -609,7 +600,7 @@ impl ConnWriter {
         let Ok(bytes) = proto::frame_bytes(frame) else {
             return SendOutcome::Dead;
         };
-        let mut stream = self.stream.lock();
+        let mut stream = lock(&self.stream);
         match netfault::write_all(self.faults.as_deref(), self.stall, &mut stream, &bytes) {
             Ok(()) => {
                 self.bytes_out
@@ -641,13 +632,13 @@ impl ConnWriter {
     /// eviction).
     fn hangup(&self) {
         self.dead.store(true, Ordering::Relaxed);
-        let _ = self.stream.lock().shutdown(Shutdown::Both);
+        let _ = lock(&self.stream).shutdown(Shutdown::Both);
     }
 
     /// Shuts only the read half down, waking a blocked reader thread;
     /// queued reports still deliver on the write half.
     fn wake_reader(&self) {
-        let _ = self.stream.lock().shutdown(Shutdown::Read);
+        let _ = lock(&self.stream).shutdown(Shutdown::Read);
     }
 }
 
@@ -676,7 +667,7 @@ fn worker_loop(
 ) {
     loop {
         let job = {
-            let mut q = state.queue.lock();
+            let mut q = lock(&state.queue);
             loop {
                 if let Some(job) = q.pop_front() {
                     break Some(job);
@@ -684,7 +675,7 @@ fn worker_loop(
                 if state.draining.load(Ordering::Relaxed) {
                     break None;
                 }
-                let _ = state.cv.wait_for(&mut q, POLL);
+                q = wait_timeout(&state.cv, q, POLL);
             }
         };
         let Some(job) = job else { return };
@@ -705,7 +696,7 @@ fn worker_loop(
             // The decision is taken under the registry lock so a cancel
             // frame cannot interleave with the journal write.
             let canceled = {
-                let mut inflight = job.conn.inflight.lock();
+                let mut inflight = lock(&job.conn.inflight);
                 if inflight
                     .get(&job.id)
                     .is_some_and(|(_, h)| h.same(&job.cancel))
@@ -751,7 +742,7 @@ fn worker_loop(
                     },
                 );
             }
-            live.lock().push((job.idx, report));
+            lock(live).push((job.idx, report));
             continue;
         }
         let report = process_job(
@@ -768,7 +759,7 @@ fn worker_loop(
         // record is journaled, the `done` record *will* carry the
         // canonical canceled report, no matter how the solve raced
         let report = {
-            let mut inflight = job.conn.inflight.lock();
+            let mut inflight = lock(&job.conn.inflight);
             if inflight
                 .get(&job.id)
                 .is_some_and(|(_, h)| h.same(&job.cancel))
@@ -784,10 +775,7 @@ fn worker_loop(
         if let Some(w) = writer {
             w.done(job.idx, &report);
         }
-        state
-            .latencies
-            .lock()
-            .push(job.enqueued.elapsed().as_secs_f64());
+        lock(&state.latencies).push(job.enqueued.elapsed().as_secs_f64());
         state.completed.fetch_add(1, Ordering::Relaxed);
         send_tracked(
             state,
@@ -797,7 +785,7 @@ fn worker_loop(
                 report: report.clone(),
             },
         );
-        live.lock().push((job.idx, report));
+        lock(live).push((job.idx, report));
     }
 }
 
@@ -932,7 +920,7 @@ fn conn_loop(
     // jobs still complete and deliver on the write half.
     let teardown = conn.dead.load(Ordering::Relaxed) || !state.draining.load(Ordering::Relaxed);
     if teardown {
-        let ids: Vec<u64> = conn.inflight.lock().keys().copied().collect();
+        let ids: Vec<u64> = lock(&conn.inflight).keys().copied().collect();
         for id in ids {
             cancel_job(id, state, writer, &conn, live);
         }
@@ -970,7 +958,7 @@ fn handle_frame(
             // client already received was counted before that lock was
             // released, so the stats it requests next can never miss it.
             let stats = {
-                let _sync = conn.stream.lock();
+                let _sync = lock(&conn.stream);
                 state.stats()
             };
             send_tracked(state, conn, &WireFrame::StatsReport(stats));
@@ -1026,7 +1014,7 @@ fn cancel_job(
 ) -> &'static str {
     // queued: remove the job before any worker can start it
     let queued = {
-        let mut q = state.queue.lock();
+        let mut q = lock(&state.queue);
         q.iter()
             .position(|j| j.id == id && Arc::ptr_eq(&j.conn, conn))
             .and_then(|pos| q.remove(pos))
@@ -1035,7 +1023,7 @@ fn cancel_job(
         // marking the handle under the registry lock keeps a concurrent
         // worker (impossible here — the job never reached one) and
         // repeat cancels coherent
-        let mut inflight = conn.inflight.lock();
+        let mut inflight = lock(&conn.inflight);
         job.cancel.cancel();
         if inflight.get(&id).is_some_and(|(_, h)| h.same(&job.cancel)) {
             inflight.remove(&id);
@@ -1058,13 +1046,13 @@ fn cancel_job(
                 report: report.clone(),
             },
         );
-        live.lock().push((job.idx, report));
+        lock(live).push((job.idx, report));
         return "queued";
     }
     // running (or picked up moments ago): trip the handle under the
     // registry lock, so the `cancel` journal record and the worker's
     // terminal-report decision cannot interleave
-    let inflight = conn.inflight.lock();
+    let inflight = lock(&conn.inflight);
     if let Some((idx, handle)) = inflight.get(&id).map(|(i, h)| (*i, h.clone())) {
         let outcome = handle.cancel_outcome();
         if outcome.is_some() {
@@ -1105,7 +1093,7 @@ fn admit(
         );
         return;
     }
-    let mut q = state.queue.lock();
+    let mut q = lock(&state.queue);
     if q.len() >= state.queue_cap {
         drop(q);
         state.rejected.fetch_add(1, Ordering::Relaxed);
@@ -1128,7 +1116,7 @@ fn admit(
         w.admit(idx, &req.spec);
     }
     let cancel = JobCancel::new();
-    conn.inflight.lock().insert(req.id, (idx, cancel.clone()));
+    lock(&conn.inflight).insert(req.id, (idx, cancel.clone()));
     q.push_back(QueuedJob {
         idx,
         id: req.id,

@@ -12,7 +12,7 @@
 //! * **supervision** — every solve runs under `catch_unwind` holding an
 //!   RAII `FlightGuard`, so a panicking or erroring leader settles its
 //!   flight (no follower ever hangs) and one follower is promoted to
-//!   retry as the new leader, bounded by [`ServerBuilder::retry_budget`];
+//!   retry as the new leader, bounded by [`LEADER_RETRY_BUDGET`];
 //! * **deadlines** — each job may carry a wall-clock deadline (per-job
 //!   `timeout_ms` or the server-wide [`ServerBuilder::job_timeout`]) as a
 //!   [`CancelToken`] threaded into the solver's budget machinery; expired
@@ -25,17 +25,17 @@ use crate::job::{BatchReport, BatchSummary, JobReport, JobSpec, REPORT_SCHEMA};
 use crate::journal::JournalWriter;
 use crate::server::ServerBuilder;
 use crate::supervise::{Flight, FlightEnd, Role, SingleFlight};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tce_cache::{
     prepare_network_request, prepare_request, run_prepared, CachedSynthesis, Lowered,
     PreparedRequest, SynthesisCache,
 };
 use tce_core::{NetworkSynthesis, SynthesisConfig, SynthesisError, SynthesisResult};
+use tce_disksim::lock::{into_inner, lock};
 use tce_solver::CancelToken;
 
 /// How many times followers may promote a new leader for one fingerprint
@@ -103,7 +103,7 @@ impl JobCancel {
     /// interest (the solve tears down).
     pub(crate) fn cancel_outcome(&self) -> Option<bool> {
         let flight = {
-            let mut slot = self.inner.flight.lock();
+            let mut slot = lock(&self.inner.flight);
             if self.inner.tripped.swap(true, Ordering::SeqCst) {
                 return None;
             }
@@ -141,7 +141,7 @@ impl JobCancel {
     /// immediately instead. Re-attaching after a leader promotion simply
     /// follows the job to its new flight (the old one has settled).
     fn attach(&self, flight: &Arc<Flight>) {
-        let mut slot = self.inner.flight.lock();
+        let mut slot = lock(&self.inner.flight);
         if self.inner.tripped.load(Ordering::SeqCst) {
             drop(slot);
             flight.drop_interest();
@@ -385,7 +385,7 @@ impl SupervisedJob<'_> {
                         }
                         Some(FlightEnd::Failed(cause)) => {
                             leader_failures += 1;
-                            if leader_failures > self.opts.retry_budget {
+                            if leader_failures > LEADER_RETRY_BUDGET {
                                 return self.failed(
                                     &fingerprint,
                                     format!(
@@ -496,7 +496,7 @@ pub(crate) fn run_pool(
             .collect(),
     );
     // jobs split the cores over the workers that actually run
-    let workers = resolve_workers(opts.workers).min(queue.lock().len());
+    let workers = resolve_workers(opts.workers).min(lock(&queue).len());
     let opts = &opts.clone().workers(workers);
     let started = Instant::now();
     let flights = SingleFlight::default();
@@ -506,7 +506,7 @@ pub(crate) fn run_pool(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let idx = match queue.lock().pop() {
+                let idx = match lock(&queue).pop() {
                     Some(i) => i,
                     None => break,
                 };
@@ -516,13 +516,12 @@ pub(crate) fn run_pool(
                 if let Some(w) = writer {
                     w.done(idx, &report);
                 }
-                reports.lock()[idx] = Some(report);
+                lock(&reports)[idx] = Some(report);
             });
         }
     });
 
-    reports
-        .into_inner()
+    into_inner(reports)
         .into_iter()
         .enumerate()
         .map(|(idx, r)| match r {

@@ -36,11 +36,11 @@
 //!   promotion path: the torn-down flight settles as failed and the
 //!   late follower re-begins as a fresh leader.
 
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+use tce_disksim::lock::{lock, wait_timeout};
 use tce_solver::CancelToken;
 
 /// How often a parked follower wakes to poll its cancel token.
@@ -77,7 +77,7 @@ impl Flight {
     }
 
     fn settle(&self, end: FlightEnd) {
-        *self.state.lock() = Some(end);
+        *lock(&self.state) = Some(end);
         self.cv.notify_all();
     }
 
@@ -86,8 +86,8 @@ impl Flight {
     /// was already released before the leader got here, the token trips
     /// immediately.
     pub fn lead_with(&self, token: CancelToken) {
-        let mut slot = self.leader_token.lock();
-        if self.interest.load(Ordering::SeqCst) == 0 && self.state.lock().is_none() {
+        let mut slot = lock(&self.leader_token);
+        if self.interest.load(Ordering::SeqCst) == 0 && lock(&self.state).is_none() {
             token.cancel();
         }
         *slot = Some(token);
@@ -102,8 +102,8 @@ impl Flight {
     /// interest drops while the flight is still unsettled, the leader's
     /// solve token trips so the solver abandons work nobody wants.
     pub fn drop_interest(&self) {
-        if self.interest.fetch_sub(1, Ordering::SeqCst) == 1 && self.state.lock().is_none() {
-            if let Some(token) = self.leader_token.lock().clone() {
+        if self.interest.fetch_sub(1, Ordering::SeqCst) == 1 && lock(&self.state).is_none() {
+            if let Some(token) = lock(&self.leader_token).clone() {
                 token.cancel();
             }
         }
@@ -117,7 +117,7 @@ impl Flight {
     /// Parks until the flight settles or `cancel` trips. `None` means the
     /// wait was cancelled (the follower's own deadline fired).
     pub fn wait_with(&self, cancel: Option<&CancelToken>) -> Option<FlightEnd> {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         loop {
             if let Some(end) = state.clone() {
                 return Some(end);
@@ -125,7 +125,7 @@ impl Flight {
             if cancel.is_some_and(|c| c.is_canceled()) {
                 return None;
             }
-            let _ = self.cv.wait_for(&mut state, FOLLOWER_POLL);
+            state = wait_timeout(&self.cv, state, FOLLOWER_POLL);
         }
     }
 }
@@ -149,7 +149,7 @@ impl SingleFlight {
     /// the guard that *must* settle the flight), later callers get the
     /// flight to wait on.
     pub fn begin(&self, key: &str) -> Role<'_> {
-        let mut flights = self.flights.lock();
+        let mut flights = lock(&self.flights);
         if let Some(f) = flights.get(key) {
             f.add_interest();
             return Role::Follower(f.clone());
@@ -197,7 +197,7 @@ impl FlightGuard<'_> {
         self.settled = true;
         // unregister *before* waking followers, so the first follower to
         // re-begin becomes the new leader on a fresh flight
-        self.flights.flights.lock().remove(&self.key);
+        lock(&self.flights.flights).remove(&self.key);
         self.flight.settle(end);
     }
 }
