@@ -990,7 +990,6 @@ pub fn run_cli(cli: &Cli) -> Result<String, CliError> {
                 checkpoint: false,
                 halt_after_checkpoints: None,
                 resume_from: None,
-                cache_block: None,
             };
             let rep = if cli.resume {
                 run_to_completion(&r.plan, &opts, MAX_RESUME_LEGS)

@@ -153,6 +153,22 @@ impl DiskInner {
             }
         }
     }
+
+    /// Books one successful read of `len` elements.
+    fn book_read(&mut self, profile: &DiskProfile, len: u64) {
+        let bytes = len * ELEM_BYTES;
+        self.stats.read_bytes += bytes;
+        self.stats.read_ops += 1;
+        self.stats.read_time_s += profile.read_time(bytes);
+    }
+
+    /// Books one successful write of `len` elements.
+    fn book_write(&mut self, profile: &DiskProfile, len: u64) {
+        let bytes = len * ELEM_BYTES;
+        self.stats.write_bytes += bytes;
+        self.stats.write_ops += 1;
+        self.stats.write_time_s += profile.write_time(bytes);
+    }
 }
 
 /// A simulated local disk: named files of `f64` elements, an I/O cost
@@ -291,10 +307,7 @@ impl SimDisk {
                 }
             }
         }
-        let bytes = len * ELEM_BYTES;
-        inner.stats.read_bytes += bytes;
-        inner.stats.read_ops += 1;
-        inner.stats.read_time_s += self.profile.read_time(bytes);
+        inner.book_read(&self.profile, len);
         Ok(())
     }
 
@@ -333,10 +346,26 @@ impl SimDisk {
             }
             (FileData::Dry { .. }, _) => {}
         }
-        let bytes = len * ELEM_BYTES;
-        inner.stats.write_bytes += bytes;
-        inner.stats.write_ops += 1;
-        inner.stats.write_time_s += self.profile.write_time(bytes);
+        inner.book_write(&self.profile, len);
+        Ok(())
+    }
+
+    /// Charges one accounting-only read of `len` elements with no file
+    /// behind it: the fault model runs and the accounting moves exactly as
+    /// for a dry [`SimDisk::read`] of that length. `label` names the
+    /// transfer in an injected-fault error.
+    pub fn charge_read(&self, label: &str, len: u64) -> Result<(), DiskError> {
+        let mut inner = lock(&self.inner);
+        inner.fault_check(self.profile.seek_s, || format!("read `{label}`"))?;
+        inner.book_read(&self.profile, len);
+        Ok(())
+    }
+
+    /// The write counterpart of [`SimDisk::charge_read`].
+    pub fn charge_write(&self, label: &str, len: u64) -> Result<(), DiskError> {
+        let mut inner = lock(&self.inner);
+        inner.fault_check(self.profile.seek_s, || format!("write `{label}`"))?;
+        inner.book_write(&self.profile, len);
         Ok(())
     }
 
@@ -405,6 +434,27 @@ mod tests {
         assert!((s.write_time_s - (0.01 + 200.0 / 400.0)).abs() < 1e-12);
         d.reset_stats();
         assert_eq!(d.stats().total_ops(), 0);
+    }
+
+    #[test]
+    fn charges_book_exactly_like_dry_transfers() {
+        let (filed, bare) = (disk(), disk());
+        filed.create("A", 100, false);
+        for len in [50, 7, 0, 93] {
+            filed.read("A", 0, len, None).unwrap();
+            filed.write("A", 0, WriteSrc::Dry(len)).unwrap();
+            bare.charge_read("A", len).unwrap();
+            bare.charge_write("A", len).unwrap();
+        }
+        assert_eq!(filed.stats(), bare.stats());
+        // the fault model sees every charge as one operation
+        bare.set_faults(FaultPlan::permanent_after(0, 1).disk(0), 0);
+        bare.charge_read("A", 1).unwrap();
+        let err = bare.charge_write("A", 1).unwrap_err();
+        assert!(
+            matches!(&err, DiskError::Injected { op, permanent: true } if op == "write `A`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! The concrete-plan interpreter.
 
-use crate::resilience::{plan_fingerprint, Checkpoint, CheckpointSite, ResilienceReport};
+use crate::lower::{lower, Bound, Kernel, LOp, Lowered, Operand, Transfer};
+use crate::resilience::{Checkpoint, CheckpointSite, ResilienceReport};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tce_codegen::{BufId, BufRef, ComputeOp, ConcretePlan, Op};
-use tce_cost::DimExtent;
+use tce_codegen::ConcretePlan;
 use tce_disksim::lock::lock;
 use tce_disksim::{DiskProfile, FaultPlan, IoStats};
 use tce_ga::{
-    chunk, run_parallel, DraError, DraRuntime, GlobalArray, ProcCtx, RetryPolicy, Section,
-    SectionSrc,
+    chunk, run_parallel, ArrayHandle, DraError, DraRuntime, GlobalArray, ProcCtx, RetryPolicy,
+    Section, SectionSrc,
 };
-use tce_ir::{ArrayKind, Index};
+use tce_ir::ArrayKind;
 
 /// How a plan is executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,11 +54,6 @@ pub struct ExecOptions {
     /// Restore this snapshot and resume at its site instead of starting
     /// from the beginning (full mode only).
     pub resume_from: Option<Arc<Checkpoint>>,
-    /// Second-level (cache) tiling of the in-memory kernels: the band's
-    /// element loops are blocked into chunks of this many iterations, the
-    /// memory-to-cache blocking of the TCE's earlier locality work
-    /// (refs. \[9, 10\] of the paper). `None` runs the plain loops.
-    pub cache_block: Option<u64>,
 }
 
 /// Default synthetic input values: deterministic, bounded, array-specific.
@@ -82,7 +78,6 @@ impl ExecOptions {
             checkpoint: false,
             halt_after_checkpoints: None,
             resume_from: None,
-            cache_block: None,
         }
     }
 
@@ -98,7 +93,6 @@ impl ExecOptions {
             checkpoint: false,
             halt_after_checkpoints: None,
             resume_from: None,
-            cache_block: None,
         }
     }
 
@@ -229,18 +223,7 @@ pub enum ExecOutcome {
     },
 }
 
-/// True if the op subtree performs any disk I/O (used to prune empty loop
-/// nests in dry runs).
-fn contains_io(ops: &[Op]) -> bool {
-    ops.iter().any(|op| match op {
-        Op::ReadBlock { .. } | Op::WriteBlock { .. } | Op::ZeroFillPass { .. } => true,
-        Op::TilingLoop { body, .. } => contains_io(body),
-        Op::ZeroBuffer { .. } | Op::Compute(_) => false,
-    })
-}
-
-/// Cross-rank checkpoint coordination: rank 0 publishes snapshots here;
-/// every rank reads the count to agree on a deterministic halt.
+/// Cross-rank checkpoint coordination: rank 0 publishes snapshots here.
 struct CkptShared {
     latest: Mutex<Option<Arc<Checkpoint>>>,
     count: AtomicU64,
@@ -254,98 +237,130 @@ impl CkptShared {
     }
 }
 
+/// One walker's interpreter state over the shared lowered plan. A full
+/// run has one walker per rank; a dry run, which moves no data and needs
+/// no barriers, has one walker that charges every rank's disk in turn —
+/// per disk the same transfers, in the same order.
 struct Interp<'a> {
     plan: &'a ConcretePlan,
+    low: &'a Lowered,
     dra: &'a DraRuntime,
     buffers: &'a [GlobalArray],
-    mode: ExecMode,
-    rank: usize,
-    nproc: usize,
+    full: bool,
+    /// The ranks whose disks this walker charges, and the first failure
+    /// of each.
+    ranks: Range<usize>,
+    failed: Vec<Option<ExecError>>,
+    /// The walker's process: a rank of the run in full mode, the only
+    /// process of a group of one in a dry run.
     ctx: &'a ProcCtx<'a>,
     flops: &'a AtomicU64,
-    cache_block: Option<u64>,
-    windows: HashMap<Index, (u64, u64)>,
+    /// The current window `(base, len)` of each slot; `None` outside the
+    /// slot's loop.
+    windows: Vec<Option<(u64, u64)>>,
+    /// True once this rank has run an op since its last barrier. Every
+    /// rank runs the same ops in the same order, so all ranks agree on
+    /// it and skip the same barriers.
+    worked: bool,
+    /// Scratch sections of the current transfer: array side, buffer side.
+    sec: Section,
+    buf_sec: Section,
+    /// Scratch of the current kernel.
+    nest: Nest,
     /// Site to resume from (`START` for a fresh run).
     start: CheckpointSite,
     /// Checkpoint coordination; `None` when checkpointing is off.
     ckpt: Option<&'a CkptShared>,
+    /// Checkpoints this run has captured (the same count on every rank).
+    captures: u64,
+}
+
+/// Runs one collective transfer for each rank of `ranks` that has not
+/// failed yet, recording new failures; errs with the first rank's failure
+/// once every rank has failed.
+fn collective(
+    ranks: Range<usize>,
+    failed: &mut [Option<ExecError>],
+    mut op: impl FnMut(usize) -> Result<(), DraError>,
+) -> Result<(), ExecError> {
+    for (rank, slot) in ranks.zip(failed.iter_mut()) {
+        if slot.is_none() {
+            *slot = op(rank).err().map(ExecError::from);
+        }
+    }
+    match failed.first() {
+        Some(Some(e)) if failed.iter().all(Option::is_some) => Err(e.clone()),
+        _ => Ok(()),
+    }
+}
+
+/// The current window of `slot`.
+fn window(
+    windows: &[Option<(u64, u64)>],
+    low: &Lowered,
+    slot: usize,
+) -> Result<(u64, u64), ExecError> {
+    windows[slot].ok_or_else(|| ExecError::MissingWindow(low.slots[slot].name().to_string()))
 }
 
 impl Interp<'_> {
-    /// Collective barrier (full parallel mode only); surfaces aborts
+    /// The barrier at an op boundary (parallel full mode only), skipped
+    /// when this rank ran nothing since its last one; surfaces aborts
     /// raised by failing ranks.
-    fn sync(&self) -> Result<(), ExecError> {
-        if self.mode == ExecMode::Full && self.nproc > 1 && !self.ctx.barrier_or_abort() {
+    fn sync(&mut self) -> Result<(), ExecError> {
+        if self.worked && self.ctx.nproc > 1 && !self.ctx.barrier_or_abort() {
             return Err(ExecError::Aborted);
         }
+        self.worked = false;
         Ok(())
     }
 
     /// Propagates a rank-local failure: abort the group so peers waiting
     /// at barriers unwind instead of deadlocking.
     fn fail<T>(&self, e: impl Into<ExecError>) -> Result<T, ExecError> {
-        if self.mode == ExecMode::Full && self.nproc > 1 {
+        if self.ctx.nproc > 1 {
             self.ctx.abort();
         }
         Err(e.into())
     }
 
-    fn window(&self, i: &Index) -> Result<(u64, u64), ExecError> {
-        self.windows
-            .get(i)
-            .copied()
-            .ok_or_else(|| ExecError::MissingWindow(i.name().to_string()))
+    /// Books a collective transfer.
+    fn transferred(&mut self, r: Result<(), ExecError>) -> Result<(), ExecError> {
+        self.worked = true;
+        r.or_else(|e| self.fail(e))
     }
 
-    /// The DRA section and matching buffer section for the current tile
-    /// state of `buffer`.
-    fn sections(&self, buffer: BufId) -> Result<(Section, Section), ExecError> {
-        let decl = self.plan.buffer(buffer);
-        let ranges = self.plan.program.ranges();
-        let mut lo = Vec::new();
-        let mut hi = Vec::new();
-        let mut blo = Vec::new();
-        let mut bhi = Vec::new();
-        for (idx, extent) in decl.shape.dims() {
-            let n = ranges.extent(idx);
-            match extent {
-                DimExtent::Full => {
-                    lo.push(0);
-                    hi.push(n);
-                    blo.push(0);
-                    bhi.push(n);
-                }
-                DimExtent::Tile => {
-                    let (base, len) = self.window(idx)?;
-                    lo.push(base);
-                    hi.push(base + len);
-                    blo.push(0);
-                    bhi.push(len);
-                }
-                DimExtent::One => {
-                    // excluded by placement enumeration; tolerate by
-                    // treating as a unit slab at the window base
-                    let (base, _) = self.window(idx)?;
-                    lo.push(base);
-                    hi.push(base + 1);
-                    blo.push(0);
-                    bhi.push(1);
-                }
-            }
+    /// Fills the scratch sections with the current tile state of `t`.
+    fn sections(&mut self, t: &Transfer) -> Result<(), ExecError> {
+        let (sec, buf) = (&mut self.sec, &mut self.buf_sec);
+        for s in [&mut *sec, &mut *buf] {
+            s.lo.clear();
+            s.hi.clear();
         }
-        Ok((Section::new(lo, hi), Section::new(blo, bhi)))
+        for bound in &t.dims {
+            let (lo, len) = match *bound {
+                Bound::Full(n) => (0, n),
+                Bound::Tile(slot) => window(&self.windows, self.low, slot)?,
+                Bound::One(slot) => (window(&self.windows, self.low, slot)?.0, 1),
+            };
+            sec.lo.push(lo);
+            sec.hi.push(lo + len);
+            buf.lo.push(0);
+            buf.hi.push(len);
+        }
+        Ok(())
     }
 
     /// Collectively captures a checkpoint at `site`: all ranks
-    /// synchronize, rank 0 snapshots disks + buffers + accounting, all
-    /// ranks synchronize again and agree on whether to halt. No-op when
-    /// checkpointing is off.
+    /// synchronize and rank 0 snapshots disks + buffers + accounting;
+    /// the next op boundary's barrier keeps the other ranks off the state
+    /// until the snapshot is done. No-op when checkpointing is off.
     fn capture(&mut self, site: CheckpointSite) -> Result<(), ExecError> {
         let Some(ck) = self.ckpt else {
             return Ok(());
         };
         self.sync()?;
-        if self.rank == 0 {
+        if self.ctx.rank == 0 {
             let mut disk = Vec::with_capacity(self.plan.disk_arrays.len());
             for &aid in &self.plan.disk_arrays {
                 let name = self.plan.program.array(aid).name();
@@ -365,50 +380,63 @@ impl Interp<'_> {
             *lock(&ck.latest) = Some(Arc::new(snap));
             ck.count.fetch_add(1, Ordering::SeqCst);
         }
-        self.sync()?;
-        // every rank reads the same count between the two barriers, so
-        // the halt decision is collective: all ranks stop or none does
-        let n = ck.count.load(Ordering::SeqCst);
-        if ck.halt_after.is_some_and(|h| n >= h) {
-            return Err(ExecError::Halted { checkpoints: n });
+        self.worked = true;
+        // every rank counts the same captures, so the halt decision is
+        // collective: all ranks stop or none does
+        self.captures += 1;
+        if ck.halt_after.is_some_and(|h| self.captures >= h) {
+            return Err(ExecError::Halted {
+                checkpoints: self.captures,
+            });
         }
         Ok(())
+    }
+
+    /// Walks the plan; returns the result of each rank: its own failure,
+    /// or else how the walk ended.
+    fn walk(mut self) -> Vec<Result<(), ExecError>> {
+        let walked = self.run_top();
+        self.failed
+            .into_iter()
+            .map(|f| f.map_or_else(|| walked.clone(), Err))
+            .collect()
     }
 
     /// Runs the plan's top-level ops, skipping work completed before the
     /// resume site and capturing checkpoints at each boundary.
     fn run_top(&mut self) -> Result<(), ExecError> {
+        let low = self.low;
         let start = self.start;
         let last = self.plan.ops.len();
-        for (idx, op) in self.plan.ops.iter().enumerate() {
+        for (idx, op) in &low.top {
+            let idx = *idx;
             if idx < start.top_op {
                 continue;
             }
             match op {
-                Op::TilingLoop { index, body } => {
-                    if self.mode == ExecMode::DryRun && !contains_io(body) {
-                        continue;
-                    }
-                    let n = self.plan.program.ranges().extent(index);
-                    let t = self.plan.tiles.get(index).min(n).max(1);
+                LOp::Loop {
+                    slot,
+                    n,
+                    tile,
+                    body,
+                } => {
                     let mut iter = if idx == start.top_op { start.iters } else { 0 };
-                    let mut base = iter.saturating_mul(t);
-                    while base < n {
-                        let len = t.min(n - base);
-                        self.windows.insert(index.clone(), (base, len));
+                    let mut base = iter.saturating_mul(*tile);
+                    while base < *n {
+                        self.windows[*slot] = Some((base, (*tile).min(n - base)));
                         self.run_ops(body)?;
-                        base += t;
+                        base += tile;
                         iter += 1;
-                        if base < n {
+                        if base < *n {
                             self.capture(CheckpointSite {
                                 top_op: idx,
                                 iters: iter,
                             })?;
                         }
                     }
-                    self.windows.remove(index);
+                    self.windows[*slot] = None;
                 }
-                _ => self.run_ops(std::slice::from_ref(op))?,
+                _ => self.run_op(op)?,
             }
             if idx + 1 < last {
                 self.capture(CheckpointSite {
@@ -420,122 +448,99 @@ impl Interp<'_> {
         Ok(())
     }
 
-    fn run_ops(&mut self, ops: &[Op]) -> Result<(), ExecError> {
-        for op in ops {
-            match op {
-                Op::TilingLoop { index, body } => {
-                    if self.mode == ExecMode::DryRun && !contains_io(body) {
-                        continue;
-                    }
-                    let n = self.plan.program.ranges().extent(index);
-                    let t = self.plan.tiles.get(index).min(n).max(1);
-                    let mut base = 0;
-                    while base < n {
-                        let len = t.min(n - base);
-                        self.windows.insert(index.clone(), (base, len));
-                        self.run_ops(body)?;
-                        base += t;
-                    }
-                    self.windows.remove(index);
+    fn run_ops(&mut self, ops: &[LOp]) -> Result<(), ExecError> {
+        ops.iter().try_for_each(|op| self.run_op(op))
+    }
+
+    fn run_op(&mut self, op: &LOp) -> Result<(), ExecError> {
+        match op {
+            LOp::Loop {
+                slot,
+                n,
+                tile,
+                body,
+            } => {
+                let mut base = 0;
+                while base < *n {
+                    self.windows[*slot] = Some((base, (*tile).min(n - base)));
+                    self.run_ops(body)?;
+                    base += tile;
                 }
-                Op::ReadBlock { array, buffer } => {
-                    let (sec, bufsec) = self.sections(*buffer)?;
-                    let name = self.plan.program.array(*array).name();
-                    self.sync()?;
-                    let dst = (self.mode == ExecMode::Full)
-                        .then(|| (&self.buffers[buffer.as_usize()], &bufsec));
-                    if let Err(e) = self.dra.read_section(self.rank, name, &sec, dst) {
-                        return self.fail(e);
-                    }
-                    self.sync()?;
-                }
-                Op::WriteBlock { array, buffer } => {
-                    let (sec, bufsec) = self.sections(*buffer)?;
-                    let name = self.plan.program.array(*array).name();
-                    self.sync()?;
-                    let src = if self.mode == ExecMode::Full {
-                        SectionSrc::From(&self.buffers[buffer.as_usize()], bufsec)
+                self.windows[*slot] = None;
+            }
+            LOp::Read(t) => {
+                self.sections(t)?;
+                self.sync()?;
+                let dst = self.full.then(|| (&self.buffers[t.buffer], &self.buf_sec));
+                let r = collective(self.ranks.clone(), &mut self.failed, |rank| {
+                    self.dra.read_section(rank, t.array, &self.sec, dst)
+                });
+                self.transferred(r)?;
+            }
+            LOp::Write(t) => {
+                self.sections(t)?;
+                self.sync()?;
+                let r = collective(self.ranks.clone(), &mut self.failed, |rank| {
+                    let src = if self.full {
+                        SectionSrc::From(&self.buffers[t.buffer], &self.buf_sec)
                     } else {
                         SectionSrc::Dry
                     };
-                    if let Err(e) = self.dra.write_section(self.rank, name, &sec, src) {
-                        return self.fail(e);
-                    }
-                    self.sync()?;
-                }
-                Op::ZeroBuffer { buffer } => {
-                    if self.mode == ExecMode::Full {
-                        self.sync()?;
-                        let buf = &self.buffers[buffer.as_usize()];
-                        let (s, e) = chunk(buf.len() as u64, self.rank, self.nproc);
-                        buf.zero_range(s as usize, e as usize);
-                        self.sync()?;
-                    }
-                }
-                Op::ZeroFillPass { array, buffer } => {
-                    self.zero_fill(*array, *buffer)?;
-                }
-                Op::Compute(c) => {
-                    if self.mode == ExecMode::Full {
-                        self.sync()?;
-                        self.kernel(c)?;
-                        self.sync()?;
-                    }
-                }
+                    self.dra.write_section(rank, t.array, &self.sec, src)
+                });
+                self.transferred(r)?;
+            }
+            LOp::ZeroBuffer(b) => {
+                self.sync()?;
+                let buf = &self.buffers[*b];
+                let (s, e) = chunk(buf.len() as u64, self.ctx.rank, self.ctx.nproc);
+                buf.zero_range(s as usize, e as usize);
+                self.worked = true;
+            }
+            LOp::ZeroFill { array, steps } => self.zero_fill(*array, steps)?,
+            LOp::Compute(k) => {
+                self.sync()?;
+                self.kernel(k)?;
+                self.worked = true;
             }
         }
         Ok(())
     }
 
-    /// Writes zeros over the whole disk array in buffer-shaped blocks.
-    fn zero_fill(&mut self, array: tce_ir::ArrayId, buffer: BufId) -> Result<(), ExecError> {
-        let decl = self.plan.buffer(buffer);
-        let ranges = self.plan.program.ranges();
-        let name = self.plan.program.array(array).name();
-        // per-dimension (extent, step): Tile dims iterate the tile grid,
-        // Full dims are covered in one step
-        let dims: Vec<(u64, u64)> = decl
-            .shape
-            .dims()
-            .iter()
-            .map(|(idx, extent)| {
-                let n = ranges.extent(idx);
-                match extent {
-                    DimExtent::Full => (n, n),
-                    DimExtent::Tile => (n, self.plan.tiles.get(idx).min(n).max(1)),
-                    DimExtent::One => (n, 1),
-                }
-            })
-            .collect();
-        let rank_count = dims.len();
-        let mut base = vec![0u64; rank_count];
+    /// Writes zeros over the whole disk array in blocks of `steps`: Tile
+    /// dims iterate the tile grid, Full dims are covered in one step.
+    fn zero_fill(&mut self, array: ArrayHandle, steps: &[(u64, u64)]) -> Result<(), ExecError> {
+        self.sec.lo.clear();
+        self.sec.lo.resize(steps.len(), 0);
         loop {
-            let lo: Vec<u64> = base.clone();
-            let hi: Vec<u64> = base
-                .iter()
-                .zip(&dims)
-                .map(|(&b, &(n, step))| (b + step).min(n))
-                .collect();
-            let sec = Section::new(lo, hi);
+            let sec = &mut self.sec;
+            sec.hi.clear();
+            sec.hi.extend(
+                sec.lo
+                    .iter()
+                    .zip(steps)
+                    .map(|(&b, &(n, step))| (b + step).min(n)),
+            );
             self.sync()?;
-            let src = if self.mode == ExecMode::Full {
-                SectionSrc::Zeros
-            } else {
-                SectionSrc::Dry
-            };
-            if let Err(e) = self.dra.write_section(self.rank, name, &sec, src) {
-                return self.fail(e);
-            }
-            self.sync()?;
+            let r = collective(self.ranks.clone(), &mut self.failed, |rank| {
+                let src = if self.full {
+                    SectionSrc::Zeros
+                } else {
+                    SectionSrc::Dry
+                };
+                self.dra.write_section(rank, array, &self.sec, src)
+            });
+            self.transferred(r)?;
             // advance the block odometer
-            let mut k = rank_count;
+            let base = &mut self.sec.lo;
+            let mut k = steps.len();
             loop {
                 if k == 0 {
                     return Ok(());
                 }
                 k -= 1;
-                base[k] += dims[k].1;
-                if base[k] < dims[k].0 {
+                base[k] += steps[k].1;
+                if base[k] < steps[k].0 {
                     break;
                 }
                 base[k] = 0;
@@ -543,207 +548,164 @@ impl Interp<'_> {
         }
     }
 
-    /// Executes one per-tile contraction kernel, partitioning the
-    /// outermost intra-tile loop across ranks.
-    fn kernel(&self, c: &ComputeOp) -> Result<(), ExecError> {
-        // element ranges of the band
-        let mut ranges_v: Vec<(Index, u64, u64)> = Vec::with_capacity(c.band.len());
-        for (k, idx) in c.band.iter().enumerate() {
-            let (base, len) = self.window(idx)?;
-            let (lo, hi) = if k == 0 {
-                // partition the outermost loop across ranks
-                let (s, e) = chunk(len, self.rank, self.nproc);
-                (base + s, base + e)
+    /// Runs this rank's share of one per-tile contraction kernel: the
+    /// elements of its chunk of the split band index. That index is
+    /// carried by dst, so every dst element has one owner, which updates
+    /// it in the sequential order: outputs do not depend on `nproc`.
+    fn kernel(&mut self, k: &Kernel) -> Result<(), ExecError> {
+        let nest = &mut self.nest;
+        nest.band.clear();
+        for (pos, &slot) in k.band.iter().enumerate() {
+            let (base, len) = window(&self.windows, self.low, slot)?;
+            let (s, e) = if k.split == Some(pos) {
+                chunk(len, self.ctx.rank, self.ctx.nproc)
             } else {
-                (base, base + len)
+                (0, len)
             };
-            ranges_v.push((idx.clone(), lo, hi));
+            nest.band.push((base, base + s, base + e));
         }
-
-        // per-operand: stride and base for each band index
-        let operand = |r: &tce_codegen::BufRef| -> OperandMap {
-            let buf = &self.buffers[r.buffer.buffer_usize()];
-            let decl = self.plan.buffer(r.buffer);
-            let dims = buf.dims().to_vec();
-            let strides = tce_ga::strides(&dims);
-            let mut per_band = vec![(0u64, 0u64); c.band.len()]; // (stride, base)
-            for (dim_k, sub) in r.subscripts.iter().enumerate() {
-                if let Some(band_k) = c.band.iter().position(|b| b == sub) {
-                    let base = match decl.shape.dims()[dim_k].1 {
-                        DimExtent::Full => 0,
-                        DimExtent::Tile | DimExtent::One => {
-                            self.windows.get(sub).map(|w| w.0).unwrap_or(0)
-                        }
-                    };
-                    per_band[band_k] = (strides[dim_k], base);
-                }
-            }
-            OperandMap {
-                buffer: r.buffer,
-                per_band,
-            }
-        };
-        let dst = operand(&c.dst);
-        let lhs = operand(&c.lhs);
-        let rhs = operand(&c.rhs);
-
-        let mut flops = 0u64;
-        match self.cache_block {
-            None => {
-                self.kernel_loop(&ranges_v, 0, 0, 0, 0, &dst, &lhs, &rhs, &mut flops);
-            }
-            Some(cb) => {
-                // second-level blocking: walk the band in cache-sized
-                // chunks; only the iteration order changes, so the
-                // accumulated results are identical
-                let cb = cb.max(1);
-                let mut sub: Vec<(Index, u64, u64)> = ranges_v.clone();
-                let mut base: Vec<u64> = ranges_v.iter().map(|(_, lo, _)| *lo).collect();
-                'grid: loop {
-                    for (k, (_, lo, hi)) in ranges_v.iter().enumerate() {
-                        let _ = lo;
-                        sub[k].1 = base[k];
-                        sub[k].2 = (base[k] + cb).min(*hi);
-                    }
-                    self.kernel_loop(&sub, 0, 0, 0, 0, &dst, &lhs, &rhs, &mut flops);
-                    // advance the block odometer
-                    let mut k = ranges_v.len();
-                    loop {
-                        if k == 0 {
-                            break 'grid;
-                        }
-                        k -= 1;
-                        base[k] += cb;
-                        if base[k] < ranges_v[k].2 {
-                            break;
-                        }
-                        base[k] = ranges_v[k].1;
-                    }
-                }
-            }
+        if (k.split.is_none() && self.ctx.rank != 0)
+            || nest.band.iter().any(|&(_, lo, hi)| lo >= hi)
+        {
+            return Ok(());
         }
+        let flops = nest.run(k, self.buffers);
         self.flops.fetch_add(flops, Ordering::Relaxed);
         Ok(())
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn kernel_loop(
-        &self,
-        ranges_v: &[(Index, u64, u64)],
-        depth: usize,
-        dst_off: u64,
-        lhs_off: u64,
-        rhs_off: u64,
-        dst: &OperandMap,
-        lhs: &OperandMap,
-        rhs: &OperandMap,
-        flops: &mut u64,
-    ) {
-        if depth == ranges_v.len() {
-            let l = self.buffers[lhs.buffer.buffer_usize()].get_flat(lhs_off as usize);
-            let r = self.buffers[rhs.buffer.buffer_usize()].get_flat(rhs_off as usize);
-            self.buffers[dst.buffer.buffer_usize()].add_flat(dst_off as usize, l * r);
-            *flops += 2;
-            return;
-        }
-        let (_, lo, hi) = &ranges_v[depth];
-        let (ds, db) = dst.per_band[depth];
-        let (ls, lb) = lhs.per_band[depth];
-        let (rs, rb) = rhs.per_band[depth];
-        let innermost = depth + 1 == ranges_v.len();
-        if innermost && ds == 0 {
-            // contraction over the innermost index: accumulate locally,
-            // one atomic add at the end
-            let mut acc = 0.0;
-            let lbuf = &self.buffers[lhs.buffer.buffer_usize()];
-            let rbuf = &self.buffers[rhs.buffer.buffer_usize()];
-            for v in *lo..*hi {
-                let lo_off = lhs_off + (v - lb) * ls;
-                let ro_off = rhs_off + (v - rb) * rs;
-                acc += lbuf.get_flat(lo_off as usize) * rbuf.get_flat(ro_off as usize);
+/// The loop nest of one kernel call, reused across calls.
+///
+/// The loops run in band order with changes that keep every dst element's
+/// sequence of updates, so results are bit-identical to the plain nest:
+/// single-iteration outer loops are skipped; when dst carries the
+/// innermost index, the dst-carried loop with the most iterations becomes
+/// the innermost one; when it does not (the innermost loop sums into an
+/// accumulator), the longest dst-carried loop runs inside it as a lane of
+/// accumulators, each summing its own element in the original order.
+#[derive(Default)]
+struct Nest {
+    /// `(window base, lo, hi)` per band position.
+    band: Vec<(u64, u64, u64)>,
+    /// Outer loop positions, outermost first, and their odometer.
+    outer: Vec<usize>,
+    odometer: Vec<u64>,
+    /// Accumulators of the lane.
+    accs: Vec<f64>,
+}
+
+impl Nest {
+    fn span(&self, p: usize) -> u64 {
+        self.band[p].2 - self.band[p].1
+    }
+
+    /// The position of `ps` with the most iterations, if one has more
+    /// than one (ties go to the inner position).
+    fn longest(&self, ps: impl Iterator<Item = usize>) -> Option<usize> {
+        ps.filter(|&p| self.span(p) > 1)
+            .max_by_key(|&p| (self.span(p), p))
+    }
+
+    /// `dst += lhs * rhs` over the band box; returns the flop count.
+    fn run(&mut self, k: &Kernel, buffers: &[GlobalArray]) -> u64 {
+        let (dst, lhs, rhs) = (
+            &buffers[k.dst.buffer],
+            &buffers[k.lhs.buffer],
+            &buffers[k.rhs.buffer],
+        );
+        let carried = |p: &usize| k.dst.strides[*p].0 != 0;
+        let Some(last) = self.band.len().checked_sub(1) else {
+            // an empty band: one multiply-add
+            dst.set_flat(0, dst.get_flat(0) + lhs.get_flat(0) * rhs.get_flat(0));
+            return 2;
+        };
+        let (inner, lane) = if carried(&last) {
+            let inner = self.longest((0..=last).filter(carried)).unwrap_or(last);
+            (inner, None)
+        } else {
+            (last, self.longest((0..last).filter(carried)))
+        };
+        self.outer.clear();
+        for p in 0..self.band.len() {
+            if p != inner && Some(p) != lane && self.span(p) > 1 {
+                self.outer.push(p);
             }
-            self.buffers[dst.buffer.buffer_usize()].add_flat(dst_off as usize, acc);
-            *flops += 2 * (hi - lo);
-            return;
         }
-        for v in *lo..*hi {
-            self.kernel_loop(
-                ranges_v,
-                depth + 1,
-                dst_off + (v - db) * ds,
-                lhs_off + (v - lb) * ls,
-                rhs_off + (v - rb) * rs,
-                dst,
-                lhs,
-                rhs,
-                flops,
-            );
-        }
-    }
-}
+        self.odometer.clear();
+        self.odometer.resize(self.outer.len(), 0);
 
-struct OperandMap {
-    buffer: BufId,
-    /// `(stride, window base)` per band index; stride 0 when the operand
-    /// does not carry the index.
-    per_band: Vec<(u64, u64)>,
-}
-
-trait BufIdExt {
-    fn buffer_usize(&self) -> usize;
-}
-
-impl BufIdExt for BufId {
-    fn buffer_usize(&self) -> usize {
-        self.as_usize()
-    }
-}
-
-/// Rejects plans whose buffer references would index out of range in the
-/// interpreter — turning would-be panics on the execution hot path into a
-/// typed error before any work starts. After this pass every
-/// `buffers[id]` and `subscripts[k]` access in the interpreter is total.
-fn validate_plan(plan: &ConcretePlan) -> Result<(), ExecError> {
-    fn check_buf(plan: &ConcretePlan, id: BufId) -> Result<(), ExecError> {
-        if id.as_usize() >= plan.buffers.len() {
-            return Err(ExecError::BadPlan(format!(
-                "buffer b{} out of range ({} declared)",
-                id.as_usize(),
-                plan.buffers.len()
-            )));
-        }
-        Ok(())
-    }
-    fn check_ref(plan: &ConcretePlan, r: &BufRef) -> Result<(), ExecError> {
-        check_buf(plan, r.buffer)?;
-        let rank = plan.buffer(r.buffer).shape.dims().len();
-        if r.subscripts.len() != rank {
-            return Err(ExecError::BadPlan(format!(
-                "buffer b{} has rank {rank} but is subscripted with {} indices",
-                r.buffer.as_usize(),
-                r.subscripts.len()
-            )));
-        }
-        Ok(())
-    }
-    fn check_ops(plan: &ConcretePlan, ops: &[Op]) -> Result<(), ExecError> {
-        for op in ops {
-            match op {
-                Op::TilingLoop { body, .. } => check_ops(plan, body)?,
-                Op::ReadBlock { buffer, .. }
-                | Op::WriteBlock { buffer, .. }
-                | Op::ZeroBuffer { buffer }
-                | Op::ZeroFillPass { buffer, .. } => check_buf(plan, *buffer)?,
-                Op::Compute(c) => {
-                    for r in [&c.dst, &c.lhs, &c.rhs] {
-                        check_ref(plan, r)?;
+        let offset = |op: &Operand| -> usize {
+            self.band
+                .iter()
+                .zip(&op.strides)
+                .map(|(&(base, lo, _), &(stride, windowed))| {
+                    (lo - if windowed { base } else { 0 }) * stride
+                })
+                .sum::<u64>() as usize
+        };
+        let (mut d, mut l, mut r) = (offset(&k.dst), offset(&k.lhs), offset(&k.rhs));
+        let strides = |p: usize| {
+            let s = |op: &Operand| op.strides[p].0 as usize;
+            (s(&k.dst), s(&k.lhs), s(&k.rhs))
+        };
+        let len = self.span(inner) as usize;
+        let (ds, ls, rs) = strides(inner);
+        let lanes = lane.map_or(1, |q| self.span(q) as usize);
+        let (dq, lq, rq) = lane.map_or((0, 0, 0), strides);
+        let block_flops = 2 * (len * lanes) as u64;
+        let mut flops = 0;
+        loop {
+            if ds != 0 {
+                for v in 0..len {
+                    let prod = lhs.get_flat(l + v * ls) * rhs.get_flat(r + v * rs);
+                    dst.set_flat(d + v * ds, dst.get_flat(d + v * ds) + prod);
+                }
+            } else if lane.is_none() {
+                let mut acc = 0.0;
+                for v in 0..len {
+                    acc += lhs.get_flat(l + v * ls) * rhs.get_flat(r + v * rs);
+                }
+                dst.set_flat(d, dst.get_flat(d) + acc);
+            } else {
+                self.accs.clear();
+                self.accs.resize(lanes, 0.0);
+                for v in 0..len {
+                    let (lv, rv) = (l + v * ls, r + v * rs);
+                    for (e, acc) in self.accs.iter_mut().enumerate() {
+                        *acc += lhs.get_flat(lv + e * lq) * rhs.get_flat(rv + e * rq);
                     }
                 }
+                for (e, acc) in self.accs.iter().enumerate() {
+                    dst.set_flat(d + e * dq, dst.get_flat(d + e * dq) + acc);
+                }
+            }
+            flops += block_flops;
+            // advance the odometer over the outer positions
+            let mut j = self.outer.len();
+            loop {
+                if j == 0 {
+                    return flops;
+                }
+                j -= 1;
+                let p = self.outer[j];
+                let (dp, lp, rp) = strides(p);
+                self.odometer[j] += 1;
+                d += dp;
+                l += lp;
+                r += rp;
+                let span = self.span(p);
+                if self.odometer[j] < span {
+                    break;
+                }
+                let span = span as usize;
+                d -= span * dp;
+                l -= span * lp;
+                r -= span * rp;
+                self.odometer[j] = 0;
             }
         }
-        Ok(())
     }
-    check_ops(plan, &plan.ops)
 }
 
 /// Executes a plan and returns the accounting (and outputs in full mode).
@@ -776,31 +738,41 @@ pub fn execute_resilient(plan: &ConcretePlan, opts: &ExecOptions) -> ExecOutcome
             "checkpoint/resume requires full mode".to_string(),
         ));
     }
-    if let Err(e) = validate_plan(plan) {
-        return fail(e);
+
+    let mut dra = DraRuntime::new(opts.nproc, opts.profile.clone());
+    if let Some(policy) = &opts.retry {
+        dra.set_retry(policy.clone());
     }
-    let fingerprint = plan_fingerprint(plan, opts.nproc);
+    let ranges = plan.program.ranges();
+    let handles: Vec<ArrayHandle> = plan
+        .disk_arrays
+        .iter()
+        .map(|&aid| {
+            let decl = plan.program.array(aid);
+            let dims: Vec<u64> = decl.dims().iter().map(|d| ranges.extent(d)).collect();
+            dra.create(decl.name(), &dims, materialize)
+        })
+        .collect();
+
+    // the checkpoint fingerprint is hashed only when a checkpoint is
+    // captured or checked
+    let checkpointing = opts.checkpoint || opts.halt_after_checkpoints.is_some();
+    let wants_fingerprint = checkpointing || opts.resume_from.is_some();
+    let low = match lower(
+        plan,
+        !materialize,
+        &handles,
+        wants_fingerprint.then_some(opts.nproc),
+    ) {
+        Ok(low) => low,
+        Err(e) => return fail(e),
+    };
     if let Some(ck) = &opts.resume_from {
-        if ck.plan_fingerprint != fingerprint {
+        if Some(ck.plan_fingerprint) != low.fingerprint {
             return fail(ExecError::BadOptions(
                 "resume checkpoint belongs to a different plan or process count".to_string(),
             ));
         }
-    }
-
-    let dra = {
-        let mut d = DraRuntime::new(opts.nproc, opts.profile.clone());
-        if let Some(policy) = &opts.retry {
-            d.set_retry(policy.clone());
-        }
-        d
-    };
-    let ranges = plan.program.ranges();
-
-    for &aid in &plan.disk_arrays {
-        let decl = plan.program.array(aid);
-        let dims: Vec<u64> = decl.dims().iter().map(|d| ranges.extent(d)).collect();
-        dra.create(decl.name(), &dims, materialize);
     }
 
     // shared in-memory buffers (global arrays). Dry runs never touch
@@ -876,33 +848,46 @@ pub fn execute_resilient(plan: &ConcretePlan, opts: &ExecOptions) -> ExecOutcome
         dra.apply_fault_plan(fp);
     }
 
-    let ckpt =
-        (materialize && (opts.checkpoint || opts.halt_after_checkpoints.is_some())).then(|| {
-            CkptShared {
-                latest: Mutex::new(None),
-                count: AtomicU64::new(0),
-                halt_after: opts.halt_after_checkpoints,
-                fingerprint,
-            }
+    let ckpt = low
+        .fingerprint
+        .filter(|_| checkpointing)
+        .map(|fingerprint| CkptShared {
+            latest: Mutex::new(None),
+            count: AtomicU64::new(0),
+            halt_after: opts.halt_after_checkpoints,
+            fingerprint,
         });
 
-    let results = run_parallel(opts.nproc, |ctx| {
-        let mut interp = Interp {
+    let walk = |ctx: &ProcCtx<'_>, ranks: Range<usize>| {
+        let interp = Interp {
             plan,
+            low: &low,
             dra: &dra,
             buffers: &buffers,
-            mode: opts.mode,
-            rank: ctx.rank,
-            nproc: ctx.nproc,
+            full: materialize,
+            failed: vec![None; ranks.len()],
+            ranks,
             ctx,
             flops: &flops,
-            cache_block: opts.cache_block,
-            windows: HashMap::new(),
+            windows: vec![None; low.slots.len()],
+            worked: false,
+            sec: Section::new(Vec::new(), Vec::new()),
+            buf_sec: Section::new(Vec::new(), Vec::new()),
+            nest: Nest::default(),
             start,
             ckpt: ckpt.as_ref(),
+            captures: 0,
         };
-        interp.run_top()
-    });
+        interp.walk()
+    };
+    let results: Vec<Result<(), ExecError>> = if materialize {
+        run_parallel(opts.nproc, |ctx| walk(ctx, ctx.rank..ctx.rank + 1))
+    } else {
+        run_parallel(1, |ctx| walk(ctx, 0..opts.nproc))
+    }
+    .into_iter()
+    .flatten()
+    .collect();
 
     // classify per-rank results: a real failure outranks the symmetric
     // Halted stop, which outranks a secondary abort
@@ -1064,17 +1049,233 @@ mod tests {
     use crate::reference::dense_reference;
     use tce_cost::TileAssignment;
     use tce_ir::fixtures::two_index_fused;
+    use tce_ir::Program;
     use tce_tile::{enumerate_placements, tile_program, IntermediateChoice};
 
-    fn build_plan(n: u64, v: u64, tiles: &TileAssignment, spill_t: bool) -> ConcretePlan {
-        let p = two_index_fused(n, v);
-        let tiled = tile_program(&p);
+    /// A fixed-tile plan with no solver; `spill` puts the first
+    /// intermediate on disk.
+    fn plan_of(p: &Program, tiles: &TileAssignment, spill: bool) -> ConcretePlan {
+        let tiled = tile_program(p);
         let space = enumerate_placements(&tiled, 1 << 30).expect("space");
         let mut sel = space.default_selection();
-        if spill_t {
+        if spill {
             sel.intermediates[0] = IntermediateChoice::OnDisk { write: 0, read: 0 };
         }
         tce_codegen::generate_plan(&tiled, &space, &sel, tiles)
+    }
+
+    fn build_plan(n: u64, v: u64, tiles: &TileAssignment, spill_t: bool) -> ConcretePlan {
+        plan_of(&two_index_fused(n, v), tiles, spill_t)
+    }
+
+    /// FNV-1a fold of every output element's bits, in output-name order.
+    fn output_fold(report: &ExecReport) -> u64 {
+        let mut names: Vec<&String> = report.outputs.keys().collect();
+        names.sort();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for name in names {
+            for v in &report.outputs[name] {
+                h = (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The plans of the pinned-accounting tests: a two-index plan with a
+    /// spilled intermediate and a zero-fill pass (11 502 transfers per
+    /// rank) and an in-memory four-index plan (7 024), both with tiles
+    /// that leave partial edge tiles.
+    fn pinned_plans() -> [ConcretePlan; 2] {
+        let two = TileAssignment::new()
+            .with("i", 3)
+            .with("j", 5)
+            .with("m", 4)
+            .with("n", 2);
+        let four = TileAssignment::new()
+            .with("p", 3)
+            .with("q", 2)
+            .with("r", 4)
+            .with("s", 2)
+            .with("a", 3)
+            .with("b", 2)
+            .with("c", 3)
+            .with("d", 4);
+        [
+            build_plan(40, 36, &two, true),
+            plan_of(&tce_ir::fixtures::four_index_fused(12, 10), &four, false),
+        ]
+    }
+
+    /// The pinned accounting of one disk: read and write ops and bytes,
+    /// the bits of its four time fields, faulted and retried ops.
+    fn disk_pins(s: &IoStats) -> [u64; 10] {
+        [
+            s.read_ops,
+            s.write_ops,
+            s.read_bytes,
+            s.write_bytes,
+            s.read_time_s.to_bits(),
+            s.write_time_s.to_bits(),
+            s.fault_time_s.to_bits(),
+            s.backoff_time_s.to_bits(),
+            s.faulted_ops,
+            s.retried_ops,
+        ]
+    }
+
+    /// Dry-run accounting of the pinned plans, computed before the
+    /// executor lowered plans and split kernels by owner: `(plan, nproc,
+    /// disk_pins)` of each rank, in rank order.
+    #[rustfmt::skip]
+    const PINNED_RANKS: [(usize, usize, [u64; 10]); 12] = [
+        (0, 1, [8820, 2682, 755712, 167040, 0x4053d9289c6488c6, 0x4038247e40f36a8c, 0, 0, 0, 0]),
+        (0, 2, [8820, 2682, 385920, 83520, 0x4053d8bf8e6dd95b, 0x403823e91c6123af, 0, 0, 0, 0]),
+        (0, 2, [8820, 2682, 369792, 83520, 0x4053d8baf97bcff4, 0x403823e91c6123af, 0, 0, 0, 0]),
+        (0, 3, [8820, 2682, 270000, 62208, 0x4053d89e9fe2359f, 0x403823c30dc03903, 0, 0, 0, 0]),
+        (0, 3, [8820, 2682, 252576, 62208, 0x4053d899acaf0379, 0x403823c30dc03903, 0, 0, 0, 0]),
+        (0, 3, [8802, 2664, 233136, 42624, 0x4053ce35f19e1166, 0x4037fa274012b80c, 0, 0, 0, 0]),
+        (1, 1, [6784, 240, 925632, 80000, 0x404e8938ef6e04de, 0x40014c24efe8981e, 0, 0, 0, 0]),
+        (1, 2, [6784, 240, 462880, 40000, 0x404e8832020c471b, 0x400149e98231bcbf, 0, 0, 0, 0]),
+        (1, 2, [6784, 240, 462752, 40000, 0x404e8831ef6e05f1, 0x400149e98231bcbf, 0, 0, 0, 0]),
+        (1, 3, [6784, 240, 327104, 26720, 0x404e87e4dccfc4a2, 0x4001492bcb564f0d, 0, 0, 0, 0]),
+        (1, 3, [6784, 240, 303104, 26680, 0x404e87d739e70f8e, 0x4001492b390d2a7a, 0, 0, 0, 0]),
+        (1, 3, [6784, 240, 295424, 26600, 0x404e87d2dccfc84e, 0x4001492a147ae155, 0, 0, 0, 0]),
+    ];
+
+    /// `(plan, nproc, elapsed_io_s bits)` of the same runs.
+    const PINNED_ELAPSED: [(usize, usize, u64); 6] = [
+        (0, 1, 0x4059e2482ca16369),
+        (0, 2, 0x4059e1b9d5862247),
+        (0, 3, 0x4059e18f635243e0),
+        (1, 1, 0x404f9dfb3e6c8e60),
+        (1, 2, 0x404f9cd09a2f62e7),
+        (1, 3, 0x404f9c7799852993),
+    ];
+
+    #[test]
+    fn dry_run_accounting_is_pinned() {
+        let plans = pinned_plans();
+        for &(k, nproc, elapsed) in &PINNED_ELAPSED {
+            let r = execute(&plans[k], &ExecOptions::dry_run().with_nproc(nproc)).expect("dry");
+            let got: Vec<[u64; 10]> = r.per_rank.iter().map(disk_pins).collect();
+            let want: Vec<[u64; 10]> = PINNED_RANKS
+                .iter()
+                .filter(|p| (p.0, p.1) == (k, nproc))
+                .map(|p| p.2)
+                .collect();
+            assert_eq!(got, want, "plan {k} at nproc {nproc}");
+            assert_eq!(
+                r.elapsed_io_s.to_bits(),
+                elapsed,
+                "plan {k} at nproc {nproc}"
+            );
+        }
+    }
+
+    #[test]
+    fn faulted_dry_run_accounting_is_pinned() {
+        use tce_disksim::{DiskFaultKind, DiskFaults, Schedule};
+        let plan = &pinned_plans()[0];
+        // a transient burst on disk 1 and a flaky, latency-spiking disk 2,
+        // all absorbed by retries
+        let noisy = FaultPlan::transient_after(1, 300, 3)
+            .with_seed(11)
+            .with_disk(
+                2,
+                DiskFaults {
+                    schedule: Schedule::none().probabilistic(0.01, DiskFaultKind::Transient),
+                    p_spike: 0.05,
+                    spike_s: 0.25,
+                },
+            );
+        let opts = ExecOptions::dry_run()
+            .with_nproc(3)
+            .with_faults(noisy)
+            .with_retry(RetryPolicy::with_attempts(6));
+        let r = execute(plan, &opts).expect("faults absorbed");
+        let got: Vec<[u64; 10]> = r.per_rank.iter().map(disk_pins).collect();
+        // computed before the executor lowered plans
+        #[rustfmt::skip]
+        let want = vec![
+            [8820, 2682, 270000, 62208, 0x4053d89e9fe2359f, 0x403823c30dc03903, 0, 0, 0, 0],
+            [8820, 2682, 252576, 62208, 0x4053d899acaf0379, 0x403823c30dc03903, 0x3f9ba5e353f7ced8, 0x3fd569b32cf2da30, 3, 3],
+            [8802, 2664, 233136, 42624, 0x4053ce35f19e1166, 0x4037fa274012b80c, 0x406171fbe76c8b41, 0x40184e249755f128, 118, 118],
+        ];
+        assert_eq!(got, want);
+        assert_eq!(r.elapsed_io_s.to_bits(), 0x406f1accecf89a7f);
+
+        // disk 1 dies mid-run; ranks 0 and 2 run on to the end
+        let opts = ExecOptions::dry_run()
+            .with_nproc(3)
+            .with_faults(FaultPlan::permanent_after(1, 4000).with_seed(3));
+        let ExecOutcome::Failed {
+            error,
+            failed_rank,
+            stats,
+            ..
+        } = execute_resilient(plan, &opts)
+        else {
+            panic!("disk 1 dies");
+        };
+        assert!(error.is_permanent_fault(), "{error}");
+        assert_eq!(failed_rank, Some(1));
+        assert_eq!(
+            disk_pins(&stats),
+            [
+                20610,
+                6358,
+                591280,
+                128440,
+                0x40673002119226f2,
+                0x404c9cdd2cb0b65d,
+                0x3f826e978d4fdf3b,
+                0,
+                1,
+                0
+            ]
+        );
+    }
+
+    #[test]
+    fn full_run_outputs_are_pinned_and_independent_of_nproc() {
+        // folds of the nproc-1 outputs, computed before the executor
+        // lowered plans and split kernels by owner
+        let want = [
+            (0xffab98f30c11764c_u64, 218880_u64),
+            (0x182c59869b3e9531, 1288320),
+        ];
+        for (plan, (fold, flops)) in pinned_plans().iter().zip(want) {
+            for nproc in [1, 2, 3] {
+                let r = execute(plan, &ExecOptions::full_test().with_nproc(nproc)).expect("full");
+                assert_eq!(output_fold(&r), fold, "nproc {nproc}");
+                assert_eq!(r.flops, flops, "nproc {nproc}");
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_tells_one_tile_size_apart() {
+        let fingerprint = |tiles: &TileAssignment| {
+            let plan = build_plan(8, 6, tiles, false);
+            let mut opts = ExecOptions::full_test();
+            opts.halt_after_checkpoints = Some(1);
+            let ExecOutcome::Failed { checkpoint, .. } = execute_resilient(&plan, &opts) else {
+                panic!("run must halt");
+            };
+            checkpoint.expect("checkpoint").plan_fingerprint
+        };
+        let tiles = TileAssignment::new()
+            .with("i", 4)
+            .with("j", 4)
+            .with("m", 3)
+            .with("n", 3);
+        let base = fingerprint(&tiles);
+        assert_eq!(
+            base,
+            fingerprint(&tiles),
+            "the fingerprint is deterministic"
+        );
+        assert_ne!(base, fingerprint(&tiles.clone().with("j", 3)));
     }
 
     fn verify(plan: &ConcretePlan, report: &ExecReport) {
@@ -1143,10 +1344,11 @@ mod tests {
         let seq = execute(&plan, &ExecOptions::full_test()).expect("seq");
         let par = execute(&plan, &ExecOptions::full_test().with_nproc(4)).expect("par");
         verify(&plan, &par);
-        assert_eq!(seq.outputs["B"].len(), par.outputs["B"].len());
-        for (a, b) in seq.outputs["B"].iter().zip(&par.outputs["B"]) {
-            assert!((a - b).abs() < 1e-9);
-        }
+        assert_eq!(
+            output_fold(&seq),
+            output_fold(&par),
+            "outputs differ bitwise"
+        );
         // parallel spreads the same bytes over more disks
         assert_eq!(seq.total.total_bytes(), par.total.total_bytes());
         assert!(par.elapsed_io_s < seq.elapsed_io_s);
@@ -1252,15 +1454,19 @@ mod tests {
             clean.total.clean_time_s().to_bits()
         );
 
-        // parallel: rank 1's disk dies mid-plan; cross-rank atomic
-        // accumulation is order-sensitive, so verify against the dense
-        // reference instead of bit-comparing
+        // parallel: rank 1's disk dies mid-plan; every dst element has one
+        // owner rank, so the recovered outputs are bit-identical too
         let opts = ExecOptions::full_test()
             .with_nproc(2)
             .with_faults(FaultPlan::permanent_after(1, 6));
         let report = run_to_completion(&plan, &opts, 4).expect("recovers");
         assert!(report.resilience.resume_legs >= 1);
-        verify(&plan, &report);
+        for (name, got) in &report.outputs {
+            for (a, b) in got.iter().zip(&clean.outputs[name]) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        assert_eq!(report.flops, clean.flops);
     }
 
     #[test]

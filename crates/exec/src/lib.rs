@@ -14,12 +14,19 @@
 //!
 //! Both modes run sequentially or on `P` simulated processes; in the
 //! parallel case every rank moves `1/P` of each collective transfer
-//! through its local disk (Table 4's setup) and kernels are partitioned
-//! over the outermost intra-tile loop with atomic accumulation.
+//! through its local disk (Table 4's setup). Kernels are owner-computes:
+//! the ranks split a band index that the destination carries, so every
+//! destination element is updated by one rank in the sequential order,
+//! and outputs are bit-identical at every process count.
+//!
+//! Each run lowers its plan once into a slot-addressed op tree (resolved
+//! tiles, windows, DRA array handles and kernel strides) that the ranks
+//! share read-only.
 
 #![warn(missing_docs)]
 
 pub mod interp;
+mod lower;
 pub mod reference;
 pub mod resilience;
 

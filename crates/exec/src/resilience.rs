@@ -15,7 +15,6 @@
 //! error, never silent corruption.
 
 use std::fmt;
-use tce_codegen::ConcretePlan;
 use tce_disksim::IoStats;
 
 /// A position between atomic units of a plan: top-level operation
@@ -105,11 +104,11 @@ impl fmt::Display for ResilienceReport {
     }
 }
 
-/// FNV-1a accumulator for the plan fingerprint.
-struct Fnv(u64);
+/// FNV-1a accumulator for the plan fingerprint, fed by the lowering walk.
+pub(crate) struct Fnv(pub u64);
 
 impl Fnv {
-    fn new() -> Self {
+    pub fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
@@ -118,24 +117,14 @@ impl Fnv {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
     }
-}
 
-/// Structural fingerprint tying a checkpoint to the exact plan shape and
-/// process count: op structure, tile sizes, buffer count, disk-array
-/// names and extents.
-pub(crate) fn plan_fingerprint(plan: &ConcretePlan, nproc: usize) -> u64 {
-    let ranges = plan.program.ranges();
-    let mut h = Fnv::new();
-    h.eat(&(nproc as u64).to_le_bytes());
-    h.eat(&(plan.buffers.len() as u64).to_le_bytes());
-    h.eat(format!("{:?}", plan.tiles).as_bytes());
-    for &aid in &plan.disk_arrays {
-        let decl = plan.program.array(aid);
-        h.eat(decl.name().as_bytes());
-        for d in decl.dims() {
-            h.eat(&ranges.extent(d).to_le_bytes());
-        }
+    pub fn u64(&mut self, v: u64) {
+        self.eat(&v.to_le_bytes());
     }
-    h.eat(format!("{:?}", plan.ops).as_bytes());
-    h.0
+
+    /// A length-prefixed string, so adjacent names cannot run together.
+    pub fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.eat(s.as_bytes());
+    }
 }

@@ -1,6 +1,11 @@
 //! Disk Resident Arrays: named multi-dimensional arrays on simulated
 //! disks, striped uniformly across one local disk per process.
 //!
+//! [`DraRuntime::create`] and [`DraRuntime::handle`] resolve an array
+//! name once into an [`ArrayHandle`]; the section transfers take the
+//! handle, so a transfer does no name lookup, locking or reference
+//! counting beyond its own disk's accounting.
+//!
 //! `read_section` / `write_section` are *collective*: every rank calls
 //! them with the same arguments; each rank moves its `1/P` share of the
 //! bytes through its own local disk (charged on that disk's accounting),
@@ -16,23 +21,22 @@
 //! out an exponential backoff (with seeded jitter) in **simulated
 //! seconds** between attempts — charged to that rank's disk accounting,
 //! so the elapsed-time model stays honest. Collective agreement is
-//! reached at the caller's post-operation barrier: transient faults are
-//! absorbed rank-locally *before* the barrier, so surviving ranks never
-//! observe them; an exhausted retry budget or a permanent fault surfaces
-//! as a typed error, which the executor propagates by aborting the whole
+//! reached at the caller's next barrier: transient faults are absorbed
+//! rank-locally *before* the barrier, so surviving ranks never observe
+//! them; an exhausted retry budget or a permanent fault surfaces as a
+//! typed error, which the executor propagates by aborting the whole
 //! process group at that same barrier. Either every rank proceeds past
-//! the operation or none does — collectives never diverge.
+//! the barrier or none does — collectives never diverge.
 
 use crate::global::GlobalArray;
 use crate::group::chunk;
 use crate::section::Section;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, RwLock};
-use tce_disksim::lock::{lock, read, write};
-use tce_disksim::{DiskError, DiskProfile, FaultPlan, IoStats, SimDisk, WriteSrc};
+use std::sync::Mutex;
+use tce_disksim::lock::lock;
+use tce_disksim::{DiskError, DiskProfile, FaultPlan, IoStats, SimDisk};
 
 /// DRA operation failure.
 #[derive(Clone, Debug, PartialEq)]
@@ -148,7 +152,13 @@ impl RetryPolicy {
     }
 }
 
+/// A disk-resident array resolved once by name: what the section
+/// transfers of the [`DraRuntime`] that handed it out take.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ArrayHandle(usize);
+
 struct DraArray {
+    name: String,
     dims: Vec<u64>,
     /// Real contents; `None` for dry (accounting-only) arrays.
     data: Option<GlobalArray>,
@@ -156,8 +166,8 @@ struct DraArray {
 
 /// What a collective section write transfers.
 pub enum SectionSrc<'a> {
-    /// Copy from a section of a global array (same element count).
-    From(&'a GlobalArray, Section),
+    /// Copy from a section of a global array (same extents).
+    From(&'a GlobalArray, &'a Section),
     /// Write zeros.
     Zeros,
     /// Accounting-only transfer.
@@ -167,8 +177,8 @@ pub enum SectionSrc<'a> {
 /// The disk-resident array runtime: one simulated local disk per process
 /// plus the array directory.
 pub struct DraRuntime {
-    disks: Vec<Arc<SimDisk>>,
-    arrays: RwLock<HashMap<String, Arc<DraArray>>>,
+    disks: Vec<SimDisk>,
+    arrays: Vec<DraArray>,
     /// Retry policy for transient disk faults (`None` = fail fast).
     retry: Option<RetryPolicy>,
     /// Per-rank jitter streams (lock contention is nil: rank `r` is the
@@ -181,10 +191,8 @@ impl DraRuntime {
     pub fn new(nproc: usize, profile: DiskProfile) -> Self {
         assert!(nproc >= 1);
         DraRuntime {
-            disks: (0..nproc)
-                .map(|_| Arc::new(SimDisk::new(profile.clone())))
-                .collect(),
-            arrays: RwLock::new(HashMap::new()),
+            disks: (0..nproc).map(|_| SimDisk::new(profile.clone())).collect(),
+            arrays: Vec::new(),
             retry: None,
             jitter_rngs: Vec::new(),
         }
@@ -275,32 +283,39 @@ impl DraRuntime {
         &self.disks[rank]
     }
 
-    /// Creates (or replaces) a disk-resident array.
-    pub fn create(&self, name: &str, dims: &[u64], materialize: bool) {
-        // saturate rather than overflow on absurd shapes — the accounting
-        // file is per-disk share-sized anyway
-        let len: u64 = dims
-            .iter()
-            .fold(1u64, |acc, &d| acc.saturating_mul(d))
-            .max(1);
-        let data = materialize.then(|| GlobalArray::zeros(dims));
-        write(&self.arrays).insert(
-            name.to_string(),
-            Arc::new(DraArray {
-                dims: dims.to_vec(),
-                data,
-            }),
-        );
-        // per-disk accounting file sized to this disk's largest share
-        let share = len.div_ceil(self.disks.len() as u64).max(1);
-        for d in &self.disks {
-            d.create(name, share, false);
+    /// Creates (or replaces) a disk-resident array and returns its handle
+    /// (a replaced array keeps its handle). Only materialized arrays hold
+    /// data; the local disks keep accounting, not files.
+    pub fn create(&mut self, name: &str, dims: &[u64], materialize: bool) -> ArrayHandle {
+        let array = DraArray {
+            name: name.to_string(),
+            dims: dims.to_vec(),
+            data: materialize.then(|| GlobalArray::zeros(dims)),
+        };
+        match self.handle(name) {
+            Ok(h) => {
+                self.arrays[h.0] = array;
+                h
+            }
+            Err(_) => {
+                self.arrays.push(array);
+                ArrayHandle(self.arrays.len() - 1)
+            }
         }
+    }
+
+    /// The handle of a named array.
+    pub fn handle(&self, name: &str) -> Result<ArrayHandle, DraError> {
+        self.arrays
+            .iter()
+            .position(|a| a.name == name)
+            .map(ArrayHandle)
+            .ok_or_else(|| DraError::NoSuchArray(name.to_string()))
     }
 
     /// True if the array exists.
     pub fn exists(&self, name: &str) -> bool {
-        read(&self.arrays).contains_key(name)
+        self.handle(name).is_ok()
     }
 
     /// Shape of the array.
@@ -308,28 +323,28 @@ impl DraRuntime {
         self.get(name).map(|a| a.dims.clone())
     }
 
-    fn get(&self, name: &str) -> Result<Arc<DraArray>, DraError> {
-        read(&self.arrays)
-            .get(name)
-            .cloned()
-            .ok_or_else(|| DraError::NoSuchArray(name.to_string()))
+    fn get(&self, name: &str) -> Result<&DraArray, DraError> {
+        self.handle(name).map(|h| &self.arrays[h.0])
+    }
+
+    fn array(&self, h: ArrayHandle) -> Result<&DraArray, DraError> {
+        self.arrays
+            .get(h.0)
+            .ok_or_else(|| DraError::NoSuchArray(format!("#{}", h.0)))
     }
 
     /// Fills a materialized array by flat element index, without charging
     /// I/O (synthetic input loading).
     pub fn fill(&self, name: &str, mut gen: impl FnMut(u64) -> f64) -> Result<(), DraError> {
-        let a = self.get(name)?;
-        let data = a
-            .data
-            .as_ref()
-            .ok_or_else(|| DraError::NotMaterialized(name.to_string()))?;
+        let data = Self::data(self.get(name)?)?;
         for k in 0..data.len() {
             data.set_flat(k, gen(k as u64));
         }
         Ok(())
     }
 
-    fn check_section(a: &DraArray, name: &str, sec: &Section) -> Result<(), DraError> {
+    fn check_section(a: &DraArray, sec: &Section) -> Result<(), DraError> {
+        let name = &a.name;
         if sec.lo.len() != a.dims.len() {
             return Err(DraError::BadSection(format!(
                 "rank {} section on rank-{} array `{name}`",
@@ -346,39 +361,43 @@ impl DraRuntime {
         Ok(())
     }
 
+    /// The buffer side of a data transfer must match the array side.
+    fn check_buffer(a: &DraArray, sec: &Section, buf_sec: &Section) -> Result<(), DraError> {
+        if buf_sec.same_extents(sec) {
+            return Ok(());
+        }
+        Err(DraError::BadSection(format!(
+            "buffer section {:?}..{:?} does not match section {:?}..{:?} of `{}`",
+            buf_sec.lo, buf_sec.hi, sec.lo, sec.hi, a.name
+        )))
+    }
+
+    fn data(a: &DraArray) -> Result<&GlobalArray, DraError> {
+        a.data
+            .as_ref()
+            .ok_or_else(|| DraError::NotMaterialized(a.name.clone()))
+    }
+
     /// Collective section read. Every rank charges its share on its local
-    /// disk; rank 0 copies the data into `dst` for materialized arrays.
+    /// disk; rank 0 copies the data into the buffer section of `dst` for
+    /// materialized arrays.
     pub fn read_section(
         &self,
         rank: usize,
-        name: &str,
+        array: ArrayHandle,
         sec: &Section,
         dst: Option<(&GlobalArray, &Section)>,
     ) -> Result<(), DraError> {
-        let a = self.get(name)?;
-        Self::check_section(&a, name, sec)?;
-        let len = sec.len();
-        let (start, end) = chunk(len, rank, self.nproc());
+        let a = self.array(array)?;
+        Self::check_section(a, sec)?;
+        let (start, end) = chunk(sec.len(), rank, self.nproc());
         if end > start {
-            self.local_op(rank, |disk| disk.read(name, 0, end - start, None))?;
+            self.local_op(rank, |disk| disk.charge_read(&a.name, end - start))?;
         }
-        if rank == 0 {
-            if let Some((buf, buf_sec)) = dst {
-                let data = a
-                    .data
-                    .as_ref()
-                    .ok_or_else(|| DraError::NotMaterialized(name.to_string()))?;
-                if buf_sec.len() != len {
-                    return Err(DraError::BadSection(format!(
-                        "destination section holds {} elements, source {}",
-                        buf_sec.len(),
-                        len
-                    )));
-                }
-                let mut tmp = vec![0.0; len as usize];
-                data.read_section(sec, &mut tmp);
-                buf.write_section(buf_sec, &tmp);
-            }
+        if let (0, Some((buf, buf_sec))) = (rank, dst) {
+            let data = Self::data(a)?;
+            Self::check_buffer(a, sec, buf_sec)?;
+            buf.copy_section(buf_sec, data, sec);
         }
         Ok(())
     }
@@ -387,41 +406,28 @@ impl DraRuntime {
     pub fn write_section(
         &self,
         rank: usize,
-        name: &str,
+        array: ArrayHandle,
         sec: &Section,
         src: SectionSrc<'_>,
     ) -> Result<(), DraError> {
-        let a = self.get(name)?;
-        Self::check_section(&a, name, sec)?;
-        let len = sec.len();
-        let (start, end) = chunk(len, rank, self.nproc());
+        let a = self.array(array)?;
+        Self::check_section(a, sec)?;
+        let (start, end) = chunk(sec.len(), rank, self.nproc());
         if end > start {
-            self.local_op(rank, |disk| disk.write(name, 0, WriteSrc::Dry(end - start)))?;
+            self.local_op(rank, |disk| disk.charge_write(&a.name, end - start))?;
         }
         if rank == 0 {
             match src {
                 SectionSrc::Dry => {}
                 SectionSrc::Zeros => {
-                    if let Some(data) = a.data.as_ref() {
-                        let zeros = vec![0.0; len as usize];
-                        data.write_section(sec, &zeros);
+                    if let Some(data) = &a.data {
+                        data.zero_section(sec);
                     }
                 }
                 SectionSrc::From(buf, buf_sec) => {
-                    let data = a
-                        .data
-                        .as_ref()
-                        .ok_or_else(|| DraError::NotMaterialized(name.to_string()))?;
-                    if buf_sec.len() != len {
-                        return Err(DraError::BadSection(format!(
-                            "source section holds {} elements, destination {}",
-                            buf_sec.len(),
-                            len
-                        )));
-                    }
-                    let mut tmp = vec![0.0; len as usize];
-                    buf.read_section(&buf_sec, &mut tmp);
-                    data.write_section(sec, &tmp);
+                    let data = Self::data(a)?;
+                    Self::check_buffer(a, sec, buf_sec)?;
+                    data.copy_section(sec, buf, buf_sec);
                 }
             }
         }
@@ -430,11 +436,7 @@ impl DraRuntime {
 
     /// Full contents of a materialized array (no I/O charged).
     pub fn snapshot(&self, name: &str) -> Result<Vec<f64>, DraError> {
-        let a = self.get(name)?;
-        a.data
-            .as_ref()
-            .map(GlobalArray::to_vec)
-            .ok_or_else(|| DraError::NotMaterialized(name.to_string()))
+        Self::data(self.get(name)?).map(GlobalArray::to_vec)
     }
 
     /// Accounting per disk, rank order.
@@ -479,35 +481,34 @@ mod tests {
 
     #[test]
     fn create_and_fill() {
-        let d = rt(1);
-        d.create("A", &[2, 3], true);
+        let mut d = rt(1);
+        let a = d.create("A", &[2, 3], true);
         d.fill("A", |k| k as f64).unwrap();
         assert_eq!(d.snapshot("A").unwrap(), vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(d.dims("A").unwrap(), vec![2, 3]);
         assert!(d.exists("A"));
         assert!(!d.exists("B"));
+        assert_eq!(d.handle("A"), Ok(a));
+        // replacing an array keeps its handle
+        assert_eq!(d.create("A", &[4], false), a);
+        assert_eq!(d.dims("A").unwrap(), vec![4]);
     }
 
     #[test]
     fn sequential_section_roundtrip() {
-        let d = rt(1);
-        d.create("A", &[4, 4], true);
+        let mut d = rt(1);
+        let a = d.create("A", &[4, 4], true);
         d.fill("A", |k| k as f64).unwrap();
         let buf = GlobalArray::zeros(&[2, 2]);
         let sec = Section::new(vec![1, 2], vec![3, 4]);
-        d.read_section(0, "A", &sec, Some((&buf, &Section::full(&[2, 2]))))
+        d.read_section(0, a, &sec, Some((&buf, &Section::full(&[2, 2]))))
             .unwrap();
         assert_eq!(buf.to_vec(), vec![6.0, 7.0, 10.0, 11.0]);
         // write back doubled values
         let buf2 = GlobalArray::zeros(&[2, 2]);
         buf2.write_section(&Section::full(&[2, 2]), &[60.0, 70.0, 100.0, 110.0]);
-        d.write_section(
-            0,
-            "A",
-            &sec,
-            SectionSrc::From(&buf2, Section::full(&[2, 2])),
-        )
-        .unwrap();
+        d.write_section(0, a, &sec, SectionSrc::From(&buf2, &Section::full(&[2, 2])))
+            .unwrap();
         let snap = d.snapshot("A").unwrap();
         assert_eq!(snap[6], 60.0);
         assert_eq!(snap[11], 110.0);
@@ -515,10 +516,10 @@ mod tests {
 
     #[test]
     fn collective_read_charges_every_disk() {
-        let d = rt(4);
-        d.create("A", &[8, 8], false);
+        let mut d = rt(4);
+        let a = d.create("A", &[8, 8], false);
         run_parallel(4, |ctx| {
-            d.read_section(ctx.rank, "A", &Section::full(&[8, 8]), None)
+            d.read_section(ctx.rank, a, &Section::full(&[8, 8]), None)
                 .unwrap();
         });
         let per = d.stats_per_disk();
@@ -538,25 +539,33 @@ mod tests {
 
     #[test]
     fn zero_write_clears_section() {
-        let d = rt(1);
-        d.create("A", &[4], true);
+        let mut d = rt(1);
+        let a = d.create("A", &[4], true);
         d.fill("A", |_| 1.0).unwrap();
-        d.write_section(0, "A", &Section::new(vec![1], vec![3]), SectionSrc::Zeros)
+        d.write_section(0, a, &Section::new(vec![1], vec![3]), SectionSrc::Zeros)
             .unwrap();
         assert_eq!(d.snapshot("A").unwrap(), vec![1.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn errors_are_reported() {
-        let d = rt(1);
+        let mut d = rt(1);
         assert!(matches!(
-            d.read_section(0, "X", &Section::full(&[1]), None)
+            d.handle("X").unwrap_err(),
+            DraError::NoSuchArray(_)
+        ));
+        let a = d.create("A", &[2, 2], false);
+        // a handle past this runtime's arrays is refused, not misread
+        let mut other = rt(1);
+        other.create("Y", &[1], false);
+        let stale = other.create("Z", &[1], false);
+        assert!(matches!(
+            d.read_section(0, stale, &Section::full(&[1]), None)
                 .unwrap_err(),
             DraError::NoSuchArray(_)
         ));
-        d.create("A", &[2, 2], false);
         assert!(matches!(
-            d.read_section(0, "A", &Section::full(&[4]), None)
+            d.read_section(0, a, &Section::full(&[4]), None)
                 .unwrap_err(),
             DraError::BadSection(_)
         ));
@@ -568,7 +577,7 @@ mod tests {
         assert!(matches!(
             d.read_section(
                 0,
-                "A",
+                a,
                 &Section::full(&[2, 2]),
                 Some((&buf, &Section::full(&[2, 2])))
             )
@@ -576,10 +585,21 @@ mod tests {
             DraError::NotMaterialized(_)
         ));
         // oversized section
-        d.create("B", &[2, 2], true);
+        let b = d.create("B", &[2, 2], true);
         assert!(matches!(
-            d.read_section(0, "B", &Section::new(vec![0, 0], vec![3, 2]), None)
+            d.read_section(0, b, &Section::new(vec![0, 0], vec![3, 2]), None)
                 .unwrap_err(),
+            DraError::BadSection(_)
+        ));
+        // a buffer section of another shape
+        assert!(matches!(
+            d.read_section(
+                0,
+                b,
+                &Section::full(&[2, 2]),
+                Some((&buf, &Section::new(vec![0, 0], vec![1, 2])))
+            )
+            .unwrap_err(),
             DraError::BadSection(_)
         ));
     }
@@ -589,15 +609,15 @@ mod tests {
         use tce_disksim::FaultPlan;
         let mut d = rt(1);
         d.set_retry(RetryPolicy::with_attempts(4));
-        d.create("A", &[8], true);
+        let a = d.create("A", &[8], true);
         d.fill("A", |k| k as f64).unwrap();
         // 2 consecutive transient failures after 1 good op
         d.apply_fault_plan(&FaultPlan::transient_after(0, 1, 2));
-        d.read_section(0, "A", &Section::full(&[8]), None).unwrap();
+        d.read_section(0, a, &Section::full(&[8]), None).unwrap();
         let buf = GlobalArray::zeros(&[8]);
         d.read_section(
             0,
-            "A",
+            a,
             &Section::full(&[8]),
             Some((&buf, &Section::full(&[8]))),
         )
@@ -619,11 +639,11 @@ mod tests {
             max_attempts: 3,
             ..RetryPolicy::default()
         });
-        d.create("A", &[8], false);
+        let a = d.create("A", &[8], false);
         // 10 consecutive transient failures swamp the 3-attempt budget
         d.apply_fault_plan(&FaultPlan::transient_after(0, 0, 10));
         let err = d
-            .read_section(0, "A", &Section::full(&[8]), None)
+            .read_section(0, a, &Section::full(&[8]), None)
             .unwrap_err();
         assert!(
             matches!(err, DraError::RetriesExhausted { attempts: 3, .. }),
@@ -639,10 +659,10 @@ mod tests {
         use tce_disksim::FaultPlan;
         let mut d = rt(1);
         d.set_retry(RetryPolicy::with_attempts(5));
-        d.create("A", &[8], false);
+        let a = d.create("A", &[8], false);
         d.apply_fault_plan(&FaultPlan::permanent_after(0, 0));
         let err = d
-            .read_section(0, "A", &Section::full(&[8]), None)
+            .read_section(0, a, &Section::full(&[8]), None)
             .unwrap_err();
         assert!(err.is_permanent_fault(), "{err}");
         // no attempts were wasted on a dead disk
@@ -658,7 +678,7 @@ mod tests {
                 seed,
                 ..RetryPolicy::default()
             });
-            d.create("A", &[64], false);
+            let a = d.create("A", &[64], false);
             d.apply_fault_plan(&FaultPlan::none().with_seed(99).with_disk(
                 1,
                 DiskFaults {
@@ -668,7 +688,7 @@ mod tests {
             ));
             run_parallel(2, |ctx| {
                 for _ in 0..20 {
-                    let _ = d.read_section(ctx.rank, "A", &Section::full(&[64]), None);
+                    let _ = d.read_section(ctx.rank, a, &Section::full(&[64]), None);
                 }
             });
             d.total_stats().backoff_time_s
@@ -681,10 +701,10 @@ mod tests {
 
     #[test]
     fn dry_transfers_charge_without_data() {
-        let d = rt(2);
-        d.create("A", &[10], false);
+        let mut d = rt(2);
+        let a = d.create("A", &[10], false);
         run_parallel(2, |ctx| {
-            d.write_section(ctx.rank, "A", &Section::full(&[10]), SectionSrc::Dry)
+            d.write_section(ctx.rank, a, &Section::full(&[10]), SectionSrc::Dry)
                 .unwrap();
         });
         assert_eq!(d.total_stats().write_bytes, 80);

@@ -1,10 +1,12 @@
-//! Shared global arrays with lock-free accumulation.
+//! Shared global arrays.
 //!
 //! Stands in for GA's distributed shared memory: every simulated process
-//! sees the same dense array and may accumulate into it concurrently.
-//! Values are stored as `f64` bit patterns in `AtomicU64`s; `add` uses a
-//! compare-exchange loop, so concurrent accumulation from ranks working on
-//! overlapping regions stays correct without locks.
+//! sees the same dense array. Values are stored as `f64` bit patterns in
+//! `AtomicU64`s and accessed with relaxed loads and stores, which compile
+//! to plain memory operations. Ranks never write the same element
+//! concurrently: the executor gives each element of a kernel's
+//! destination exactly one owner rank and separates phases with barriers,
+//! so no read-modify-write needs to be atomic.
 
 use crate::section::{section_runs, strides, Section};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,9 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// use tce_ga::GlobalArray;
 ///
 /// let a = GlobalArray::zeros(&[2, 3]);
-/// a.add(&[1, 2], 1.5);
-/// a.add(&[1, 2], 0.5);
-/// assert_eq!(a.get(&[1, 2]), 2.0);
+/// a.set(&[1, 2], 1.5);
+/// assert_eq!(a.get(&[1, 2]), 1.5);
+/// assert_eq!(a.get_flat(5), 1.5);
 /// ```
 pub struct GlobalArray {
     dims: Vec<u64>,
@@ -78,13 +80,6 @@ impl GlobalArray {
         self.data[off].store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Atomically accumulates into an element by flat offset.
-    #[inline]
-    pub fn add_flat(&self, off: usize, v: f64) {
-        let add = |cur: u64| Some((f64::from_bits(cur) + v).to_bits());
-        let _ = self.data[off].fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
-    }
-
     /// Reads an element by multi-index.
     pub fn get(&self, idx: &[u64]) -> f64 {
         self.get_flat(self.offset(idx))
@@ -93,11 +88,6 @@ impl GlobalArray {
     /// Writes an element by multi-index.
     pub fn set(&self, idx: &[u64], v: f64) {
         self.set_flat(self.offset(idx), v)
-    }
-
-    /// Atomically accumulates into an element by multi-index.
-    pub fn add(&self, idx: &[u64], v: f64) {
-        self.add_flat(self.offset(idx), v)
     }
 
     /// Zeroes a flat range (used by cooperative per-rank zeroing).
@@ -138,16 +128,83 @@ impl GlobalArray {
         }
     }
 
+    /// Copies section `src_sec` of `src` into section `sec` of this array,
+    /// row by row with no intermediate buffer. Both sections must have the
+    /// same per-dimension extents.
+    pub fn copy_section(&self, sec: &Section, src: &GlobalArray, src_sec: &Section) {
+        zip_rows(
+            &self.strides,
+            sec,
+            &src.strides,
+            src_sec,
+            |dst, from, len| {
+                for k in 0..len {
+                    self.set_flat(dst + k, src.get_flat(from + k));
+                }
+            },
+        );
+    }
+
+    /// Zeroes a section of this array.
+    pub fn zero_section(&self, sec: &Section) {
+        zip_rows(&self.strides, sec, &self.strides, sec, |off, _, len| {
+            self.zero_range(off, off + len)
+        });
+    }
+
     /// Snapshot of the whole array as a plain vector.
     pub fn to_vec(&self) -> Vec<f64> {
         (0..self.data.len()).map(|k| self.get_flat(k)).collect()
     }
 }
 
+/// Walks two sections of equal extents, over row-major arrays with
+/// strides `sa` and `sb`, in lockstep: calls `f(a_offset, b_offset, len)`
+/// once per innermost-dimension row, in row-major order.
+fn zip_rows(
+    sa: &[u64],
+    a: &Section,
+    sb: &[u64],
+    b: &Section,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    assert_eq!(a.lo.len(), sa.len(), "section rank mismatch");
+    assert_eq!(b.lo.len(), sb.len(), "section rank mismatch");
+    assert!(a.same_extents(b), "section extents differ");
+    if a.is_empty() {
+        return;
+    }
+    let Some(last) = a.lo.len().checked_sub(1) else {
+        return f(0, 0, 1);
+    };
+    let len = (a.hi[last] - a.lo[last]) as usize;
+    let corner = |st: &[u64], s: &Section| -> u64 { s.lo.iter().zip(st).map(|(l, t)| l * t).sum() };
+    let (mut oa, mut ob) = (corner(sa, a), corner(sb, b));
+    let mut ctr = vec![0u64; last];
+    loop {
+        f(oa as usize, ob as usize, len);
+        let mut k = last;
+        loop {
+            if k == 0 {
+                return;
+            }
+            k -= 1;
+            ctr[k] += 1;
+            oa += sa[k];
+            ob += sb[k];
+            if ctr[k] < a.hi[k] - a.lo[k] {
+                break;
+            }
+            oa -= ctr[k] * sa[k];
+            ob -= ctr[k] * sb[k];
+            ctr[k] = 0;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn indexing_row_major() {
@@ -162,30 +219,32 @@ mod tests {
     fn scalars_hold_one_element() {
         let a = GlobalArray::zeros(&[]);
         assert_eq!(a.len(), 1);
-        a.add(&[], 2.5);
-        a.add(&[], 0.5);
-        assert_eq!(a.get(&[]), 3.0);
+        a.set(&[], 2.5);
+        assert_eq!(a.get(&[]), 2.5);
+        let b = GlobalArray::zeros(&[]);
+        b.copy_section(&Section::full(&[]), &a, &Section::full(&[]));
+        assert_eq!(b.get(&[]), 2.5);
     }
 
     #[test]
-    fn atomic_accumulation_from_threads() {
-        let a = Arc::new(GlobalArray::zeros(&[4]));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let a = Arc::clone(&a);
-                std::thread::spawn(move || {
-                    for k in 0..1000u64 {
-                        a.add(&[k % 4], 1.0);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+    fn section_copy_between_shapes() {
+        let src = GlobalArray::zeros(&[3, 4, 5]);
+        for k in 0..src.len() {
+            src.set_flat(k, k as f64);
         }
-        for k in 0..4 {
-            assert_eq!(a.get(&[k]), 2000.0);
-        }
+        let sec = Section::new(vec![1, 1, 2], vec![3, 3, 5]);
+        let dst = GlobalArray::zeros(&[2, 2, 4]);
+        let dst_sec = Section::new(vec![0, 0, 1], vec![2, 2, 4]);
+        dst.copy_section(&dst_sec, &src, &sec);
+        let mut want = vec![0.0; sec.len() as usize];
+        src.read_section(&sec, &mut want);
+        let mut got = vec![0.0; sec.len() as usize];
+        dst.read_section(&dst_sec, &mut got);
+        assert_eq!(got, want);
+        // elements outside the destination section are untouched
+        assert_eq!(dst.get(&[0, 0, 0]), 0.0);
+        dst.zero_section(&dst_sec);
+        assert_eq!(dst.to_vec(), vec![0.0; dst.len()]);
     }
 
     #[test]

@@ -1,27 +1,43 @@
 //! Simulated process groups: scoped worker threads + abortable barriers.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 use tce_disksim::lock::{lock, wait_timeout};
 
-/// How long a barrier waiter sleeps between checks of its release
+/// How long a parked barrier waiter sleeps between checks of its release
 /// condition when no notify arrives (a release or abort notifies at once).
 const BARRIER_POLL: Duration = Duration::from_millis(50);
 
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    aborted: bool,
-}
+/// Busy-wait rounds a barrier waiter spends before it starts yielding.
+const SPIN_ROUNDS: u32 = 64;
+
+/// `yield_now` rounds a barrier waiter spends before it parks. Yielding
+/// (not spinning) is what keeps a group fast when its ranks share one
+/// core: the waiter hands the core to the rank it waits for.
+const YIELD_ROUNDS: u32 = 64;
 
 /// A reusable barrier that any participant can *abort*: when a rank fails
 /// (e.g. an injected disk error) it calls [`AbortableBarrier::abort`] and
 /// every current and future waiter returns `false` instead of blocking
 /// forever — the failure-propagation primitive the parallel executor
 /// needs to unwind cleanly.
+///
+/// Arrivals are counted lock-free and waiters first watch the round
+/// counter lock-free (a short spin, then `yield_now`); only then do they
+/// park on the condvar, and a release takes the lock only when someone
+/// parked. A barrier whose ranks arrive close together thus costs no
+/// lock, sleep or wake-up system call.
 pub struct AbortableBarrier {
     n: usize,
-    state: Mutex<BarrierState>,
+    /// Ranks arrived in the current round.
+    arrived: AtomicUsize,
+    /// Completed rounds.
+    generation: AtomicU64,
+    aborted: AtomicBool,
+    /// Waiters parked (or about to park) on `cv`; changed under `lock`.
+    parked: AtomicUsize,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
@@ -30,47 +46,71 @@ impl AbortableBarrier {
     pub fn new(n: usize) -> Self {
         AbortableBarrier {
             n,
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                aborted: false,
-            }),
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            aborted: AtomicBool::new(false),
+            parked: AtomicUsize::new(0),
+            lock: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
 
     /// Waits for all participants. Returns `true` on a normal release,
-    /// `false` if the barrier was aborted (now or earlier).
+    /// `false` if the barrier was aborted (now or earlier) before this
+    /// round completed.
     pub fn wait(&self) -> bool {
-        let mut st = lock(&self.state);
-        if st.aborted {
+        if self.is_aborted() {
             return false;
         }
-        st.arrived += 1;
-        if st.arrived == self.n {
-            st.arrived = 0;
-            st.generation += 1;
-            self.cv.notify_all();
+        // the round cannot complete before this rank arrives, so `gen` is
+        // the current round
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.fetch_add(1, Ordering::SeqCst);
+            if self.parked.load(Ordering::SeqCst) > 0 {
+                let _guard = lock(&self.lock);
+                self.cv.notify_all();
+            }
             return true;
         }
-        let gen = st.generation;
-        while st.generation == gen && !st.aborted {
-            st = wait_timeout(&self.cv, st, BARRIER_POLL);
+        let released = || self.generation.load(Ordering::SeqCst) != gen;
+        for round in 0..SPIN_ROUNDS + YIELD_ROUNDS {
+            if released() {
+                return true;
+            }
+            if self.is_aborted() {
+                // a release that raced the abort still completed the round
+                return released();
+            }
+            if round < SPIN_ROUNDS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
-        !st.aborted
+        let mut guard = lock(&self.lock);
+        // announce the park before the last check; the releaser bumps the
+        // round before it reads `parked`, so one of the two sees the other
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while !released() && !self.is_aborted() {
+            guard = wait_timeout(&self.cv, guard, BARRIER_POLL);
+        }
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        released()
     }
 
     /// Aborts the barrier: wakes every waiter with `false` and makes all
     /// future waits return `false` immediately.
     pub fn abort(&self) {
-        let mut st = lock(&self.state);
-        st.aborted = true;
+        self.aborted.store(true, Ordering::SeqCst);
+        let _guard = lock(&self.lock);
         self.cv.notify_all();
     }
 
     /// True if the barrier has been aborted.
     pub fn is_aborted(&self) -> bool {
-        lock(&self.state).aborted
+        self.aborted.load(Ordering::SeqCst)
     }
 }
 
@@ -129,9 +169,9 @@ pub fn chunk(n: u64, rank: usize, nproc: usize) -> (u64, u64) {
     (start, start + len)
 }
 
-/// Runs `f` on `nproc` simulated processes (scoped threads) and
-/// returns the per-rank results in rank order. Panics in any rank
-/// propagate.
+/// Runs `f` on `nproc` simulated processes (scoped threads; a single
+/// process runs on the calling thread) and returns the per-rank results
+/// in rank order. Panics in any rank propagate.
 pub fn run_parallel<T, F>(nproc: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -139,6 +179,13 @@ where
 {
     assert!(nproc >= 1, "need at least one process");
     let barrier = AbortableBarrier::new(nproc);
+    if nproc == 1 {
+        return vec![f(&ProcCtx {
+            rank: 0,
+            nproc,
+            barrier: &barrier,
+        })];
+    }
     let mut results: Vec<Option<T>> = (0..nproc).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -246,6 +293,47 @@ mod tests {
                 assert!(ctx.barrier_or_abort());
             }
         });
+    }
+
+    #[test]
+    fn barrier_stress_keeps_rounds_in_lockstep() {
+        const ROUNDS: u64 = 10_000;
+        let counter = AtomicU64::new(0);
+        run_parallel(3, |ctx| {
+            for round in 0..ROUNDS {
+                counter.fetch_add(1, Ordering::SeqCst);
+                assert!(ctx.barrier_or_abort());
+                // every rank's increment of this round is visible, and no
+                // rank has started the next one
+                assert_eq!(counter.load(Ordering::SeqCst), 3 * (round + 1));
+                assert!(ctx.barrier_or_abort());
+            }
+        });
+        assert_eq!(counter.into_inner(), 3 * ROUNDS);
+    }
+
+    #[test]
+    fn abort_while_peers_spin_fails_every_rank() {
+        // the delay sweeps the abort across the waiters' spin, yield and
+        // park phases
+        for delay in 0..200u32 {
+            let released = run_parallel(3, |ctx| {
+                for _ in 0..10 {
+                    assert!(ctx.barrier_or_abort());
+                }
+                if ctx.rank == 2 {
+                    for _ in 0..delay * 16 {
+                        std::hint::spin_loop();
+                    }
+                    if delay % 50 == 49 {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    ctx.abort();
+                }
+                ctx.barrier_or_abort()
+            });
+            assert_eq!(released, vec![false; 3], "delay {delay}");
+        }
     }
 
     #[test]

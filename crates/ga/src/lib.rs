@@ -6,13 +6,15 @@
 //! to secondary storage, with collective `read/write section` operations.
 //! This crate provides the same abstractions over simulated hardware:
 //!
-//! * [`GlobalArray`] — a dense multi-dimensional `f64` array with
-//!   lock-free atomic accumulation, shared by all simulated processes
-//!   (standing in for GA's distributed shared memory; the aggregate-memory
-//!   accounting lives in the executor).
+//! * [`GlobalArray`] — a dense multi-dimensional `f64` array shared by
+//!   all simulated processes (standing in for GA's distributed shared
+//!   memory; the aggregate-memory accounting lives in the executor).
+//!   Plain relaxed loads and stores: the executor gives every element one
+//!   writer per phase, so nothing needs an atomic read-modify-write.
 //! * [`DraRuntime`] — named disk-resident arrays striped uniformly across
-//!   one [`tce_disksim::SimDisk`] per process; `read_section` /
-//!   `write_section` are collective: every rank moves `1/P` of the bytes
+//!   one [`tce_disksim::SimDisk`] per process, resolved once into an
+//!   [`ArrayHandle`]; `read_section` / `write_section` take the handle
+//!   and are collective: every rank moves `1/P` of the bytes
 //!   through its local disk, which is exactly why Table 4's I/O time
 //!   scales superlinearly when doubling the processor count doubles both
 //!   the disks and the aggregate memory.
@@ -26,7 +28,7 @@ pub mod global;
 pub mod group;
 pub mod section;
 
-pub use dra::{DraError, DraRuntime, RetryPolicy, SectionSrc};
+pub use dra::{ArrayHandle, DraError, DraRuntime, RetryPolicy, SectionSrc};
 pub use global::GlobalArray;
 pub use group::{chunk, run_parallel, ProcCtx};
 pub use section::{section_len, section_runs, strides, Section};

@@ -36,7 +36,13 @@ impl Section {
 
     /// Number of elements in the section.
     pub fn len(&self) -> u64 {
-        self.extents().iter().product()
+        self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).product()
+    }
+
+    /// True if both sections have the same rank and per-dimension extents.
+    pub fn same_extents(&self, other: &Section) -> bool {
+        self.lo.len() == other.lo.len()
+            && (0..self.lo.len()).all(|k| self.hi[k] - self.lo[k] == other.hi[k] - other.lo[k])
     }
 
     /// True if the section is empty.

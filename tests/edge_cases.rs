@@ -105,31 +105,3 @@ proptest! {
         }
     }
 }
-
-/// Cache-level kernel blocking only reorders the accumulation; results
-/// match the unblocked run to floating-point tolerance for every block
-/// size, including sizes larger than the tiles.
-#[test]
-fn cache_blocked_kernels_match_unblocked() {
-    use tce_ooc::ir::fixtures::two_index_fused;
-    let p = two_index_fused(48, 40);
-    let r = synthesize_dcs(&p, &SynthesisConfig::test_scale(32 * 1024)).expect("synthesis");
-    let plain = execute(&r.plan, &ExecOptions::full_test()).expect("plain");
-    for cb in [1u64, 3, 8, 64, 1024] {
-        let mut opts = ExecOptions::full_test();
-        opts.cache_block = Some(cb);
-        let blocked = execute(&r.plan, &opts).expect("blocked");
-        assert_eq!(plain.flops, blocked.flops, "cb={cb}");
-        assert_eq!(plain.total, blocked.total, "cb={cb}: I/O must not change");
-        for (k, (a, b)) in plain.outputs["B"]
-            .iter()
-            .zip(&blocked.outputs["B"])
-            .enumerate()
-        {
-            assert!(
-                (a - b).abs() < 1e-9 * (1.0 + a.abs()),
-                "cb={cb}, B[{k}]: {a} vs {b}"
-            );
-        }
-    }
-}

@@ -85,21 +85,11 @@ fn assert_outputs_correct(plan: &ConcretePlan, clean: &ExecReport, rep: &ExecRep
         let want = &clean.outputs[name];
         assert_eq!(got.len(), want.len(), "seed {seed}: `{name}` length");
         for (k, (g, w)) in got.iter().zip(want).enumerate() {
-            // cross-rank atomic accumulation is order-sensitive, so
-            // parallel runs get a numeric tolerance; sequential runs
-            // must be bit-identical
-            if rep.per_rank.len() == 1 {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "seed {seed}: `{name}`[{k}] diverged bitwise"
-                );
-            } else {
-                assert!(
-                    (g - w).abs() < 1e-9 * (1.0 + w.abs()),
-                    "seed {seed}: `{name}`[{k}]: got {g}, want {w}"
-                );
-            }
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "seed {seed}: `{name}`[{k}] diverged bitwise"
+            );
         }
     }
     let _ = plan;
