@@ -5,13 +5,16 @@
 //! reads and 1 MB for writes so that seek time is negligible against
 //! transfer time (their tech report \[37\]). We reproduce that environment
 //! with a [`DiskProfile`] — seek latency, sustained read/write bandwidth,
-//! minimum block sizes — and a [`SimDisk`] that executes reads/writes
-//! against it, charging simulated seconds and tracking exact byte/op
-//! counts.
+//! minimum block sizes — and a [`SimDisk`] that charges each transfer
+//! against it, in simulated seconds and exact byte/op counts, under a
+//! seeded fault schedule.
 //!
-//! A `SimDisk` can *materialize* files (hold real `f64` data, used by the
-//! full executor at test scale) or keep them *dry* (length-only, used by
-//! the paper-size dry runs where a single tensor is gigabytes).
+//! A `SimDisk` is an accounting-and-fault device: it stores no data. The
+//! callers own the contents — `tce-ga`'s disk-resident arrays hold theirs
+//! in global arrays (none at all in paper-size dry runs, where a single
+//! tensor is gigabytes), `tce-trans` works on caller-owned matrices — and
+//! book every transfer through [`SimDisk::charge_read`] /
+//! [`SimDisk::charge_write`].
 
 #![warn(missing_docs)]
 
@@ -22,4 +25,4 @@ pub mod sim;
 
 pub use fault::{DiskFaultKind, DiskFaults, FaultKind, FaultPlan, Injected, Injector, Schedule};
 pub use profile::{DiskProfile, IoStats};
-pub use sim::{DiskError, SimDisk, WriteSrc};
+pub use sim::{DiskError, SimDisk};

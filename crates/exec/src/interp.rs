@@ -245,6 +245,8 @@ struct Interp<'a> {
     plan: &'a ConcretePlan,
     low: &'a Lowered,
     dra: &'a DraRuntime,
+    /// The DRA handle of each entry of `plan.disk_arrays`, in order.
+    handles: &'a [ArrayHandle],
     buffers: &'a [GlobalArray],
     full: bool,
     /// The ranks whose disks this walker charges, and the first failure
@@ -362,9 +364,9 @@ impl Interp<'_> {
         self.sync()?;
         if self.ctx.rank == 0 {
             let mut disk = Vec::with_capacity(self.plan.disk_arrays.len());
-            for &aid in &self.plan.disk_arrays {
+            for (&aid, &h) in self.plan.disk_arrays.iter().zip(self.handles) {
                 let name = self.plan.program.array(aid).name();
-                match self.dra.snapshot(name) {
+                match self.dra.snapshot(h) {
                     Ok(data) => disk.push((name.to_string(), data)),
                     Err(e) => return self.fail(e),
                 }
@@ -738,6 +740,11 @@ pub fn execute_resilient(plan: &ConcretePlan, opts: &ExecOptions) -> ExecOutcome
             "checkpoint/resume requires full mode".to_string(),
         ));
     }
+    if opts.nproc == 0 {
+        return fail(ExecError::BadOptions(
+            "nproc must be at least 1".to_string(),
+        ));
+    }
 
     let mut dra = DraRuntime::new(opts.nproc, opts.profile.clone());
     if let Some(policy) = &opts.retry {
@@ -798,16 +805,17 @@ pub fn execute_resilient(plan: &ConcretePlan, opts: &ExecOptions) -> ExecOutcome
     let flops;
     let start = if let Some(ck) = &opts.resume_from {
         for (name, data) in &ck.disk {
-            let len_ok = dra
-                .dims(name)
-                .map(|d| d.iter().fold(1u64, |a, &x| a.saturating_mul(x)).max(1) as usize)
-                .map(|n| n == data.len());
-            if len_ok != Ok(true) {
+            let h = dra.handle(name).ok().filter(|&h| {
+                dra.dims(h).is_ok_and(|d| {
+                    d.iter().fold(1u64, |a, &x| a.saturating_mul(x)).max(1) as usize == data.len()
+                })
+            });
+            let Some(h) = h else {
                 return fail(ExecError::BadOptions(format!(
                     "checkpoint contents for `{name}` do not match the plan's array shape"
                 )));
-            }
-            if let Err(e) = dra.fill(name, |k| data[k as usize]) {
+            };
+            if let Err(e) = dra.fill(h, |k| data[k as usize]) {
                 return fail(e.into());
             }
         }
@@ -831,12 +839,11 @@ pub fn execute_resilient(plan: &ConcretePlan, opts: &ExecOptions) -> ExecOutcome
         flops = AtomicU64::new(ck.flops);
         ck.site
     } else {
-        for &aid in &plan.disk_arrays {
+        for (&aid, &h) in plan.disk_arrays.iter().zip(&handles) {
             let decl = plan.program.array(aid);
             if materialize && decl.kind() == ArrayKind::Input {
                 let gen = opts.input_gen;
-                let name = decl.name().to_string();
-                if let Err(e) = dra.fill(decl.name(), |k| gen(&name, k)) {
+                if let Err(e) = dra.fill(h, |k| gen(decl.name(), k)) {
                     return fail(e.into());
                 }
             }
@@ -863,6 +870,7 @@ pub fn execute_resilient(plan: &ConcretePlan, opts: &ExecOptions) -> ExecOutcome
             plan,
             low: &low,
             dra: &dra,
+            handles: &handles,
             buffers: &buffers,
             full: materialize,
             failed: vec![None; ranks.len()],
@@ -934,10 +942,10 @@ pub fn execute_resilient(plan: &ConcretePlan, opts: &ExecOptions) -> ExecOutcome
 
     let mut outputs = HashMap::new();
     if materialize {
-        for &aid in &plan.disk_arrays {
+        for (&aid, &h) in plan.disk_arrays.iter().zip(&handles) {
             let decl = plan.program.array(aid);
             if decl.kind() == ArrayKind::Output {
-                match dra.snapshot(decl.name()) {
+                match dra.snapshot(h) {
                     Ok(data) => {
                         outputs.insert(decl.name().to_string(), data);
                     }
@@ -1496,6 +1504,23 @@ mod tests {
         dry.checkpoint = true;
         let err = execute(&plan, &dry).expect_err("must reject");
         assert!(matches!(err, ExecError::BadOptions(_)), "{err}");
+    }
+
+    #[test]
+    fn zero_processes_are_bad_options() {
+        let tiles = TileAssignment::new()
+            .with("i", 4)
+            .with("j", 4)
+            .with("m", 3)
+            .with("n", 3);
+        let plan = build_plan(8, 6, &tiles, false);
+        for opts in [ExecOptions::full_test(), ExecOptions::dry_run()] {
+            let ExecOutcome::Failed { error, .. } = execute_resilient(&plan, &opts.with_nproc(0))
+            else {
+                panic!("a run on no processes must fail");
+            };
+            assert!(matches!(error, ExecError::BadOptions(_)), "{error}");
+        }
     }
 
     #[test]

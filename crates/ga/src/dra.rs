@@ -2,16 +2,19 @@
 //! disks, striped uniformly across one local disk per process.
 //!
 //! [`DraRuntime::create`] and [`DraRuntime::handle`] resolve an array
-//! name once into an [`ArrayHandle`]; the section transfers take the
-//! handle, so a transfer does no name lookup, locking or reference
-//! counting beyond its own disk's accounting.
+//! name once into an [`ArrayHandle`]; the section transfers and the
+//! `fill` / `snapshot` / `dims` calls take the handle, so a transfer does
+//! no name lookup, locking or reference counting beyond its own disk's
+//! accounting.
 //!
-//! `read_section` / `write_section` are *collective*: every rank calls
-//! them with the same arguments; each rank moves its `1/P` share of the
-//! bytes through its own local disk (charged on that disk's accounting),
-//! and rank 0 performs the actual data copy for materialized arrays.
-//! Callers must separate collective I/O from computation with barriers —
-//! the executor in `tce-exec` does.
+//! The runtime keeps each materialized array's contents in a
+//! [`GlobalArray`] of its own; the local [`SimDisk`]s store no data and
+//! only charge the transfers. `read_section` / `write_section` are
+//! *collective*: every rank calls them with the same arguments; each rank
+//! charges its `1/P` share of the elements to its own local disk
+//! (`charge_read` / `charge_write`), and rank 0 performs the actual data
+//! copy for materialized arrays. Callers must separate collective I/O
+//! from computation with barriers — the executor in `tce-exec` does.
 //!
 //! # Fault tolerance
 //!
@@ -212,11 +215,6 @@ impl DraRuntime {
         self.retry = Some(policy);
     }
 
-    /// The installed retry policy, if any.
-    pub fn retry_policy(&self) -> Option<&RetryPolicy> {
-        self.retry.as_ref()
-    }
-
     /// Installs the fault schedules of `plan` on the local disks.
     /// Entries beyond the runtime's rank count are ignored.
     pub fn apply_fault_plan(&self, plan: &FaultPlan) {
@@ -278,11 +276,6 @@ impl DraRuntime {
         self.disks.len()
     }
 
-    /// The local disk of `rank` (for direct accounting inspection).
-    pub fn disk(&self, rank: usize) -> &SimDisk {
-        &self.disks[rank]
-    }
-
     /// Creates (or replaces) a disk-resident array and returns its handle
     /// (a replaced array keeps its handle). Only materialized arrays hold
     /// data; the local disks keep accounting, not files.
@@ -313,18 +306,9 @@ impl DraRuntime {
             .ok_or_else(|| DraError::NoSuchArray(name.to_string()))
     }
 
-    /// True if the array exists.
-    pub fn exists(&self, name: &str) -> bool {
-        self.handle(name).is_ok()
-    }
-
     /// Shape of the array.
-    pub fn dims(&self, name: &str) -> Result<Vec<u64>, DraError> {
-        self.get(name).map(|a| a.dims.clone())
-    }
-
-    fn get(&self, name: &str) -> Result<&DraArray, DraError> {
-        self.handle(name).map(|h| &self.arrays[h.0])
+    pub fn dims(&self, h: ArrayHandle) -> Result<&[u64], DraError> {
+        self.array(h).map(|a| a.dims.as_slice())
     }
 
     fn array(&self, h: ArrayHandle) -> Result<&DraArray, DraError> {
@@ -335,8 +319,8 @@ impl DraRuntime {
 
     /// Fills a materialized array by flat element index, without charging
     /// I/O (synthetic input loading).
-    pub fn fill(&self, name: &str, mut gen: impl FnMut(u64) -> f64) -> Result<(), DraError> {
-        let data = Self::data(self.get(name)?)?;
+    pub fn fill(&self, h: ArrayHandle, mut gen: impl FnMut(u64) -> f64) -> Result<(), DraError> {
+        let data = Self::data(self.array(h)?)?;
         for k in 0..data.len() {
             data.set_flat(k, gen(k as u64));
         }
@@ -435,8 +419,8 @@ impl DraRuntime {
     }
 
     /// Full contents of a materialized array (no I/O charged).
-    pub fn snapshot(&self, name: &str) -> Result<Vec<f64>, DraError> {
-        Self::data(self.get(name)?).map(GlobalArray::to_vec)
+    pub fn snapshot(&self, h: ArrayHandle) -> Result<Vec<f64>, DraError> {
+        Self::data(self.array(h)?).map(GlobalArray::to_vec)
     }
 
     /// Accounting per disk, rank order.
@@ -461,13 +445,6 @@ impl DraRuntime {
             .map(|d| d.stats().total_time_s())
             .fold(0.0, f64::max)
     }
-
-    /// Clears accounting on every disk.
-    pub fn reset_stats(&self) {
-        for d in &self.disks {
-            d.reset_stats();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -483,22 +460,21 @@ mod tests {
     fn create_and_fill() {
         let mut d = rt(1);
         let a = d.create("A", &[2, 3], true);
-        d.fill("A", |k| k as f64).unwrap();
-        assert_eq!(d.snapshot("A").unwrap(), vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(d.dims("A").unwrap(), vec![2, 3]);
-        assert!(d.exists("A"));
-        assert!(!d.exists("B"));
+        d.fill(a, |k| k as f64).unwrap();
+        assert_eq!(d.snapshot(a).unwrap(), vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(d.dims(a).unwrap(), [2, 3]);
         assert_eq!(d.handle("A"), Ok(a));
+        assert!(d.handle("B").is_err());
         // replacing an array keeps its handle
         assert_eq!(d.create("A", &[4], false), a);
-        assert_eq!(d.dims("A").unwrap(), vec![4]);
+        assert_eq!(d.dims(a).unwrap(), [4]);
     }
 
     #[test]
     fn sequential_section_roundtrip() {
         let mut d = rt(1);
         let a = d.create("A", &[4, 4], true);
-        d.fill("A", |k| k as f64).unwrap();
+        d.fill(a, |k| k as f64).unwrap();
         let buf = GlobalArray::zeros(&[2, 2]);
         let sec = Section::new(vec![1, 2], vec![3, 4]);
         d.read_section(0, a, &sec, Some((&buf, &Section::full(&[2, 2]))))
@@ -506,10 +482,12 @@ mod tests {
         assert_eq!(buf.to_vec(), vec![6.0, 7.0, 10.0, 11.0]);
         // write back doubled values
         let buf2 = GlobalArray::zeros(&[2, 2]);
-        buf2.write_section(&Section::full(&[2, 2]), &[60.0, 70.0, 100.0, 110.0]);
+        for (k, v) in [60.0, 70.0, 100.0, 110.0].into_iter().enumerate() {
+            buf2.set_flat(k, v);
+        }
         d.write_section(0, a, &sec, SectionSrc::From(&buf2, &Section::full(&[2, 2])))
             .unwrap();
-        let snap = d.snapshot("A").unwrap();
+        let snap = d.snapshot(a).unwrap();
         assert_eq!(snap[6], 60.0);
         assert_eq!(snap[11], 110.0);
     }
@@ -533,18 +511,16 @@ mod tests {
         assert!(d.elapsed_io_time_s() > 0.0);
         // elapsed = max over disks, not sum
         assert!(d.elapsed_io_time_s() < d.total_stats().total_time_s());
-        d.reset_stats();
-        assert_eq!(d.total_stats().total_ops(), 0);
     }
 
     #[test]
     fn zero_write_clears_section() {
         let mut d = rt(1);
         let a = d.create("A", &[4], true);
-        d.fill("A", |_| 1.0).unwrap();
+        d.fill(a, |_| 1.0).unwrap();
         d.write_section(0, a, &Section::new(vec![1], vec![3]), SectionSrc::Zeros)
             .unwrap();
-        assert_eq!(d.snapshot("A").unwrap(), vec![1.0, 0.0, 0.0, 1.0]);
+        assert_eq!(d.snapshot(a).unwrap(), vec![1.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
@@ -570,8 +546,12 @@ mod tests {
             DraError::BadSection(_)
         ));
         assert!(matches!(
-            d.snapshot("A").unwrap_err(),
+            d.snapshot(a).unwrap_err(),
             DraError::NotMaterialized(_)
+        ));
+        assert!(matches!(
+            d.fill(stale, |_| 0.0).unwrap_err(),
+            DraError::NoSuchArray(_)
         ));
         let buf = GlobalArray::zeros(&[2, 2]);
         assert!(matches!(
@@ -610,7 +590,7 @@ mod tests {
         let mut d = rt(1);
         d.set_retry(RetryPolicy::with_attempts(4));
         let a = d.create("A", &[8], true);
-        d.fill("A", |k| k as f64).unwrap();
+        d.fill(a, |k| k as f64).unwrap();
         // 2 consecutive transient failures after 1 good op
         d.apply_fault_plan(&FaultPlan::transient_after(0, 1, 2));
         d.read_section(0, a, &Section::full(&[8]), None).unwrap();

@@ -8,7 +8,7 @@
 //! destination exactly one owner rank and separates phases with barriers,
 //! so no read-modify-write needs to be atomic.
 
-use crate::section::{section_runs, strides, Section};
+use crate::section::{strides, zip_runs, Section};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A dense, shared, multi-dimensional `f64` array.
@@ -98,56 +98,27 @@ impl GlobalArray {
         }
     }
 
-    /// Zeroes the whole array.
-    pub fn zero(&self) {
-        self.zero_range(0, self.data.len());
-    }
-
-    /// Copies a section of this array into a flat destination vector
-    /// (row-major order of the section).
-    pub fn read_section(&self, sec: &Section, dst: &mut [f64]) {
-        debug_assert_eq!(dst.len() as u64, sec.len());
-        let mut pos = 0usize;
-        for (off, len) in section_runs(&self.dims, sec) {
-            for k in 0..len as usize {
-                dst[pos + k] = self.get_flat(off as usize + k);
-            }
-            pos += len as usize;
-        }
-    }
-
-    /// Writes flat data into a section of this array.
-    pub fn write_section(&self, sec: &Section, src: &[f64]) {
-        debug_assert_eq!(src.len() as u64, sec.len());
-        let mut pos = 0usize;
-        for (off, len) in section_runs(&self.dims, sec) {
-            for k in 0..len as usize {
-                self.set_flat(off as usize + k, src[pos + k]);
-            }
-            pos += len as usize;
-        }
-    }
-
     /// Copies section `src_sec` of `src` into section `sec` of this array,
-    /// row by row with no intermediate buffer. Both sections must have the
-    /// same per-dimension extents.
+    /// run by run with no intermediate buffer.
+    ///
+    /// # Panics
+    ///
+    /// If the sections' extents differ or either one exceeds its array.
     pub fn copy_section(&self, sec: &Section, src: &GlobalArray, src_sec: &Section) {
-        zip_rows(
-            &self.strides,
-            sec,
-            &src.strides,
-            src_sec,
-            |dst, from, len| {
-                for k in 0..len {
-                    self.set_flat(dst + k, src.get_flat(from + k));
-                }
-            },
-        );
+        zip_runs(&self.dims, sec, &src.dims, src_sec, |dst, from, len| {
+            for k in 0..len {
+                self.set_flat(dst + k, src.get_flat(from + k));
+            }
+        });
     }
 
     /// Zeroes a section of this array.
+    ///
+    /// # Panics
+    ///
+    /// If the section exceeds the array.
     pub fn zero_section(&self, sec: &Section) {
-        zip_rows(&self.strides, sec, &self.strides, sec, |off, _, len| {
+        zip_runs(&self.dims, sec, &self.dims, sec, |off, _, len| {
             self.zero_range(off, off + len)
         });
     }
@@ -155,50 +126,6 @@ impl GlobalArray {
     /// Snapshot of the whole array as a plain vector.
     pub fn to_vec(&self) -> Vec<f64> {
         (0..self.data.len()).map(|k| self.get_flat(k)).collect()
-    }
-}
-
-/// Walks two sections of equal extents, over row-major arrays with
-/// strides `sa` and `sb`, in lockstep: calls `f(a_offset, b_offset, len)`
-/// once per innermost-dimension row, in row-major order.
-fn zip_rows(
-    sa: &[u64],
-    a: &Section,
-    sb: &[u64],
-    b: &Section,
-    mut f: impl FnMut(usize, usize, usize),
-) {
-    assert_eq!(a.lo.len(), sa.len(), "section rank mismatch");
-    assert_eq!(b.lo.len(), sb.len(), "section rank mismatch");
-    assert!(a.same_extents(b), "section extents differ");
-    if a.is_empty() {
-        return;
-    }
-    let Some(last) = a.lo.len().checked_sub(1) else {
-        return f(0, 0, 1);
-    };
-    let len = (a.hi[last] - a.lo[last]) as usize;
-    let corner = |st: &[u64], s: &Section| -> u64 { s.lo.iter().zip(st).map(|(l, t)| l * t).sum() };
-    let (mut oa, mut ob) = (corner(sa, a), corner(sb, b));
-    let mut ctr = vec![0u64; last];
-    loop {
-        f(oa as usize, ob as usize, len);
-        let mut k = last;
-        loop {
-            if k == 0 {
-                return;
-            }
-            k -= 1;
-            ctr[k] += 1;
-            oa += sa[k];
-            ob += sb[k];
-            if ctr[k] < a.hi[k] - a.lo[k] {
-                break;
-            }
-            oa -= ctr[k] * sa[k];
-            ob -= ctr[k] * sb[k];
-            ctr[k] = 0;
-        }
     }
 }
 
@@ -236,11 +163,13 @@ mod tests {
         let dst = GlobalArray::zeros(&[2, 2, 4]);
         let dst_sec = Section::new(vec![0, 0, 1], vec![2, 2, 4]);
         dst.copy_section(&dst_sec, &src, &sec);
-        let mut want = vec![0.0; sec.len() as usize];
-        src.read_section(&sec, &mut want);
-        let mut got = vec![0.0; sec.len() as usize];
-        dst.read_section(&dst_sec, &mut got);
-        assert_eq!(got, want);
+        for i in 0..2 {
+            for j in 0..2 {
+                for k in 0..3 {
+                    assert_eq!(dst.get(&[i, j, k + 1]), src.get(&[i + 1, j + 1, k + 2]));
+                }
+            }
+        }
         // elements outside the destination section are untouched
         assert_eq!(dst.get(&[0, 0, 0]), 0.0);
         dst.zero_section(&dst_sec);
@@ -251,10 +180,15 @@ mod tests {
     fn section_roundtrip() {
         let a = GlobalArray::zeros(&[3, 4]);
         let sec = Section::new(vec![1, 1], vec![3, 3]);
-        a.write_section(&sec, &[1.0, 2.0, 3.0, 4.0]);
-        let mut out = vec![0.0; 4];
-        a.read_section(&sec, &mut out);
-        assert_eq!(out, vec![1.0, 2.0, 3.0, 4.0]);
+        let (buf, whole) = (GlobalArray::zeros(&[2, 2]), Section::full(&[2, 2]));
+        for k in 0..4 {
+            buf.set_flat(k, k as f64 + 1.0);
+        }
+        a.copy_section(&sec, &buf, &whole);
+        let out = GlobalArray::zeros(&[2, 2]);
+        out.copy_section(&whole, &a, &sec);
+        assert_eq!(out.to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((a.get(&[1, 1]), a.get(&[2, 2])), (1.0, 4.0));
         // elements outside the section untouched
         assert_eq!(a.get(&[0, 0]), 0.0);
         assert_eq!(a.get(&[1, 3]), 0.0);
@@ -268,7 +202,7 @@ mod tests {
         }
         a.zero_range(1, 3);
         assert_eq!(a.to_vec(), vec![1.0, 0.0, 0.0, 1.0, 1.0]);
-        a.zero();
+        a.zero_section(&Section::full(&[5]));
         assert_eq!(a.to_vec(), vec![0.0; 5]);
     }
 }

@@ -124,16 +124,6 @@ pub struct ProcCtx<'a> {
 }
 
 impl ProcCtx<'_> {
-    /// Collective barrier: blocks until every rank arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group was aborted — use [`ProcCtx::barrier_or_abort`]
-    /// in code that handles failures.
-    pub fn barrier(&self) {
-        assert!(self.barrier.wait(), "process group aborted");
-    }
-
     /// Collective barrier that reports aborts: `false` means some rank
     /// called [`ProcCtx::abort`] and the caller should unwind.
     pub fn barrier_or_abort(&self) -> bool {
@@ -148,12 +138,6 @@ impl ProcCtx<'_> {
     /// True if the group was aborted.
     pub fn is_aborted(&self) -> bool {
         self.barrier.is_aborted()
-    }
-
-    /// The contiguous chunk `[start, end)` of `0..n` owned by this rank
-    /// under an even block partition (first ranks take the remainder).
-    pub fn my_chunk(&self, n: u64) -> (u64, u64) {
-        chunk(n, self.rank, self.nproc)
     }
 }
 
@@ -255,7 +239,7 @@ mod tests {
         let counter = AtomicU64::new(0);
         run_parallel(4, |ctx| {
             counter.fetch_add(1, Ordering::SeqCst);
-            ctx.barrier();
+            assert!(ctx.barrier_or_abort());
             // after the barrier every rank must observe all increments
             assert_eq!(counter.load(Ordering::SeqCst), 4);
         });
@@ -340,8 +324,8 @@ mod tests {
     fn single_process_group_works() {
         let out = run_parallel(1, |ctx| {
             assert_eq!(ctx.nproc, 1);
-            ctx.barrier();
-            ctx.my_chunk(100)
+            assert!(ctx.barrier_or_abort());
+            chunk(100, ctx.rank, ctx.nproc)
         });
         assert_eq!(out, vec![(0, 100)]);
     }

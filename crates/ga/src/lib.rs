@@ -11,13 +11,17 @@
 //!   memory; the aggregate-memory accounting lives in the executor).
 //!   Plain relaxed loads and stores: the executor gives every element one
 //!   writer per phase, so nothing needs an atomic read-modify-write.
+//!   Every section copy ([`GlobalArray::copy_section`],
+//!   [`GlobalArray::zero_section`]) runs on one bounds-checked section
+//!   walker.
 //! * [`DraRuntime`] — named disk-resident arrays striped uniformly across
 //!   one [`tce_disksim::SimDisk`] per process, resolved once into an
-//!   [`ArrayHandle`]; `read_section` / `write_section` take the handle
-//!   and are collective: every rank moves `1/P` of the bytes
-//!   through its local disk, which is exactly why Table 4's I/O time
-//!   scales superlinearly when doubling the processor count doubles both
-//!   the disks and the aggregate memory.
+//!   [`ArrayHandle`]. An array's contents live in a global array of the
+//!   runtime; the disks store nothing and charge the transfers.
+//!   `read_section` / `write_section` take the handle and are collective:
+//!   every rank charges `1/P` of the bytes to its local disk, which is
+//!   exactly why Table 4's I/O time scales superlinearly when doubling
+//!   the processor count doubles both the disks and the aggregate memory.
 //! * [`run_parallel`] / [`ProcCtx`] — scoped worker threads with barrier
 //!   synchronization standing in for the cluster processes.
 
@@ -31,4 +35,4 @@ pub mod section;
 pub use dra::{ArrayHandle, DraError, DraRuntime, RetryPolicy, SectionSrc};
 pub use global::GlobalArray;
 pub use group::{chunk, run_parallel, ProcCtx};
-pub use section::{section_len, section_runs, strides, Section};
+pub use section::{strides, Section};

@@ -29,11 +29,6 @@ impl Section {
         }
     }
 
-    /// Per-dimension extents.
-    pub fn extents(&self) -> Vec<u64> {
-        self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).collect()
-    }
-
     /// Number of elements in the section.
     pub fn len(&self) -> u64 {
         self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).product()
@@ -60,65 +55,76 @@ pub fn strides(dims: &[u64]) -> Vec<u64> {
     s
 }
 
-/// Number of elements in a section of an array with the given dims.
-pub fn section_len(sec: &Section) -> u64 {
-    sec.len()
-}
-
-/// Decomposes a section of a row-major array into contiguous
-/// `(flat_offset, run_len)` runs, in ascending offset order.
+/// Walks two sections of equal extents — `a` of a row-major array of
+/// shape `da`, `b` of one of shape `db` — in lockstep: calls
+/// `f(a_offset, b_offset, len)` once per contiguous run, in ascending
+/// offset order. Trailing dimensions that both sections cover whole fold
+/// into one run; a scalar (rank 0) is one run of length 1.
 ///
-/// The innermost dimension is contiguous, so each run covers the full
-/// innermost extent of the section; scalars (rank 0) yield one run of
-/// length 1.
-pub fn section_runs(dims: &[u64], sec: &Section) -> Vec<(u64, u64)> {
-    assert_eq!(dims.len(), sec.lo.len(), "section rank mismatch");
-    for (d, (l, h)) in dims.iter().zip(sec.lo.iter().zip(&sec.hi)) {
-        assert!(h <= d, "section [{l}, {h}) exceeds dim {d}");
-        let _ = l;
+/// # Panics
+///
+/// If a section's rank is not its array's, a section exceeds its
+/// array's bounds, or the two extents differ.
+pub(crate) fn zip_runs(
+    da: &[u64],
+    a: &Section,
+    db: &[u64],
+    b: &Section,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    for (dims, s) in [(da, a), (db, b)] {
+        assert_eq!(s.lo.len(), dims.len(), "section rank mismatch");
+        for ((l, h), d) in s.lo.iter().zip(&s.hi).zip(dims) {
+            assert!(h <= d, "section [{l}, {h}) exceeds dim {d}");
+        }
     }
-    if sec.is_empty() {
-        return Vec::new();
+    assert!(a.same_extents(b), "section extents differ");
+    if a.is_empty() {
+        return;
     }
-    let st = strides(dims);
-    let rank = dims.len();
-    // j = smallest index such that dims[j..] are fully covered
-    let mut j = rank;
-    while j > 0 && sec.lo[j - 1] == 0 && sec.hi[j - 1] == dims[j - 1] {
-        j -= 1;
+    let Some(mut outer) = da.len().checked_sub(1) else {
+        return f(0, 0, 1);
+    };
+    // a run spans dimension `outer` and every later one, all of which
+    // both sections cover whole; the odometer steps the dims before it
+    let whole = |dims: &[u64], s: &Section, k: usize| s.lo[k] == 0 && s.hi[k] == dims[k];
+    while outer > 0 && whole(da, a, outer) && whole(db, b, outer) {
+        outer -= 1;
     }
-    if j == 0 {
-        // the whole array (also covers rank-0 scalars)
-        return vec![(0, dims.iter().product::<u64>().max(1))];
+    // counters, then the strides of `a` and of `b`, of the stepped dims
+    let mut scratch = vec![0u64; 3 * outer];
+    let (ctr, st) = scratch.split_at_mut(outer);
+    let (sa, sb) = st.split_at_mut(outer);
+    let (mut oa, mut ob, mut len) = (0u64, 0u64, 0u64);
+    let (mut pa, mut pb) = (1u64, 1u64);
+    for k in (0..da.len()).rev() {
+        oa += a.lo[k] * pa;
+        ob += b.lo[k] * pb;
+        if k == outer {
+            len = (a.hi[k] - a.lo[k]) * pa;
+        } else if k < outer {
+            (sa[k], sb[k]) = (pa, pb);
+        }
+        pa *= da[k];
+        pb *= db[k];
     }
-    // dim j-1 is the outermost dimension folded into each contiguous run
-    let run_len: u64 = (sec.hi[j - 1] - sec.lo[j - 1]) * dims[j..].iter().product::<u64>();
-    let base = sec.lo[j - 1] * st[j - 1];
-
-    // odometer over dims [0, j-1) within the section bounds
-    let outer = j - 1;
-    let mut counter: Vec<u64> = sec.lo[..outer].to_vec();
-    let mut runs = Vec::new();
     loop {
-        let offset: u64 = base
-            + counter
-                .iter()
-                .enumerate()
-                .map(|(k, &c)| c * st[k])
-                .sum::<u64>();
-        runs.push((offset, run_len));
-        // advance the odometer
+        f(oa as usize, ob as usize, len as usize);
         let mut k = outer;
         loop {
             if k == 0 {
-                return runs;
+                return;
             }
             k -= 1;
-            counter[k] += 1;
-            if counter[k] < sec.hi[k] {
+            ctr[k] += 1;
+            oa += sa[k];
+            ob += sb[k];
+            if ctr[k] < a.hi[k] - a.lo[k] {
                 break;
             }
-            counter[k] = sec.lo[k];
+            oa -= ctr[k] * sa[k];
+            ob -= ctr[k] * sb[k];
+            ctr[k] = 0;
         }
     }
 }
@@ -126,6 +132,22 @@ pub fn section_runs(dims: &[u64], sec: &Section) -> Vec<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GlobalArray;
+
+    /// The runs of `a` walked against `b`.
+    fn lockstep(da: &[u64], a: &Section, db: &[u64], b: &Section) -> Vec<(u64, u64, u64)> {
+        let mut runs = Vec::new();
+        zip_runs(da, a, db, b, |x, y, len| {
+            runs.push((x as u64, y as u64, len as u64))
+        });
+        runs
+    }
+
+    /// The runs of `sec` walked against itself.
+    fn runs_of(dims: &[u64], sec: &Section) -> Vec<(u64, u64)> {
+        let runs = lockstep(dims, sec, dims, sec);
+        runs.into_iter().map(|(off, _, len)| (off, len)).collect()
+    }
 
     #[test]
     fn strides_row_major() {
@@ -137,7 +159,7 @@ mod tests {
     #[test]
     fn full_section_is_one_run() {
         let dims = [4, 5];
-        let runs = section_runs(&dims, &Section::full(&dims));
+        let runs = runs_of(&dims, &Section::full(&dims));
         assert_eq!(runs, vec![(0, 20)]);
     }
 
@@ -145,7 +167,7 @@ mod tests {
     fn inner_slab_is_one_run_per_row() {
         let dims = [4, 6];
         let sec = Section::new(vec![1, 2], vec![3, 5]);
-        let runs = section_runs(&dims, &sec);
+        let runs = runs_of(&dims, &sec);
         assert_eq!(runs, vec![(8, 3), (14, 3)]);
         assert_eq!(sec.len(), 6);
     }
@@ -155,7 +177,7 @@ mod tests {
         let dims = [3, 4, 5];
         // rows 1..3, full trailing dims
         let sec = Section::new(vec![1, 0, 0], vec![3, 4, 5]);
-        let runs = section_runs(&dims, &sec);
+        let runs = runs_of(&dims, &sec);
         assert_eq!(runs, vec![(20, 40)]);
     }
 
@@ -163,14 +185,27 @@ mod tests {
     fn middle_partial_dims_iterate() {
         let dims = [2, 3, 4];
         let sec = Section::new(vec![0, 1, 0], vec![2, 3, 4]);
-        let runs = section_runs(&dims, &sec);
+        let runs = runs_of(&dims, &sec);
         // for each of the 2 outer rows: dims 1..3 of extent 2, full inner
         assert_eq!(runs, vec![(4, 8), (16, 8)]);
     }
 
     #[test]
+    fn only_dims_both_sides_cover_whole_fold() {
+        // rows 1..3 of a [4, 3] array against the whole of a [2, 3] one:
+        // both cover the inner dimension whole, so each pair is one run
+        let whole = Section::full(&[2, 3]);
+        let rows = Section::new(vec![1, 0], vec![3, 3]);
+        assert_eq!(lockstep(&[2, 3], &whole, &[4, 3], &rows), vec![(0, 3, 6)]);
+        // a [2, 4] array's first three columns cover no dimension whole
+        let cols = Section::new(vec![0, 0], vec![2, 3]);
+        let runs = lockstep(&[2, 3], &whole, &[2, 4], &cols);
+        assert_eq!(runs, vec![(0, 0, 3), (3, 4, 3)]);
+    }
+
+    #[test]
     fn scalar_section() {
-        let runs = section_runs(&[], &Section::new(vec![], vec![]));
+        let runs = runs_of(&[], &Section::new(vec![], vec![]));
         assert_eq!(runs, vec![(0, 1)]);
     }
 
@@ -179,14 +214,14 @@ mod tests {
         let dims = [3, 3];
         let sec = Section::new(vec![1, 1], vec![1, 3]);
         assert!(sec.is_empty());
-        assert!(section_runs(&dims, &sec).is_empty());
+        assert!(runs_of(&dims, &sec).is_empty());
     }
 
     #[test]
     fn runs_cover_section_exactly() {
         let dims = [3, 4, 5];
         let sec = Section::new(vec![1, 1, 2], vec![3, 3, 5]);
-        let runs = section_runs(&dims, &sec);
+        let runs = runs_of(&dims, &sec);
         let total: u64 = runs.iter().map(|(_, l)| l).sum();
         assert_eq!(total, sec.len());
         // all runs disjoint and ascending
@@ -198,6 +233,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds dim")]
     fn oversized_section_panics() {
-        section_runs(&[2, 2], &Section::new(vec![0, 0], vec![2, 3]));
+        // columns 2..4 of a [2, 3] array: column 3 does not exist, and a
+        // walker that did not check would write element (1, 0) instead
+        let dst = GlobalArray::zeros(&[2, 3]);
+        let src = GlobalArray::zeros(&[1, 2]);
+        let sec = Section::new(vec![0, 2], vec![1, 4]);
+        dst.copy_section(&sec, &src, &Section::full(&[1, 2]));
     }
 }

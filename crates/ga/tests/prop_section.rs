@@ -1,7 +1,7 @@
-//! Property tests for section decomposition and global-array transfers.
+//! Property tests for the section walker behind global-array transfers.
 
 use proptest::prelude::*;
-use tce_ga::{section_runs, strides, GlobalArray, Section};
+use tce_ga::{strides, GlobalArray, Section};
 
 fn arb_dims() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(1u64..7, 0..4)
@@ -19,66 +19,69 @@ fn arb_section(dims: Vec<u64>) -> impl Strategy<Value = (Vec<u64>, Section)> {
     })
 }
 
+/// True if flat offset `off` of an array with `dims` decodes to a
+/// multi-index inside `sec`.
+fn inside(dims: &[u64], sec: &Section, off: u64) -> bool {
+    let mut rem = off;
+    strides(dims).iter().enumerate().all(|(k, &s)| {
+        let v = rem / s;
+        rem %= s;
+        v >= sec.lo[k] && v < sec.hi[k]
+    })
+}
+
 proptest! {
-    /// Runs cover exactly the section's elements: right count, disjoint,
-    /// ascending, in bounds, and each covered flat offset decodes to a
-    /// multi-index inside the section.
+    /// A section copy between two arrays of one shape writes exactly the
+    /// section's elements, each from the same position of the source.
     #[test]
     fn runs_cover_section_exactly(
         (dims, sec) in arb_dims().prop_flat_map(arb_section)
     ) {
-        let runs = section_runs(&dims, &sec);
-        let total: u64 = runs.iter().map(|(_, l)| l).sum();
-        prop_assert_eq!(total, sec.len());
-        let array_len: u64 = dims.iter().product::<u64>().max(1);
-        let mut prev_end = 0u64;
-        let st = strides(&dims);
-        for &(off, len) in &runs {
-            prop_assert!(off >= prev_end, "overlapping/unordered runs");
-            prop_assert!(off + len <= array_len, "run out of bounds");
-            prev_end = off + len;
-            // decode first and last offsets of the run and check membership
-            for probe in [off, off + len - 1] {
-                let mut rem = probe;
-                for (k, &s) in st.iter().enumerate() {
-                    let v = rem / s;
-                    rem %= s;
-                    prop_assert!(
-                        v >= sec.lo[k] && v < sec.hi[k],
-                        "offset {probe} decodes outside the section at dim {k}"
-                    );
-                }
-            }
+        let src = GlobalArray::zeros(&dims);
+        for k in 0..src.len() {
+            src.set_flat(k, k as f64 + 1.0);
+        }
+        let dst = GlobalArray::zeros(&dims);
+        dst.copy_section(&sec, &src, &sec);
+        for k in 0..dst.len() {
+            let want = if inside(&dims, &sec, k as u64) { src.get_flat(k) } else { 0.0 };
+            prop_assert_eq!(dst.get_flat(k), want, "offset {}", k);
         }
     }
 
-    /// write_section then read_section of the same section round-trips.
+    /// Copying a section out to a compact buffer and back round-trips.
     #[test]
     fn global_array_section_roundtrip(
         (dims, sec) in arb_dims().prop_flat_map(arb_section),
         seed in 0u64..1000
     ) {
         prop_assume!(!sec.is_empty());
+        let extents: Vec<u64> = sec.lo.iter().zip(&sec.hi).map(|(l, h)| h - l).collect();
+        let whole = Section::full(&extents);
+        let data = GlobalArray::zeros(&extents);
+        for k in 0..data.len() {
+            data.set_flat(k, (seed + k as u64) as f64);
+        }
         let a = GlobalArray::zeros(&dims);
-        let n = sec.len() as usize;
-        let data: Vec<f64> = (0..n).map(|k| (seed + k as u64) as f64).collect();
-        a.write_section(&sec, &data);
-        let mut out = vec![0.0; n];
-        a.read_section(&sec, &mut out);
-        prop_assert_eq!(out, data);
+        a.copy_section(&sec, &data, &whole);
+        let out = GlobalArray::zeros(&extents);
+        out.copy_section(&whole, &a, &sec);
+        prop_assert_eq!(out.to_vec(), data.to_vec());
     }
 
-    /// Elements outside the written section stay zero.
+    /// Zeroing a section clears exactly its elements.
     #[test]
     fn writes_stay_inside_the_section(
         (dims, sec) in arb_dims().prop_flat_map(arb_section)
     ) {
-        prop_assume!(!sec.is_empty());
         let a = GlobalArray::zeros(&dims);
-        let n = sec.len() as usize;
-        a.write_section(&sec, &vec![1.0; n]);
-        let snapshot = a.to_vec();
-        let ones = snapshot.iter().filter(|&&x| x == 1.0).count();
-        prop_assert_eq!(ones as u64, sec.len());
+        for k in 0..a.len() {
+            a.set_flat(k, 1.0);
+        }
+        a.zero_section(&sec);
+        for k in 0..a.len() {
+            let zeroed = a.get_flat(k) == 0.0;
+            prop_assert_eq!(zeroed, inside(&dims, &sec, k as u64), "offset {}", k);
+        }
     }
 }

@@ -615,8 +615,10 @@ impl Client {
         Err(ClientError::Io(last_err))
     }
 
-    /// Asks the daemon to drain and shut down. EOF counts as success —
-    /// a draining server may close before the acknowledgement frame.
+    /// Asks the daemon to drain and shut down, and waits for its
+    /// `shutting_down` acknowledgement. The daemon always sends that frame
+    /// before it closes, so an EOF without it is an [`ClientError::Io`]:
+    /// the request may never have arrived.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         let stream = match self.ensure_stream() {
             Ok(s) => s,
@@ -628,9 +630,15 @@ impl Client {
         }
         loop {
             match self.read_next(None) {
-                ReadStep::Frame(WireFrame::ShuttingDown) | ReadStep::Eof => {
+                ReadStep::Frame(WireFrame::ShuttingDown) => {
                     self.drop_stream();
                     return Ok(());
+                }
+                ReadStep::Eof => {
+                    self.drop_stream();
+                    return Err(ClientError::Io(
+                        "connection closed without a shutting_down acknowledgement".into(),
+                    ));
                 }
                 ReadStep::Frame(_) | ReadStep::TimedOut => continue, // drain-time reports
                 ReadStep::Io(e) | ReadStep::Bad(e) => {
@@ -680,6 +688,28 @@ mod tests {
             assert!(*w <= 3.0 + 1e-12, "capped at max_backoff_s");
             let base = 2.0f64.powi(i as i32);
             assert!(*w >= (base * 0.75).min(3.0) - 1e-12, "jitter floor");
+        }
+    }
+
+    #[test]
+    fn shutdown_without_acknowledgement_is_an_error() {
+        // a listener that reads the shutdown frame and hangs up without
+        // answering: the request may as well have been lost
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            proto::read_frame(&mut stream).expect("frame")
+        });
+        let mut client = Client::new(addr.to_string(), ClientRetry::default());
+        let got = client.shutdown();
+        assert!(matches!(
+            peer.join().expect("peer"),
+            Some(WireFrame::Shutdown)
+        ));
+        match got {
+            Err(ClientError::Io(e)) => assert!(e.contains("shutting_down"), "{e}"),
+            other => panic!("expected an Io error, got {other:?}"),
         }
     }
 

@@ -13,14 +13,15 @@
 //!   `⌈n/b⌉²` tiles, each in its own contiguous `b²`-element slot.
 //! * [`transpose_out_of_core`] — read one tile (one I/O op), transpose in
 //!   memory, write it to the mirrored tile of the destination (one op);
-//!   only `O(b²)` memory.
+//!   only one tile is in flight at a time. The caller owns the blocked
+//!   source and destination; the disk charges each transfer.
 //! * [`block_size_sweep`] — simulated transposition time across block
 //!   sizes, regenerating the seek-share knee that justifies the constants
 //!   in [`tce_disksim::DiskProfile::itanium2_osc`].
 
 #![warn(missing_docs)]
 
-use tce_disksim::{DiskError, DiskProfile, SimDisk, WriteSrc};
+use tce_disksim::{DiskError, DiskProfile, SimDisk};
 
 /// Blocked on-disk layout of an `n×n` matrix with tile edge `b`.
 ///
@@ -101,13 +102,15 @@ impl TransposeReport {
     }
 }
 
-/// Transposes the blocked `n×n` matrix in disk file `src` into file `dst`
-/// (same layout), using `O(b²)` memory: per tile one contiguous read, an
-/// in-memory transpose, one contiguous write at the mirrored position.
+/// Transposes the blocked `n×n` matrix `src` into `dst` (same layout),
+/// tile by tile: per tile one contiguous read, an in-memory transpose,
+/// one contiguous write at the mirrored position. `disk` charges each
+/// read as `charge_read("src", len)` and each write as
+/// `charge_write("dst", len)`.
 ///
-/// Both files must exist with [`BlockedLayout::file_len`] elements.
-/// Materialized files actually move the data; dry files charge only the
-/// accounting.
+/// `data` holds the blocked source and destination, each
+/// [`BlockedLayout::file_len`] elements long; `None` is a dry run that
+/// charges the same transfers and moves no data.
 ///
 /// ```
 /// use tce_disksim::{DiskProfile, SimDisk};
@@ -115,45 +118,43 @@ impl TransposeReport {
 ///
 /// let layout = BlockedLayout::new(8, 4);
 /// let disk = SimDisk::new(DiskProfile::unconstrained_test());
-/// disk.create("A", layout.file_len(), true);
-/// disk.create("At", layout.file_len(), true);
-/// let report = transpose_out_of_core(&disk, "A", "At", layout).unwrap();
+/// let a: Vec<f64> = (0..layout.file_len()).map(|k| k as f64).collect();
+/// let mut at = vec![0.0; a.len()];
+/// let report = transpose_out_of_core(&disk, layout, Some((&a, &mut at))).unwrap();
 /// assert_eq!(report.ops, 2 * 4); // four tiles, one read + one write each
+/// let at_01 = at[layout.element_offset(0, 1) as usize];
+/// assert_eq!(at_01, a[layout.element_offset(1, 0) as usize]);
 /// ```
 pub fn transpose_out_of_core(
     disk: &SimDisk,
-    src: &str,
-    dst: &str,
     layout: BlockedLayout,
+    mut data: Option<(&[f64], &mut [f64])>,
 ) -> Result<TransposeReport, DiskError> {
+    if let Some((src, dst)) = &data {
+        let len = layout.file_len() as usize;
+        assert!(
+            src.len() == len && dst.len() == len,
+            "blocked matrices must hold {len} elements"
+        );
+    }
     let before = disk.stats();
-    let materialized = disk.is_materialized(src) && disk.is_materialized(dst);
-    let b = layout.b;
     let tiles = layout.tiles_per_side();
-    let mut tile = vec![0.0f64; (b * b) as usize];
-    let mut out = vec![0.0f64; (b * b) as usize];
-
     for tr in 0..tiles {
         for tc in 0..tiles {
             let rows = layout.tile_rows(tr);
             let cols = layout.tile_cols(tc);
-            let len = rows * cols;
-            let src_off = layout.tile_offset(tr, tc);
-            let dst_off = layout.tile_offset(tc, tr);
-            if materialized {
-                let slot = &mut tile[..len as usize];
-                disk.read(src, src_off, len, Some(slot))?;
+            disk.charge_read("src", rows * cols)?;
+            if let Some((src, dst)) = &mut data {
                 // transpose rows×cols → cols×rows
+                let from = &src[layout.tile_offset(tr, tc) as usize..];
+                let to = &mut dst[layout.tile_offset(tc, tr) as usize..];
                 for r in 0..rows {
                     for c in 0..cols {
-                        out[(c * rows + r) as usize] = slot[(r * cols + c) as usize];
+                        to[(c * rows + r) as usize] = from[(r * cols + c) as usize];
                     }
                 }
-                disk.write(dst, dst_off, WriteSrc::Data(&out[..len as usize]))?;
-            } else {
-                disk.read(src, src_off, len, None)?;
-                disk.write(dst, dst_off, WriteSrc::Dry(len))?;
             }
+            disk.charge_write("dst", rows * cols)?;
         }
     }
 
@@ -164,7 +165,7 @@ pub fn transpose_out_of_core(
     let seek_share = (ops as f64 * disk.profile().seek_s) / time_s;
     Ok(TransposeReport {
         n: layout.n,
-        block: b,
+        block: layout.b,
         ops,
         bytes,
         time_s,
@@ -193,12 +194,9 @@ pub fn block_size_sweep(profile: &DiskProfile, n: u64, blocks: &[u64]) -> Vec<Sw
     blocks
         .iter()
         .map(|&b| {
-            let layout = BlockedLayout::new(n, b);
             let disk = SimDisk::new(profile.clone());
-            disk.create("A", layout.file_len(), false);
-            disk.create("At", layout.file_len(), false);
-            let rep = transpose_out_of_core(&disk, "A", "At", layout)
-                .expect("dry transposition cannot fail");
+            let rep = transpose_out_of_core(&disk, BlockedLayout::new(n, b), None)
+                .expect("a fault-free disk cannot fail");
             SweepRow {
                 block_elems: b,
                 block_bytes: b * b * 8,
@@ -225,16 +223,12 @@ mod tests {
         })
     }
 
-    fn setup(n: u64, b: u64, materialize: bool) -> (SimDisk, BlockedLayout) {
-        let d = disk();
-        let layout = BlockedLayout::new(n, b);
-        d.create("A", layout.file_len(), materialize);
-        d.create("At", layout.file_len(), materialize);
-        (d, layout)
+    fn dry(n: u64, b: u64) -> TransposeReport {
+        transpose_out_of_core(&disk(), BlockedLayout::new(n, b), None).unwrap()
     }
 
-    /// Fill A so that the *logical* element (r, c) = r·n + c.
-    fn fill_logical(d: &SimDisk, layout: BlockedLayout) {
+    /// The blocked matrix whose *logical* element (r, c) = r·n + c.
+    fn logical(layout: BlockedLayout) -> Vec<f64> {
         let n = layout.n;
         let mut flat = vec![0.0f64; layout.file_len() as usize];
         for r in 0..n {
@@ -242,7 +236,7 @@ mod tests {
                 flat[layout.element_offset(r, c) as usize] = (r * n + c) as f64;
             }
         }
-        d.fill_with("A", |k| flat[k as usize]).unwrap();
+        flat
     }
 
     #[test]
@@ -263,10 +257,10 @@ mod tests {
     #[test]
     fn transposes_correctly() {
         for (n, b) in [(10u64, 4u64), (12, 4), (7, 3), (9, 9), (8, 1)] {
-            let (d, layout) = setup(n, b, true);
-            fill_logical(&d, layout);
-            transpose_out_of_core(&d, "A", "At", layout).unwrap();
-            let at = d.snapshot("At").unwrap();
+            let layout = BlockedLayout::new(n, b);
+            let a = logical(layout);
+            let mut at = vec![0.0; a.len()];
+            transpose_out_of_core(&disk(), layout, Some((&a, &mut at))).unwrap();
             for r in 0..n {
                 for c in 0..n {
                     assert_eq!(
@@ -281,18 +275,15 @@ mod tests {
 
     #[test]
     fn two_ops_per_tile() {
-        let (d, layout) = setup(16, 4, false);
-        let rep = transpose_out_of_core(&d, "A", "At", layout).unwrap();
+        let rep = dry(16, 4);
         assert_eq!(rep.ops, 2 * 16); // 4x4 tiles, read + write each
         assert_eq!(rep.bytes, 2 * 16 * 16 * 8);
     }
 
     #[test]
     fn smaller_blocks_cost_more_seeks() {
-        let (d, l_small) = setup(32, 2, false);
-        let small = transpose_out_of_core(&d, "A", "At", l_small).unwrap();
-        let (d2, l_large) = setup(32, 16, false);
-        let large = transpose_out_of_core(&d2, "A", "At", l_large).unwrap();
+        let small = dry(32, 2);
+        let large = dry(32, 16);
         assert!(small.ops > large.ops);
         assert!(small.time_s > large.time_s);
         assert!(small.seek_share > large.seek_share);
@@ -323,14 +314,41 @@ mod tests {
     }
 
     #[test]
+    fn block_sweep_is_pinned() {
+        // the `tables -- blocksweep` rows: (block, bits of time_s,
+        // seek_share, bandwidth_fraction); seek shares 98.0% … 0.0%
+        #[rustfmt::skip]
+        const PINNED: [(u64, u64, u64, u64); 9] = [
+            (32, 0x40b2ce57b7de0bc1, 0x3fef5d128873e1e3, 0x3f8fae2c942ca61c),
+            (64, 0x4093ed98378909c0, 0x3fed98fc27f9e087, 0x3fade5852af73ab8),
+            (128, 0x40786a9a36349d03, 0x3fe828282828273a, 0x3fc8669f8311493e),
+            (256, 0x40652f5118716a14, 0x3fdbd780b92142f4, 0x3fdc1f7f70029134),
+            (512, 0x405c8bb086e6eb3d, 0x3fc4a997e1f20bc2, 0x3fe4df0605d80be2),
+            (1024, 0x405916f41c67f150, 0x3fa78236a6647230, 0x3fe7bf00e6223a74),
+            (2048, 0x405839c501c832d5, 0x3f8858d9dbdfe7fd, 0x3fe897cf2153f217),
+            (4096, 0x405802793b20433e, 0x3f6890ec9185b533, 0x3fe8d072d6397b8e),
+            (16384, 0x4057f1318d0bc85c, 0x3f28a2a78841ec2f, 0x3fe8e25ba6140b05),
+        ];
+        let blocks = PINNED.map(|p| p.0);
+        let rows = block_size_sweep(&DiskProfile::itanium2_osc(), 1 << 14, &blocks);
+        for (row, &(block, time, seek, bw)) in rows.iter().zip(&PINNED) {
+            let got = (
+                row.block_elems,
+                row.time_s.to_bits(),
+                row.seek_share.to_bits(),
+                row.bandwidth_fraction.to_bits(),
+            );
+            assert_eq!(got, (block, time, seek, bw), "{row:?}");
+        }
+    }
+
+    #[test]
     fn dry_and_full_agree_on_accounting() {
-        let (d, layout) = setup(12, 4, true);
-        fill_logical(&d, layout);
-        let full = transpose_out_of_core(&d, "A", "At", layout).unwrap();
-        let (d2, layout2) = setup(12, 4, false);
-        let dry = transpose_out_of_core(&d2, "A", "At", layout2).unwrap();
-        assert_eq!(full.ops, dry.ops);
-        assert_eq!(full.bytes, dry.bytes);
-        assert!((full.time_s - dry.time_s).abs() < 1e-12);
+        let layout = BlockedLayout::new(12, 4);
+        let a = logical(layout);
+        let mut at = vec![0.0; a.len()];
+        let full = transpose_out_of_core(&disk(), layout, Some((&a, &mut at))).unwrap();
+        let dry = dry(12, 4);
+        assert_eq!(full, dry);
     }
 }

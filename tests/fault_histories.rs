@@ -40,15 +40,13 @@ fn disk_history(spec: &DiskFaults, seed: u64, rank: usize) -> u64 {
         min_read_block: 0,
         min_write_block: 0,
     });
-    d.create("A", 1, false);
     d.set_faults(plan.disk(rank), rank);
     fnv((0..OPS).map(|_| {
         let before = d.stats().fault_time_s;
-        match d.read("A", 0, 1, None) {
+        match d.charge_read("A", 1) {
             Ok(()) if d.stats().fault_time_s > before => 3,
             Ok(()) => 0,
             Err(DiskError::Injected { permanent, .. }) => 1 + u8::from(permanent),
-            Err(e) => panic!("{e}"),
         }
     }))
 }
