@@ -6,10 +6,11 @@
 //!
 //! `--fast` caps the uniform-sampling ladder at 4 points per index
 //! (seconds instead of minutes); omit it for the paper-faithful full
-//! ladder. Results are printed as markdown and written to
-//! `reports/tables.json`.
+//! ladder. Results are printed as markdown and merged into
+//! `reports/tables.json`: a run replaces the keys of the tables it
+//! regenerated and keeps the others' rows.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::fs;
 use tce_bench::*;
 use tce_disksim::DiskProfile;
@@ -159,7 +160,89 @@ fn block_sweep_study() {
 }
 
 fn write_report(report: &Report) {
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    fs::write("reports/tables.json", json).expect("write report");
-    println!("\nreport written to reports/tables.json");
+    let path = "reports/tables.json";
+    let old = fs::read_to_string(path).unwrap_or_default();
+    fs::write(path, merge_report(&old, report)).expect("write report");
+    println!("\nreport written to {path}");
+}
+
+/// `old` (the text of an earlier report, or anything else) with the keys
+/// of `report` that a mode filled in replaced: a table that did not run
+/// is `None` and keeps its old rows.
+fn merge_report(old: &str, report: &Report) -> String {
+    let mut merged = match serde_json::parse_value(old) {
+        Ok(Value::Map(entries)) => entries,
+        _ => Vec::new(),
+    };
+    if let Value::Map(new) = report.to_value() {
+        for (key, value) in new.into_iter().filter(|(_, v)| *v != Value::Null) {
+            match merged.iter_mut().find(|(k, _)| *k == key) {
+                Some(entry) => entry.1 = value,
+                None => merged.push((key, value)),
+            }
+        }
+    }
+    serde_json::to_string_pretty(&Value::Map(merged)).expect("serialize report")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = include_str!("../../../../reports/tables.json");
+
+    fn report() -> Report {
+        Report {
+            profile: Some(DiskProfile::itanium2_osc()),
+            ..Report::default()
+        }
+    }
+
+    #[test]
+    fn a_run_without_tables_leaves_the_report_byte_identical() {
+        // what `tables -- blocksweep` and `tables -- ablation` write
+        assert_eq!(merge_report(COMMITTED, &report()), COMMITTED);
+    }
+
+    #[test]
+    fn a_table3_run_replaces_only_the_table3_key() {
+        let row = Table3Row {
+            n: 1,
+            v: 2,
+            approach: Approach::Dcs,
+            measured_secs: 3.5,
+            predicted_secs: 4.25,
+            io_bytes: 5e9,
+        };
+        let merged = merge_report(
+            COMMITTED,
+            &Report {
+                table3: Some(vec![row]),
+                ..report()
+            },
+        );
+        let (old, new) = (
+            serde_json::parse_value(COMMITTED).unwrap(),
+            serde_json::parse_value(&merged).unwrap(),
+        );
+        let (Value::Map(old), Value::Map(new)) = (old, new) else {
+            panic!("reports are maps");
+        };
+        assert_eq!(
+            old.iter().map(|e| &e.0).collect::<Vec<_>>(),
+            new.iter().map(|e| &e.0).collect::<Vec<_>>(),
+            "the same keys in the same order"
+        );
+        for ((key, was), (_, now)) in old.iter().zip(&new) {
+            if key == "table3" {
+                assert_ne!(was, now);
+                let Value::Seq(rows) = now else {
+                    panic!("table3 is a list of rows");
+                };
+                assert_eq!(rows[0].get("n"), Some(&Value::UInt(1)));
+            } else {
+                assert_eq!(was, now, "{key}");
+            }
+        }
+    }
 }

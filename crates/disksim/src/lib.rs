@@ -14,7 +14,9 @@
 //! in global arrays (none at all in paper-size dry runs, where a single
 //! tensor is gigabytes), `tce-trans` works on caller-owned matrices — and
 //! book every transfer through [`SimDisk::charge_read`] /
-//! [`SimDisk::charge_write`].
+//! [`SimDisk::charge_write`], or, with exclusive access and no lock,
+//! through [`SimDisk::charge_read_mut`] / [`SimDisk::charge_write_mut`],
+//! which book the same bits.
 
 #![warn(missing_docs)]
 

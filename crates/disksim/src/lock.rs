@@ -42,6 +42,11 @@ pub fn wait_timeout<'a, T>(
     }
 }
 
+/// The data of `m` through exclusive access: no lock is taken.
+pub fn get_mut<T>(m: &mut Mutex<T>) -> &mut T {
+    m.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Consumes `m` and returns its data, poisoned or not.
 pub fn into_inner<T>(m: Mutex<T>) -> T {
     m.into_inner().unwrap_or_else(PoisonError::into_inner)
@@ -74,6 +79,8 @@ mod tests {
         let g = wait_timeout(&cv, lock(&m), Duration::from_millis(1));
         assert_eq!(*g, 2);
         drop(g);
-        assert_eq!(into_inner(m), 2);
+        let mut m = m;
+        *get_mut(&mut m) += 1;
+        assert_eq!(into_inner(m), 3);
     }
 }

@@ -1,7 +1,7 @@
 //! The simulated block device.
 
 use crate::fault::{DiskFaultKind, DiskFaults, FaultKind, FaultState};
-use crate::lock::lock;
+use crate::lock::{get_mut, lock};
 use crate::profile::{DiskProfile, IoStats};
 use std::fmt;
 use std::sync::Mutex;
@@ -58,6 +58,7 @@ impl DiskInner {
     /// Runs the fault model for one operation attempt on `op`. Failed
     /// attempts charge the seek they wasted to `fault_time_s`; latency
     /// spikes of surviving ops are charged there too.
+    #[inline]
     fn fault_check(&mut self, seek_s: f64, op: impl Fn() -> String) -> Result<(), DiskError> {
         let Some((st, (p_spike, spike_s))) = self.fault.as_mut() else {
             return Ok(());
@@ -80,20 +81,38 @@ impl DiskInner {
         }
     }
 
-    /// Books one successful read of `len` elements.
-    fn book_read(&mut self, profile: &DiskProfile, len: u64) {
+    /// Charges one transfer attempt of `len` elements: the fault model
+    /// decides it, and a surviving one books its bytes and its
+    /// seek-plus-transfer time. The locked and the exclusive charge calls
+    /// of [`SimDisk`] both run this, so they cannot book differently.
+    #[inline]
+    fn charge(
+        &mut self,
+        profile: &DiskProfile,
+        write: bool,
+        label: &str,
+        len: u64,
+    ) -> Result<(), DiskError> {
+        let dir = if write { "write" } else { "read" };
+        self.fault_check(profile.seek_s, || format!("{dir} `{label}`"))?;
         let bytes = len * ELEM_BYTES;
-        self.stats.read_bytes += bytes;
-        self.stats.read_ops += 1;
-        self.stats.read_time_s += profile.read_time(bytes);
+        let s = &mut self.stats;
+        if write {
+            s.write_bytes += bytes;
+            s.write_ops += 1;
+            s.write_time_s += profile.write_time(bytes);
+        } else {
+            s.read_bytes += bytes;
+            s.read_ops += 1;
+            s.read_time_s += profile.read_time(bytes);
+        }
+        Ok(())
     }
 
-    /// Books one successful write of `len` elements.
-    fn book_write(&mut self, profile: &DiskProfile, len: u64) {
-        let bytes = len * ELEM_BYTES;
-        self.stats.write_bytes += bytes;
-        self.stats.write_ops += 1;
-        self.stats.write_time_s += profile.write_time(bytes);
+    /// Books one retry's backoff wait.
+    fn retry(&mut self, backoff_s: f64) {
+        self.stats.retried_ops += 1;
+        self.stats.backoff_time_s += backoff_s;
     }
 }
 
@@ -137,9 +156,7 @@ impl SimDisk {
     /// Charges one retry: the backoff wait spent before re-attempting an
     /// operation on this disk, in simulated seconds.
     pub fn charge_retry(&self, backoff_s: f64) {
-        let mut inner = lock(&self.inner);
-        inner.stats.retried_ops += 1;
-        inner.stats.backoff_time_s += backoff_s;
+        lock(&self.inner).retry(backoff_s);
     }
 
     /// Replaces the accounting wholesale (checkpoint restore).
@@ -152,18 +169,29 @@ impl SimDisk {
     /// its seek-plus-transfer time. `label` names the transfer in an
     /// injected-fault error.
     pub fn charge_read(&self, label: &str, len: u64) -> Result<(), DiskError> {
-        let mut inner = lock(&self.inner);
-        inner.fault_check(self.profile.seek_s, || format!("read `{label}`"))?;
-        inner.book_read(&self.profile, len);
-        Ok(())
+        lock(&self.inner).charge(&self.profile, false, label, len)
     }
 
     /// The write counterpart of [`SimDisk::charge_read`].
     pub fn charge_write(&self, label: &str, len: u64) -> Result<(), DiskError> {
-        let mut inner = lock(&self.inner);
-        inner.fault_check(self.profile.seek_s, || format!("write `{label}`"))?;
-        inner.book_write(&self.profile, len);
-        Ok(())
+        lock(&self.inner).charge(&self.profile, true, label, len)
+    }
+
+    /// [`SimDisk::charge_read`] through exclusive access: no lock taken.
+    #[inline]
+    pub fn charge_read_mut(&mut self, label: &str, len: u64) -> Result<(), DiskError> {
+        get_mut(&mut self.inner).charge(&self.profile, false, label, len)
+    }
+
+    /// [`SimDisk::charge_write`] through exclusive access.
+    #[inline]
+    pub fn charge_write_mut(&mut self, label: &str, len: u64) -> Result<(), DiskError> {
+        get_mut(&mut self.inner).charge(&self.profile, true, label, len)
+    }
+
+    /// [`SimDisk::charge_retry`] through exclusive access.
+    pub fn charge_retry_mut(&mut self, backoff_s: f64) {
+        get_mut(&mut self.inner).retry(backoff_s);
     }
 
     /// Current accounting.
@@ -225,6 +253,43 @@ mod tests {
         assert!(
             matches!(&err, DiskError::Injected { op, permanent: true } if op == "write `A`"),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn exclusive_charges_book_like_locked_ones() {
+        use crate::{DiskFaultKind, Schedule};
+        let spec = DiskFaults {
+            schedule: Schedule::none().probabilistic(0.2, DiskFaultKind::Transient),
+            p_spike: 0.1,
+            spike_s: 0.3,
+        };
+        let plan = FaultPlan::none().with_seed(5).with_disk(0, spec);
+        let (shared, mut excl) = (disk(), disk());
+        shared.set_faults(plan.disk(0), 0);
+        excl.set_faults(plan.disk(0), 0);
+        for k in 0..200u64 {
+            let len = k % 37;
+            let (a, b) = if k % 3 == 0 {
+                (
+                    shared.charge_write("A", len),
+                    excl.charge_write_mut("A", len),
+                )
+            } else {
+                (shared.charge_read("A", len), excl.charge_read_mut("A", len))
+            };
+            if a.is_err() {
+                shared.charge_retry(0.05);
+                excl.charge_retry_mut(0.05);
+            }
+            assert_eq!(a, b, "op {k}");
+        }
+        let s = shared.stats();
+        assert!(s.faulted_ops > 0 && s.fault_time_s > 0.0);
+        assert_eq!(s, excl.stats());
+        assert_eq!(
+            s.total_time_s().to_bits(),
+            excl.stats().total_time_s().to_bits()
         );
     }
 

@@ -1,10 +1,10 @@
 //! The concrete-plan interpreter.
 
-use crate::lower::{lower, Bound, Kernel, LOp, Lowered, Operand, Transfer};
+use crate::dry::dry_walk;
+use crate::lower::{lower, zero_fill_blocks, Bound, Kernel, LOp, Lowered, Operand, Transfer};
 use crate::resilience::{Checkpoint, CheckpointSite, ResilienceReport};
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tce_codegen::ConcretePlan;
@@ -22,8 +22,9 @@ pub enum ExecMode {
     /// Real data: materialized disk arrays, kernels executed, outputs
     /// available for verification. Use at test scale.
     Full,
-    /// Accounting only: identical loop structure and DRA transfers, no
-    /// data movement or computation. Use at paper scale.
+    /// Accounting only: the same transfers charged to the same disks in
+    /// the same order, with no data movement or computation. Use at
+    /// paper scale.
     DryRun,
 }
 
@@ -237,10 +238,8 @@ impl CkptShared {
     }
 }
 
-/// One walker's interpreter state over the shared lowered plan. A full
-/// run has one walker per rank; a dry run, which moves no data and needs
-/// no barriers, has one walker that charges every rank's disk in turn —
-/// per disk the same transfers, in the same order.
+/// One rank's interpreter state of a full run over the shared lowered
+/// plan. (A dry run is an accounting walk of its own, [`dry_walk`].)
 struct Interp<'a> {
     plan: &'a ConcretePlan,
     low: &'a Lowered,
@@ -248,18 +247,13 @@ struct Interp<'a> {
     /// The DRA handle of each entry of `plan.disk_arrays`, in order.
     handles: &'a [ArrayHandle],
     buffers: &'a [GlobalArray],
-    full: bool,
-    /// The ranks whose disks this walker charges, and the first failure
-    /// of each.
-    ranks: Range<usize>,
-    failed: Vec<Option<ExecError>>,
-    /// The walker's process: a rank of the run in full mode, the only
-    /// process of a group of one in a dry run.
+    /// This rank's process.
     ctx: &'a ProcCtx<'a>,
     flops: &'a AtomicU64,
-    /// The current window `(base, len)` of each slot; `None` outside the
-    /// slot's loop.
-    windows: Vec<Option<(u64, u64)>>,
+    /// The current window `(base, len)` of each slot. Lowering has
+    /// checked that every slot an op reads is opened by an enclosing
+    /// loop.
+    windows: Vec<(u64, u64)>,
     /// True once this rank has run an op since its last barrier. Every
     /// rank runs the same ops in the same order, so all ranks agree on
     /// it and skip the same barriers.
@@ -275,34 +269,6 @@ struct Interp<'a> {
     ckpt: Option<&'a CkptShared>,
     /// Checkpoints this run has captured (the same count on every rank).
     captures: u64,
-}
-
-/// Runs one collective transfer for each rank of `ranks` that has not
-/// failed yet, recording new failures; errs with the first rank's failure
-/// once every rank has failed.
-fn collective(
-    ranks: Range<usize>,
-    failed: &mut [Option<ExecError>],
-    mut op: impl FnMut(usize) -> Result<(), DraError>,
-) -> Result<(), ExecError> {
-    for (rank, slot) in ranks.zip(failed.iter_mut()) {
-        if slot.is_none() {
-            *slot = op(rank).err().map(ExecError::from);
-        }
-    }
-    match failed.first() {
-        Some(Some(e)) if failed.iter().all(Option::is_some) => Err(e.clone()),
-        _ => Ok(()),
-    }
-}
-
-/// The current window of `slot`.
-fn window(
-    windows: &[Option<(u64, u64)>],
-    low: &Lowered,
-    slot: usize,
-) -> Result<(u64, u64), ExecError> {
-    windows[slot].ok_or_else(|| ExecError::MissingWindow(low.slots[slot].name().to_string()))
 }
 
 impl Interp<'_> {
@@ -327,13 +293,13 @@ impl Interp<'_> {
     }
 
     /// Books a collective transfer.
-    fn transferred(&mut self, r: Result<(), ExecError>) -> Result<(), ExecError> {
+    fn transferred(&mut self, r: Result<(), DraError>) -> Result<(), ExecError> {
         self.worked = true;
         r.or_else(|e| self.fail(e))
     }
 
     /// Fills the scratch sections with the current tile state of `t`.
-    fn sections(&mut self, t: &Transfer) -> Result<(), ExecError> {
+    fn sections(&mut self, t: &Transfer) {
         let (sec, buf) = (&mut self.sec, &mut self.buf_sec);
         for s in [&mut *sec, &mut *buf] {
             s.lo.clear();
@@ -342,15 +308,14 @@ impl Interp<'_> {
         for bound in &t.dims {
             let (lo, len) = match *bound {
                 Bound::Full(n) => (0, n),
-                Bound::Tile(slot) => window(&self.windows, self.low, slot)?,
-                Bound::One(slot) => (window(&self.windows, self.low, slot)?.0, 1),
+                Bound::Tile(slot) => self.windows[slot],
+                Bound::One(slot) => (self.windows[slot].0, 1),
             };
             sec.lo.push(lo);
             sec.hi.push(lo + len);
             buf.lo.push(0);
             buf.hi.push(len);
         }
-        Ok(())
     }
 
     /// Collectively captures a checkpoint at `site`: all ranks
@@ -394,16 +359,6 @@ impl Interp<'_> {
         Ok(())
     }
 
-    /// Walks the plan; returns the result of each rank: its own failure,
-    /// or else how the walk ended.
-    fn walk(mut self) -> Vec<Result<(), ExecError>> {
-        let walked = self.run_top();
-        self.failed
-            .into_iter()
-            .map(|f| f.map_or_else(|| walked.clone(), Err))
-            .collect()
-    }
-
     /// Runs the plan's top-level ops, skipping work completed before the
     /// resume site and capturing checkpoints at each boundary.
     fn run_top(&mut self) -> Result<(), ExecError> {
@@ -425,7 +380,7 @@ impl Interp<'_> {
                     let mut iter = if idx == start.top_op { start.iters } else { 0 };
                     let mut base = iter.saturating_mul(*tile);
                     while base < *n {
-                        self.windows[*slot] = Some((base, (*tile).min(n - base)));
+                        self.windows[*slot] = (base, (*tile).min(n - base));
                         self.run_ops(body)?;
                         base += tile;
                         iter += 1;
@@ -436,7 +391,6 @@ impl Interp<'_> {
                             })?;
                         }
                     }
-                    self.windows[*slot] = None;
                 }
                 _ => self.run_op(op)?,
             }
@@ -464,32 +418,27 @@ impl Interp<'_> {
             } => {
                 let mut base = 0;
                 while base < *n {
-                    self.windows[*slot] = Some((base, (*tile).min(n - base)));
+                    self.windows[*slot] = (base, (*tile).min(n - base));
                     self.run_ops(body)?;
                     base += tile;
                 }
-                self.windows[*slot] = None;
             }
             LOp::Read(t) => {
-                self.sections(t)?;
+                self.sections(t);
                 self.sync()?;
-                let dst = self.full.then(|| (&self.buffers[t.buffer], &self.buf_sec));
-                let r = collective(self.ranks.clone(), &mut self.failed, |rank| {
-                    self.dra.read_section(rank, t.array, &self.sec, dst)
-                });
+                let dst = (&self.buffers[t.buffer], &self.buf_sec);
+                let r = self
+                    .dra
+                    .read_section(self.ctx.rank, t.array, &self.sec, dst);
                 self.transferred(r)?;
             }
             LOp::Write(t) => {
-                self.sections(t)?;
+                self.sections(t);
                 self.sync()?;
-                let r = collective(self.ranks.clone(), &mut self.failed, |rank| {
-                    let src = if self.full {
-                        SectionSrc::From(&self.buffers[t.buffer], &self.buf_sec)
-                    } else {
-                        SectionSrc::Dry
-                    };
-                    self.dra.write_section(rank, t.array, &self.sec, src)
-                });
+                let src = SectionSrc::From(&self.buffers[t.buffer], &self.buf_sec);
+                let r = self
+                    .dra
+                    .write_section(self.ctx.rank, t.array, &self.sec, src);
                 self.transferred(r)?;
             }
             LOp::ZeroBuffer(b) => {
@@ -502,7 +451,7 @@ impl Interp<'_> {
             LOp::ZeroFill { array, steps } => self.zero_fill(*array, steps)?,
             LOp::Compute(k) => {
                 self.sync()?;
-                self.kernel(k)?;
+                self.kernel(k);
                 self.worked = true;
             }
         }
@@ -512,53 +461,33 @@ impl Interp<'_> {
     /// Writes zeros over the whole disk array in blocks of `steps`: Tile
     /// dims iterate the tile grid, Full dims are covered in one step.
     fn zero_fill(&mut self, array: ArrayHandle, steps: &[(u64, u64)]) -> Result<(), ExecError> {
-        self.sec.lo.clear();
-        self.sec.lo.resize(steps.len(), 0);
-        loop {
+        zero_fill_blocks(steps, |lo| {
             let sec = &mut self.sec;
+            sec.lo.clear();
+            sec.lo.extend_from_slice(lo);
             sec.hi.clear();
             sec.hi.extend(
-                sec.lo
-                    .iter()
+                lo.iter()
                     .zip(steps)
                     .map(|(&b, &(n, step))| (b + step).min(n)),
             );
             self.sync()?;
-            let r = collective(self.ranks.clone(), &mut self.failed, |rank| {
-                let src = if self.full {
-                    SectionSrc::Zeros
-                } else {
-                    SectionSrc::Dry
-                };
-                self.dra.write_section(rank, array, &self.sec, src)
-            });
-            self.transferred(r)?;
-            // advance the block odometer
-            let base = &mut self.sec.lo;
-            let mut k = steps.len();
-            loop {
-                if k == 0 {
-                    return Ok(());
-                }
-                k -= 1;
-                base[k] += steps[k].1;
-                if base[k] < steps[k].0 {
-                    break;
-                }
-                base[k] = 0;
-            }
-        }
+            let r = self
+                .dra
+                .write_section(self.ctx.rank, array, &self.sec, SectionSrc::Zeros);
+            self.transferred(r)
+        })
     }
 
     /// Runs this rank's share of one per-tile contraction kernel: the
     /// elements of its chunk of the split band index. That index is
     /// carried by dst, so every dst element has one owner, which updates
     /// it in the sequential order: outputs do not depend on `nproc`.
-    fn kernel(&mut self, k: &Kernel) -> Result<(), ExecError> {
+    fn kernel(&mut self, k: &Kernel) {
         let nest = &mut self.nest;
         nest.band.clear();
         for (pos, &slot) in k.band.iter().enumerate() {
-            let (base, len) = window(&self.windows, self.low, slot)?;
+            let (base, len) = self.windows[slot];
             let (s, e) = if k.split == Some(pos) {
                 chunk(len, self.ctx.rank, self.ctx.nproc)
             } else {
@@ -569,11 +498,10 @@ impl Interp<'_> {
         if (k.split.is_none() && self.ctx.rank != 0)
             || nest.band.iter().any(|&(_, lo, hi)| lo >= hi)
         {
-            return Ok(());
+            return;
         }
         let flops = nest.run(k, self.buffers);
         self.flops.fetch_add(flops, Ordering::Relaxed);
-        Ok(())
     }
 }
 
@@ -783,20 +711,14 @@ pub fn execute_resilient(plan: &ConcretePlan, opts: &ExecOptions) -> ExecOutcome
     }
 
     // shared in-memory buffers (global arrays). Dry runs never touch
-    // buffer contents — the paper-size plans would otherwise allocate
-    // gigabytes — so they get 1-element placeholders.
-    let buffers: Vec<GlobalArray> = plan
-        .buffers
-        .iter()
-        .map(|b| {
-            if materialize {
-                let dims = b.shape.extents(ranges, &plan.tiles);
-                GlobalArray::zeros(&dims)
-            } else {
-                GlobalArray::zeros(&[])
-            }
-        })
-        .collect();
+    // buffers — the paper-size plans would otherwise allocate gigabytes.
+    let buffers: Vec<GlobalArray> = if materialize {
+        (plan.buffers.iter())
+            .map(|b| GlobalArray::zeros(&b.shape.extents(ranges, &plan.tiles)))
+            .collect()
+    } else {
+        Vec::new()
+    };
 
     // populate state: either restore the checkpoint or load fresh inputs.
     // Either path uses `fill`/`set_flat`, which charge no I/O, and runs
@@ -865,37 +787,30 @@ pub fn execute_resilient(plan: &ConcretePlan, opts: &ExecOptions) -> ExecOutcome
             fingerprint,
         });
 
-    let walk = |ctx: &ProcCtx<'_>, ranks: Range<usize>| {
-        let interp = Interp {
-            plan,
-            low: &low,
-            dra: &dra,
-            handles: &handles,
-            buffers: &buffers,
-            full: materialize,
-            failed: vec![None; ranks.len()],
-            ranks,
-            ctx,
-            flops: &flops,
-            windows: vec![None; low.slots.len()],
-            worked: false,
-            sec: Section::new(Vec::new(), Vec::new()),
-            buf_sec: Section::new(Vec::new(), Vec::new()),
-            nest: Nest::default(),
-            start,
-            ckpt: ckpt.as_ref(),
-            captures: 0,
-        };
-        interp.walk()
-    };
-    let results: Vec<Result<(), ExecError>> = if materialize {
-        run_parallel(opts.nproc, |ctx| walk(ctx, ctx.rank..ctx.rank + 1))
+    let results = if materialize {
+        run_parallel(opts.nproc, |ctx| {
+            Interp {
+                plan,
+                low: &low,
+                dra: &dra,
+                handles: &handles,
+                buffers: &buffers,
+                ctx,
+                flops: &flops,
+                windows: vec![(0, 0); low.slots],
+                worked: false,
+                sec: Section::new(Vec::new(), Vec::new()),
+                buf_sec: Section::new(Vec::new(), Vec::new()),
+                nest: Nest::default(),
+                start,
+                ckpt: ckpt.as_ref(),
+                captures: 0,
+            }
+            .run_top()
+        })
     } else {
-        run_parallel(1, |ctx| walk(ctx, 0..opts.nproc))
-    }
-    .into_iter()
-    .flatten()
-    .collect();
+        dry_walk(&low, &mut dra)
+    };
 
     // classify per-rank results: a real failure outranks the symmetric
     // Halted stop, which outranks a secondary abort
@@ -1055,7 +970,9 @@ pub fn run_to_completion(
 mod tests {
     use super::*;
     use crate::reference::dense_reference;
-    use tce_cost::TileAssignment;
+    use tce_codegen::{BufId, Op};
+    use tce_cost::{BufferShape, DimExtent, TileAssignment};
+    use tce_disksim::DiskFaults;
     use tce_ir::fixtures::two_index_fused;
     use tce_ir::Program;
     use tce_tile::{enumerate_placements, tile_program, IntermediateChoice};
@@ -1523,23 +1440,134 @@ mod tests {
         }
     }
 
+    /// Runs `plan` under `opts` in both modes and asserts that the two
+    /// walkers booked the same bits on every disk.
+    fn assert_modes_book_alike(plan: &ConcretePlan, opts: &ExecOptions, what: &str) {
+        let run = |mode| {
+            let opts = ExecOptions {
+                mode,
+                ..opts.clone()
+            };
+            execute(plan, &opts).expect(what)
+        };
+        let (full, dry) = (run(ExecMode::Full), run(ExecMode::DryRun));
+        let pins = |r: &ExecReport| r.per_rank.iter().map(disk_pins).collect::<Vec<_>>();
+        assert_eq!(pins(&full), pins(&dry), "{what}");
+        assert_eq!(full.per_rank, dry.per_rank, "{what}");
+        assert_eq!(
+            full.elapsed_io_s.to_bits(),
+            dry.elapsed_io_s.to_bits(),
+            "{what}"
+        );
+        assert!(full.flops > 0 && !full.outputs.is_empty(), "{what}");
+        assert_eq!(dry.flops, 0, "{what}");
+        assert!(dry.outputs.is_empty(), "{what}");
+    }
+
     #[test]
     fn dry_run_matches_full_accounting() {
-        let tiles = TileAssignment::new()
-            .with("i", 4)
-            .with("j", 4)
-            .with("m", 3)
-            .with("n", 3);
-        let plan = build_plan(8, 6, &tiles, false);
-        let full = execute(&plan, &ExecOptions::full_test()).expect("full");
-        let mut dry_opts = ExecOptions::full_test();
-        dry_opts.mode = ExecMode::DryRun;
-        let dry = execute(&plan, &dry_opts).expect("dry");
-        assert_eq!(full.total.read_bytes, dry.total.read_bytes);
-        assert_eq!(full.total.write_bytes, dry.total.write_bytes);
-        assert_eq!(full.total.read_ops, dry.total.read_ops);
-        assert_eq!(full.total.write_ops, dry.total.write_ops);
-        assert_eq!(dry.flops, 0);
-        assert!(dry.outputs.is_empty());
+        for (k, plan) in pinned_plans().iter().enumerate() {
+            for nproc in 1..=3 {
+                let opts = ExecOptions::dry_run().with_nproc(nproc);
+                assert_modes_book_alike(plan, &opts, &format!("plan {k} at nproc {nproc}"));
+            }
+        }
+        // the absorbed faults of `faulted_dry_run_accounting_is_pinned`
+        let noisy = FaultPlan::transient_after(1, 300, 3)
+            .with_seed(11)
+            .with_disk(
+                2,
+                DiskFaults {
+                    schedule: tce_disksim::Schedule::none()
+                        .probabilistic(0.01, tce_disksim::DiskFaultKind::Transient),
+                    p_spike: 0.05,
+                    spike_s: 0.25,
+                },
+            );
+        let opts = ExecOptions::dry_run()
+            .with_nproc(3)
+            .with_faults(noisy)
+            .with_retry(RetryPolicy::with_attempts(6));
+        assert_modes_book_alike(&pinned_plans()[0], &opts, "absorbed faults");
+    }
+
+    /// The first `ReadBlock` under a loop, depth first, removed from its
+    /// body.
+    fn take_windowed_read(plan: &ConcretePlan, ops: &mut Vec<Op>, in_loop: bool) -> Option<Op> {
+        for k in 0..ops.len() {
+            match &mut ops[k] {
+                Op::TilingLoop { body, .. } => {
+                    if let Some(op) = take_windowed_read(plan, body, true) {
+                        return Some(op);
+                    }
+                }
+                Op::ReadBlock { buffer, .. }
+                    if in_loop
+                        && (plan.buffer(*buffer).shape.dims())
+                            .iter()
+                            .any(|(_, e)| *e == DimExtent::Tile) =>
+                {
+                    return Some(ops.remove(k));
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+
+    /// The buffer of the first `ReadBlock`, depth first, and a handle to
+    /// set it.
+    fn first_read(ops: &mut [Op]) -> Option<&mut BufId> {
+        ops.iter_mut().find_map(|op| match op {
+            Op::TilingLoop { body, .. } => first_read(body),
+            Op::ReadBlock { buffer, .. } => Some(buffer),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn malformed_plans_fail_alike_in_both_modes_before_any_charge() {
+        let base = &pinned_plans()[0];
+        // a buffer id past the declarations
+        let mut past = base.clone();
+        *first_read(&mut past.ops).expect("a read") = BufId(past.buffers.len() as u32);
+        // a read moved out of the loop that opens its window
+        let mut unopened = base.clone();
+        let mut ops = std::mem::take(&mut unopened.ops);
+        let read = take_windowed_read(&unopened, &mut ops, false).expect("a windowed read");
+        ops.insert(0, read);
+        unopened.ops = ops;
+        // a read buffer one rank short of its array
+        let mut short = base.clone();
+        let b = first_read(&mut short.ops).expect("a read").as_usize();
+        let dims = short.buffers[b].shape.dims()[1..].to_vec();
+        short.buffers[b].shape = BufferShape::new(dims);
+
+        type Want = fn(&ExecError) -> bool;
+        let cases: [(&str, ConcretePlan, Want); 3] = [
+            ("buffer id past the declarations", past, |e| {
+                matches!(e, ExecError::BadPlan(_))
+            }),
+            ("window opened by no loop", unopened, |e| {
+                matches!(e, ExecError::MissingWindow(_))
+            }),
+            ("buffer rank differs from its array's", short, |e| {
+                matches!(e, ExecError::Dra(DraError::BadSection(_)))
+            }),
+        ];
+        for (what, plan, want) in &cases {
+            for nproc in [1, 2] {
+                for opts in [ExecOptions::dry_run(), ExecOptions::full_test()] {
+                    let mode = opts.mode;
+                    let ExecOutcome::Failed { error, stats, .. } =
+                        execute_resilient(plan, &opts.with_nproc(nproc))
+                    else {
+                        panic!("{what}: a {mode:?} run at nproc {nproc} must fail");
+                    };
+                    assert!(want(&error), "{what}, {mode:?} at nproc {nproc}: {error}");
+                    assert_eq!(stats.total_ops(), 0, "{what}: charged before failing");
+                }
+            }
+        }
     }
 }

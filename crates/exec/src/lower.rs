@@ -7,9 +7,11 @@
 //! becomes a window slot, each loop carries its extent and tile size, each
 //! transfer carries its DRA array handle and a bound per dimension, and
 //! each kernel carries its band slots, per-operand strides and the band
-//! position its ranks split. The same walk validates the plan's buffer
-//! references and, when checkpointing asks for it, hashes the plan's
-//! structure into the checkpoint fingerprint.
+//! position its ranks split. The same walk validates the plan in both
+//! modes, before any disk is charged: buffer references, a transferred
+//! buffer's fit to its array, and that an enclosing loop opens every
+//! window an op uses. When checkpointing asks for it, it also hashes the
+//! plan's structure into the checkpoint fingerprint.
 
 use crate::interp::ExecError;
 use crate::resilience::Fnv;
@@ -25,8 +27,8 @@ pub(crate) struct Lowered {
     /// Top-level ops, each with its position in `plan.ops`: checkpoint
     /// sites count plan positions, and dry runs drop I/O-free loops.
     pub top: Vec<(usize, LOp)>,
-    /// The index of each window slot, for `MissingWindow` errors.
-    pub slots: Vec<Index>,
+    /// The number of window slots.
+    pub slots: usize,
     /// Structural fingerprint of plan and process count, when requested.
     pub fingerprint: Option<u64>,
 }
@@ -136,6 +138,7 @@ pub(crate) fn lower(
         handles,
         slots: Vec::new(),
         slot_of: HashMap::new(),
+        open: Vec::new(),
         hash,
     };
     let mut top = Vec::with_capacity(plan.ops.len());
@@ -146,7 +149,7 @@ pub(crate) fn lower(
     }
     Ok(Lowered {
         top,
-        slots: lowerer.slots,
+        slots: lowerer.slots.len(),
         fingerprint: lowerer.hash.map(|h| h.0),
     })
 }
@@ -157,6 +160,8 @@ struct Lowerer<'a> {
     handles: &'a [ArrayHandle],
     slots: Vec<Index>,
     slot_of: HashMap<Index, usize>,
+    /// The slots of the loops enclosing the current op.
+    open: Vec<usize>,
     hash: Option<Fnv>,
 }
 
@@ -168,6 +173,15 @@ impl Lowerer<'_> {
         self.slots.push(index.clone());
         self.slot_of.insert(index.clone(), self.slots.len() - 1);
         self.slots.len() - 1
+    }
+
+    /// The slot of `index`, whose window an enclosing loop must open.
+    fn open_slot(&mut self, index: &Index) -> Result<usize, ExecError> {
+        let slot = self.slot(index);
+        if !self.open.contains(&slot) {
+            return Err(ExecError::MissingWindow(index.name().to_string()));
+        }
+        Ok(slot)
     }
 
     fn eat(&mut self, tag: u8, ids: &[u64], index: Option<&Index>) {
@@ -207,17 +221,20 @@ impl Lowerer<'_> {
         Ok(match op {
             Op::TilingLoop { index, body } => {
                 self.eat(TAG_LOOP, &[], Some(index));
+                let slot = self.slot(index);
+                self.open.push(slot);
                 let mut lowered = Vec::with_capacity(body.len());
                 for op in body {
                     lowered.extend(self.op(op)?);
                 }
+                self.open.pop();
                 self.eat(TAG_END, &[], None);
                 if self.dry && lowered.is_empty() {
                     return Ok(None);
                 }
                 let n = plan.program.ranges().extent(index);
                 Some(LOp::Loop {
-                    slot: self.slot(index),
+                    slot,
                     n,
                     tile: plan.tiles.get(index).min(n).max(1),
                     body: lowered,
@@ -238,7 +255,7 @@ impl Lowerer<'_> {
             }
             Op::ZeroFillPass { array, buffer } => {
                 self.eat(TAG_ZERO_FILL, &[array.0.into(), buffer.0.into()], None);
-                check_buf(plan, *buffer)?;
+                let handle = self.fitted(*array, *buffer)?;
                 let ranges = plan.program.ranges();
                 let steps = plan
                     .buffer(*buffer)
@@ -255,7 +272,7 @@ impl Lowerer<'_> {
                     })
                     .collect();
                 Some(LOp::ZeroFill {
-                    array: self.handle(*array)?,
+                    array: handle,
                     steps,
                 })
             }
@@ -264,7 +281,9 @@ impl Lowerer<'_> {
                 for r in [&c.dst, &c.lhs, &c.rhs] {
                     check_ref(plan, r)?;
                 }
-                (!self.dry).then(|| LOp::Compute(self.kernel(c)))
+                let band = c.band.iter().map(|i| self.open_slot(i));
+                let band = band.collect::<Result<_, _>>()?;
+                (!self.dry).then(|| LOp::Compute(self.kernel(c, band)))
             }
         })
     }
@@ -281,8 +300,29 @@ impl Lowerer<'_> {
             })
     }
 
+    /// The handle of `array`, once `buffer` is checked to fit it: the
+    /// same rank, and no buffer dimension ranging past the array's.
+    fn fitted(&self, array: ArrayId, buffer: BufId) -> Result<ArrayHandle, ExecError> {
+        let plan = self.plan;
+        check_buf(plan, buffer)?;
+        let handle = self.handle(array)?;
+        let ranges = plan.program.ranges();
+        let decl = plan.program.array(array);
+        let dims: Vec<u64> = decl.dims().iter().map(|d| ranges.extent(d)).collect();
+        let shape = plan.buffer(buffer).shape.dims();
+        let reach: Vec<u64> = shape.iter().map(|(i, _)| ranges.extent(i)).collect();
+        if reach.len() == dims.len() && reach.iter().zip(&dims).all(|(r, d)| r <= d) {
+            return Ok(handle);
+        }
+        Err(ExecError::Dra(DraError::BadSection(format!(
+            "buffer b{} over {reach:?} does not fit `{}` dims {dims:?}",
+            buffer.as_usize(),
+            decl.name()
+        ))))
+    }
+
     fn transfer(&mut self, array: ArrayId, buffer: BufId) -> Result<Transfer, ExecError> {
-        check_buf(self.plan, buffer)?;
+        let handle = self.fitted(array, buffer)?;
         let plan = self.plan;
         let ranges = plan.program.ranges();
         let dims = plan
@@ -290,22 +330,24 @@ impl Lowerer<'_> {
             .shape
             .dims()
             .iter()
-            .map(|(idx, extent)| match extent {
-                DimExtent::Full => Bound::Full(ranges.extent(idx)),
-                DimExtent::Tile => Bound::Tile(self.slot(idx)),
-                // excluded by placement enumeration; tolerated as a unit
-                // slab at the window base
-                DimExtent::One => Bound::One(self.slot(idx)),
+            .map(|(idx, extent)| {
+                Ok(match extent {
+                    DimExtent::Full => Bound::Full(ranges.extent(idx)),
+                    DimExtent::Tile => Bound::Tile(self.open_slot(idx)?),
+                    // excluded by placement enumeration; tolerated as a
+                    // unit slab at the window base
+                    DimExtent::One => Bound::One(self.open_slot(idx)?),
+                })
             })
-            .collect();
+            .collect::<Result<_, ExecError>>()?;
         Ok(Transfer {
-            array: self.handle(array)?,
+            array: handle,
             buffer: buffer.as_usize(),
             dims,
         })
     }
 
-    fn kernel(&mut self, c: &ComputeOp) -> Kernel {
+    fn kernel(&mut self, c: &ComputeOp, band: Vec<usize>) -> Kernel {
         let plan = self.plan;
         let ranges = plan.program.ranges();
         let operand = |r: &BufRef| {
@@ -334,7 +376,7 @@ impl Lowerer<'_> {
             .max_by_key(|&(k, i)| (tile(i), Reverse(k)))
             .map(|(k, _)| k);
         Kernel {
-            band: c.band.iter().map(|i| self.slot(i)).collect(),
+            band,
             dst: operand(&c.dst),
             lhs: operand(&c.lhs),
             rhs: operand(&c.rhs),
@@ -367,4 +409,29 @@ fn check_ref(plan: &ConcretePlan, r: &BufRef) -> Result<(), ExecError> {
         )));
     }
     Ok(())
+}
+
+/// Calls `f` with the lower corner of each block of a zero-fill pass
+/// over `steps`, last dimension fastest; stops at the first error.
+pub(crate) fn zero_fill_blocks<E>(
+    steps: &[(u64, u64)],
+    mut f: impl FnMut(&[u64]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut lo = vec![0; steps.len()];
+    loop {
+        f(&lo)?;
+        // advance the block odometer
+        let mut k = steps.len();
+        loop {
+            if k == 0 {
+                return Ok(());
+            }
+            k -= 1;
+            lo[k] += steps[k].1;
+            if lo[k] < steps[k].0 {
+                break;
+            }
+            lo[k] = 0;
+        }
+    }
 }

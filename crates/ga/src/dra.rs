@@ -2,19 +2,22 @@
 //! disks, striped uniformly across one local disk per process.
 //!
 //! [`DraRuntime::create`] and [`DraRuntime::handle`] resolve an array
-//! name once into an [`ArrayHandle`]; the section transfers and the
-//! `fill` / `snapshot` / `dims` calls take the handle, so a transfer does
-//! no name lookup, locking or reference counting beyond its own disk's
+//! name once into an [`ArrayHandle`]; the transfers and the `fill` /
+//! `snapshot` / `dims` calls take the handle, so a transfer does no name
+//! lookup, locking or reference counting beyond its own disk's
 //! accounting.
 //!
 //! The runtime keeps each materialized array's contents in a
 //! [`GlobalArray`] of its own; the local [`SimDisk`]s store no data and
-//! only charge the transfers. `read_section` / `write_section` are
-//! *collective*: every rank calls them with the same arguments; each rank
-//! charges its `1/P` share of the elements to its own local disk
-//! (`charge_read` / `charge_write`), and rank 0 performs the actual data
-//! copy for materialized arrays. Callers must separate collective I/O
-//! from computation with barriers — the executor in `tce-exec` does.
+//! only charge the transfers: each rank `1/P` of the elements ([`chunk`])
+//! on its local disk. `read_section` / `write_section` move data and are
+//! *collective*: every rank calls them with the same arguments from its
+//! own thread, charges its share through the disk's lock, and rank 0
+//! copies the section. Callers must separate collective I/O from
+//! computation with barriers — the executor's full run does.
+//! `charge_read` / `charge_write` take `&mut self` and charge one rank's
+//! share with no section, data or lock (a dry run's accounting walk).
+//! Both run the same retry loop and booking, so they book the same bits.
 //!
 //! # Fault tolerance
 //!
@@ -38,7 +41,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
 use std::sync::Mutex;
-use tce_disksim::lock::lock;
+use tce_disksim::lock::{get_mut, lock};
 use tce_disksim::{DiskError, DiskProfile, FaultPlan, IoStats, SimDisk};
 
 /// DRA operation failure.
@@ -173,8 +176,46 @@ pub enum SectionSrc<'a> {
     From(&'a GlobalArray, &'a Section),
     /// Write zeros.
     Zeros,
-    /// Accounting-only transfer.
-    Dry,
+}
+
+/// The retry loop of one rank's share of a transfer, on a locked or an
+/// exclusive disk: a transient fault of `attempt` is re-attempted under
+/// `policy` after a backoff wait, scaled by a `jitter` draw in `[0, 1)`
+/// and booked through `backoff` in simulated seconds.
+fn retrying<D>(
+    policy: Option<&RetryPolicy>,
+    disk: &mut D,
+    mut jitter: impl FnMut() -> f64,
+    attempt: impl Fn(&mut D) -> Result<(), DiskError>,
+    backoff: impl Fn(&mut D, f64),
+) -> Result<(), DraError> {
+    let Some(policy) = policy else {
+        return attempt(disk).map_err(DraError::from);
+    };
+    let mut wait = policy.base_backoff_s;
+    let mut tries = 1u32;
+    loop {
+        match attempt(disk) {
+            Ok(()) => return Ok(()),
+            Err(e) if e.is_transient_fault() && tries < policy.max_attempts => {
+                let scale = if policy.jitter > 0.0 {
+                    1.0 + policy.jitter * (jitter() * 2.0 - 1.0)
+                } else {
+                    1.0
+                };
+                backoff(disk, (wait * scale).clamp(0.0, policy.max_backoff_s));
+                wait = (wait * policy.backoff_factor).min(policy.max_backoff_s);
+                tries += 1;
+            }
+            Err(e) if e.is_transient_fault() => {
+                return Err(DraError::RetriesExhausted {
+                    attempts: policy.max_attempts,
+                    last: e,
+                });
+            }
+            Err(e) => return Err(DraError::Disk(e)),
+        }
+    }
 }
 
 /// The disk-resident array runtime: one simulated local disk per process
@@ -231,44 +272,82 @@ impl DraRuntime {
         }
     }
 
-    /// Runs `rank`'s local-disk share of a collective operation,
-    /// re-attempting transient faults under the installed retry policy.
-    /// Backoff waits are charged to the rank's disk in simulated seconds.
-    fn local_op(
-        &self,
-        rank: usize,
-        mut op: impl FnMut(&SimDisk) -> Result<(), DiskError>,
-    ) -> Result<(), DraError> {
-        let disk = &self.disks[rank];
-        let Some(policy) = &self.retry else {
-            return op(disk).map_err(DraError::from);
-        };
-        let mut backoff = policy.base_backoff_s;
-        let mut attempt = 1u32;
-        loop {
-            match op(disk) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient_fault() && attempt < policy.max_attempts => {
-                    let scale = if policy.jitter > 0.0 {
-                        let mut rng = lock(&self.jitter_rngs[rank]);
-                        1.0 + policy.jitter * (rng.random::<f64>() * 2.0 - 1.0)
-                    } else {
-                        1.0
-                    };
-                    let wait = (backoff * scale).clamp(0.0, policy.max_backoff_s);
-                    disk.charge_retry(wait);
-                    backoff = (backoff * policy.backoff_factor).min(policy.max_backoff_s);
-                    attempt += 1;
-                }
-                Err(e) if e.is_transient_fault() => {
-                    return Err(DraError::RetriesExhausted {
-                        attempts: policy.max_attempts,
-                        last: e,
-                    });
-                }
-                Err(e) => return Err(DraError::Disk(e)),
-            }
+    /// Charges `rank`'s share of a collective transfer of `len` elements
+    /// to its local disk, through the disk's lock.
+    fn local_op(&self, rank: usize, write: bool, label: &str, len: u64) -> Result<(), DraError> {
+        let (start, end) = chunk(len, rank, self.nproc());
+        if end == start {
+            return Ok(());
         }
+        retrying(
+            self.retry.as_ref(),
+            &mut &self.disks[rank],
+            || lock(&self.jitter_rngs[rank]).random(),
+            |d| {
+                if write {
+                    d.charge_write(label, end - start)
+                } else {
+                    d.charge_read(label, end - start)
+                }
+            },
+            |d, wait| d.charge_retry(wait),
+        )
+    }
+
+    /// Charges `rank`'s share of a read of `len` elements of `array` to
+    /// its local disk, with no section, data or lock: the same fault
+    /// check, retries and booking as [`DraRuntime::read_section`].
+    #[inline]
+    pub fn charge_read(
+        &mut self,
+        rank: usize,
+        array: ArrayHandle,
+        len: u64,
+    ) -> Result<(), DraError> {
+        self.charge(rank, array, false, len)
+    }
+
+    /// The write counterpart of [`DraRuntime::charge_read`].
+    #[inline]
+    pub fn charge_write(
+        &mut self,
+        rank: usize,
+        array: ArrayHandle,
+        len: u64,
+    ) -> Result<(), DraError> {
+        self.charge(rank, array, true, len)
+    }
+
+    #[inline]
+    fn charge(
+        &mut self,
+        rank: usize,
+        array: ArrayHandle,
+        write: bool,
+        len: u64,
+    ) -> Result<(), DraError> {
+        let label = match self.arrays.get(array.0) {
+            Some(a) => a.name.as_str(),
+            None => return Err(DraError::NoSuchArray(format!("#{}", array.0))),
+        };
+        let (start, end) = chunk(len, rank, self.disks.len());
+        if end == start {
+            return Ok(());
+        }
+        let rngs = &mut self.jitter_rngs;
+        retrying(
+            self.retry.as_ref(),
+            &mut self.disks[rank],
+            || get_mut(&mut rngs[rank]).random(),
+            |d| {
+                if write {
+                    d.charge_write_mut(label, end - start)
+                } else {
+                    d.charge_read_mut(label, end - start)
+                }
+            },
+            |d, wait| d.charge_retry_mut(wait),
+        )
     }
 
     /// Number of processes / local disks.
@@ -362,23 +441,20 @@ impl DraRuntime {
             .ok_or_else(|| DraError::NotMaterialized(a.name.clone()))
     }
 
-    /// Collective section read. Every rank charges its share on its local
-    /// disk; rank 0 copies the data into the buffer section of `dst` for
-    /// materialized arrays.
+    /// Collective section read into the buffer section `dst`. Every rank
+    /// charges its share on its local disk; rank 0 copies the data.
     pub fn read_section(
         &self,
         rank: usize,
         array: ArrayHandle,
         sec: &Section,
-        dst: Option<(&GlobalArray, &Section)>,
+        dst: (&GlobalArray, &Section),
     ) -> Result<(), DraError> {
         let a = self.array(array)?;
         Self::check_section(a, sec)?;
-        let (start, end) = chunk(sec.len(), rank, self.nproc());
-        if end > start {
-            self.local_op(rank, |disk| disk.charge_read(&a.name, end - start))?;
-        }
-        if let (0, Some((buf, buf_sec))) = (rank, dst) {
+        self.local_op(rank, false, &a.name, sec.len())?;
+        if rank == 0 {
+            let (buf, buf_sec) = dst;
             let data = Self::data(a)?;
             Self::check_buffer(a, sec, buf_sec)?;
             buf.copy_section(buf_sec, data, sec);
@@ -396,13 +472,9 @@ impl DraRuntime {
     ) -> Result<(), DraError> {
         let a = self.array(array)?;
         Self::check_section(a, sec)?;
-        let (start, end) = chunk(sec.len(), rank, self.nproc());
-        if end > start {
-            self.local_op(rank, |disk| disk.charge_write(&a.name, end - start))?;
-        }
+        self.local_op(rank, true, &a.name, sec.len())?;
         if rank == 0 {
             match src {
-                SectionSrc::Dry => {}
                 SectionSrc::Zeros => {
                     if let Some(data) = &a.data {
                         data.zero_section(sec);
@@ -477,7 +549,7 @@ mod tests {
         d.fill(a, |k| k as f64).unwrap();
         let buf = GlobalArray::zeros(&[2, 2]);
         let sec = Section::new(vec![1, 2], vec![3, 4]);
-        d.read_section(0, a, &sec, Some((&buf, &Section::full(&[2, 2]))))
+        d.read_section(0, a, &sec, (&buf, &Section::full(&[2, 2])))
             .unwrap();
         assert_eq!(buf.to_vec(), vec![6.0, 7.0, 10.0, 11.0]);
         // write back doubled values
@@ -496,10 +568,9 @@ mod tests {
     fn collective_read_charges_every_disk() {
         let mut d = rt(4);
         let a = d.create("A", &[8, 8], false);
-        run_parallel(4, |ctx| {
-            d.read_section(ctx.rank, a, &Section::full(&[8, 8]), None)
-                .unwrap();
-        });
+        for rank in 0..4 {
+            d.charge_read(rank, a, 64).unwrap();
+        }
         let per = d.stats_per_disk();
         assert_eq!(per.len(), 4);
         // 64 elements over 4 ranks → 16 each → 128 bytes each
@@ -536,12 +607,18 @@ mod tests {
         other.create("Y", &[1], false);
         let stale = other.create("Z", &[1], false);
         assert!(matches!(
-            d.read_section(0, stale, &Section::full(&[1]), None)
+            d.charge_read(0, stale, 1).unwrap_err(),
+            DraError::NoSuchArray(_)
+        ));
+        let buf = GlobalArray::zeros(&[2, 2]);
+        let whole = Section::full(&[2, 2]);
+        assert!(matches!(
+            d.read_section(0, stale, &Section::full(&[1]), (&buf, &whole))
                 .unwrap_err(),
             DraError::NoSuchArray(_)
         ));
         assert!(matches!(
-            d.read_section(0, a, &Section::full(&[4]), None)
+            d.read_section(0, a, &Section::full(&[4]), (&buf, &whole))
                 .unwrap_err(),
             DraError::BadSection(_)
         ));
@@ -553,33 +630,21 @@ mod tests {
             d.fill(stale, |_| 0.0).unwrap_err(),
             DraError::NoSuchArray(_)
         ));
-        let buf = GlobalArray::zeros(&[2, 2]);
         assert!(matches!(
-            d.read_section(
-                0,
-                a,
-                &Section::full(&[2, 2]),
-                Some((&buf, &Section::full(&[2, 2])))
-            )
-            .unwrap_err(),
+            d.read_section(0, a, &whole, (&buf, &whole)).unwrap_err(),
             DraError::NotMaterialized(_)
         ));
         // oversized section
         let b = d.create("B", &[2, 2], true);
         assert!(matches!(
-            d.read_section(0, b, &Section::new(vec![0, 0], vec![3, 2]), None)
+            d.read_section(0, b, &Section::new(vec![0, 0], vec![3, 2]), (&buf, &whole))
                 .unwrap_err(),
             DraError::BadSection(_)
         ));
         // a buffer section of another shape
         assert!(matches!(
-            d.read_section(
-                0,
-                b,
-                &Section::full(&[2, 2]),
-                Some((&buf, &Section::new(vec![0, 0], vec![1, 2])))
-            )
-            .unwrap_err(),
+            d.read_section(0, b, &whole, (&buf, &Section::new(vec![0, 0], vec![1, 2])))
+                .unwrap_err(),
             DraError::BadSection(_)
         ));
     }
@@ -593,15 +658,10 @@ mod tests {
         d.fill(a, |k| k as f64).unwrap();
         // 2 consecutive transient failures after 1 good op
         d.apply_fault_plan(&FaultPlan::transient_after(0, 1, 2));
-        d.read_section(0, a, &Section::full(&[8]), None).unwrap();
+        d.charge_read(0, a, 8).unwrap();
         let buf = GlobalArray::zeros(&[8]);
-        d.read_section(
-            0,
-            a,
-            &Section::full(&[8]),
-            Some((&buf, &Section::full(&[8]))),
-        )
-        .unwrap();
+        d.read_section(0, a, &Section::full(&[8]), (&buf, &Section::full(&[8])))
+            .unwrap();
         assert_eq!(buf.to_vec()[7], 7.0);
         let s = d.total_stats();
         assert_eq!(s.retried_ops, 2);
@@ -622,9 +682,7 @@ mod tests {
         let a = d.create("A", &[8], false);
         // 10 consecutive transient failures swamp the 3-attempt budget
         d.apply_fault_plan(&FaultPlan::transient_after(0, 0, 10));
-        let err = d
-            .read_section(0, a, &Section::full(&[8]), None)
-            .unwrap_err();
+        let err = d.charge_read(0, a, 8).unwrap_err();
         assert!(
             matches!(err, DraError::RetriesExhausted { attempts: 3, .. }),
             "{err}"
@@ -641,9 +699,7 @@ mod tests {
         d.set_retry(RetryPolicy::with_attempts(5));
         let a = d.create("A", &[8], false);
         d.apply_fault_plan(&FaultPlan::permanent_after(0, 0));
-        let err = d
-            .read_section(0, a, &Section::full(&[8]), None)
-            .unwrap_err();
+        let err = d.charge_read(0, a, 8).unwrap_err();
         assert!(err.is_permanent_fault(), "{err}");
         // no attempts were wasted on a dead disk
         assert_eq!(d.total_stats().retried_ops, 0);
@@ -666,11 +722,11 @@ mod tests {
                     ..DiskFaults::default()
                 },
             ));
-            run_parallel(2, |ctx| {
+            for rank in 0..2 {
                 for _ in 0..20 {
-                    let _ = d.read_section(ctx.rank, a, &Section::full(&[64]), None);
+                    let _ = d.charge_read(rank, a, 64);
                 }
-            });
+            }
             d.total_stats().backoff_time_s
         };
         let a = run(5);
@@ -683,10 +739,69 @@ mod tests {
     fn dry_transfers_charge_without_data() {
         let mut d = rt(2);
         let a = d.create("A", &[10], false);
-        run_parallel(2, |ctx| {
-            d.write_section(ctx.rank, a, &Section::full(&[10]), SectionSrc::Dry)
-                .unwrap();
-        });
+        for rank in 0..2 {
+            d.charge_write(rank, a, 10).unwrap();
+        }
         assert_eq!(d.total_stats().write_bytes, 80);
+    }
+
+    #[test]
+    fn charges_book_like_collective_transfers() {
+        use tce_disksim::{DiskFaultKind, DiskFaults, FaultPlan, Schedule};
+        // the same transfers on three faulty, retrying disks: once as
+        // collective section transfers, once as exclusive charges
+        let setup = |materialize: bool| {
+            let mut d = DraRuntime::new(3, DiskProfile::itanium2_osc());
+            d.set_retry(RetryPolicy::with_attempts(6));
+            let a = d.create("A", &[9, 7], materialize);
+            let faults = DiskFaults {
+                schedule: Schedule::none().probabilistic(0.1, DiskFaultKind::Transient),
+                p_spike: 0.05,
+                spike_s: 0.25,
+            };
+            d.apply_fault_plan(
+                &FaultPlan::transient_after(1, 5, 3)
+                    .with_seed(11)
+                    .with_disk(2, faults),
+            );
+            (d, a)
+        };
+        let sections: Vec<Section> = (0..60u64)
+            .map(|k| Section::new(vec![k % 4, 0], vec![k % 4 + 1 + k % 5, 1 + k % 7]))
+            .collect();
+        let (shared, a) = setup(true);
+        let buf = GlobalArray::zeros(&[9, 7]);
+        run_parallel(3, |ctx| {
+            for (k, sec) in sections.iter().enumerate() {
+                let buf_sec = Section::new(
+                    vec![0, 0],
+                    sec.hi.iter().zip(&sec.lo).map(|(h, l)| h - l).collect(),
+                );
+                if k % 3 == 0 {
+                    shared.write_section(ctx.rank, a, sec, SectionSrc::From(&buf, &buf_sec))
+                } else {
+                    shared.read_section(ctx.rank, a, sec, (&buf, &buf_sec))
+                }
+                .unwrap();
+            }
+        });
+        let (mut excl, a) = setup(false);
+        for (k, sec) in sections.iter().enumerate() {
+            for rank in 0..3 {
+                if k % 3 == 0 {
+                    excl.charge_write(rank, a, sec.len())
+                } else {
+                    excl.charge_read(rank, a, sec.len())
+                }
+                .unwrap();
+            }
+        }
+        let want = shared.stats_per_disk();
+        assert!(want.iter().map(|s| s.retried_ops).sum::<u64>() > 3);
+        assert_eq!(want, excl.stats_per_disk());
+        assert_eq!(
+            shared.elapsed_io_time_s().to_bits(),
+            excl.elapsed_io_time_s().to_bits()
+        );
     }
 }

@@ -18,10 +18,12 @@
 //!   one [`tce_disksim::SimDisk`] per process, resolved once into an
 //!   [`ArrayHandle`]. An array's contents live in a global array of the
 //!   runtime; the disks store nothing and charge the transfers.
-//!   `read_section` / `write_section` take the handle and are collective:
-//!   every rank charges `1/P` of the bytes to its local disk, which is
-//!   exactly why Table 4's I/O time scales superlinearly when doubling
-//!   the processor count doubles both the disks and the aggregate memory.
+//!   Every transfer charges each rank `1/P` of the bytes on its local
+//!   disk, which is exactly why Table 4's I/O time scales superlinearly
+//!   when doubling the processor count doubles both the disks and the
+//!   aggregate memory. `read_section` / `write_section` move data and are
+//!   collective; `charge_read` / `charge_write` charge one rank's share
+//!   through `&mut` access, with no section or lock (dry runs).
 //! * [`run_parallel`] / [`ProcCtx`] — scoped worker threads with barrier
 //!   synchronization standing in for the cluster processes.
 
