@@ -1,19 +1,28 @@
 //! Regenerates every table of the paper's evaluation section.
 //!
 //! ```text
-//! cargo run --release -p tce-bench --bin tables -- [all|table2|table3|table4] [--fast]
+//! cargo run --release -p tce-bench --bin tables -- [all|table2|table3|table4|solver] [--fast]
 //! ```
 //!
 //! `--fast` caps the uniform-sampling ladder at 4 points per index
-//! (seconds instead of minutes); omit it for the paper-faithful full
-//! ladder. Results are printed as markdown and merged into
-//! `reports/tables.json`: a run replaces the keys of the tables it
-//! regenerated and keeps the others' rows.
+//! (seconds instead of minutes) and only prints; omit it for the
+//! paper-faithful full ladder. A full-ladder run prints markdown and
+//! merges into `reports/tables.json`: it replaces the keys of the tables
+//! it regenerated and keeps the others' rows.
+//!
+//! `solver` is the strategy decision table: DLM, CSA and CSA held to
+//! DLM's eval count on every cell of `bench_all`'s P8 grid.
+
+#[path = "bench_all/grid.rs"]
+#[allow(dead_code)]
+mod grid;
 
 use serde::{Serialize, Value};
 use std::fs;
+use std::path::Path;
 use tce_bench::*;
 use tce_disksim::DiskProfile;
+use tce_solver::{SolverReport, Strategy};
 
 #[derive(Serialize, Default)]
 struct Report {
@@ -86,9 +95,96 @@ fn main() {
     if which == "blocksweep" {
         block_sweep_study();
     }
+    if which == "solver" {
+        solver_decision_table();
+    }
 
     fs::create_dir_all("reports").expect("create reports dir");
-    write_report(&report);
+    write_report(Path::new("reports/tables.json"), &report, fast);
+}
+
+/// One strategy's synthesis of one P8 cell: the plan's I/O in GB and the
+/// solver report.
+fn solver_run(
+    spec: &grid::ProgramSpec,
+    seed: u64,
+    strategy: Strategy,
+    budget: Option<u64>,
+) -> (f64, SolverReport) {
+    let mut config = spec.config(seed).strategy(strategy).telemetry(true);
+    config.max_evals = budget;
+    let (io_bytes, report) = match spec.parse().expect("P8 parses") {
+        grid::Parsed::Dense(p) => {
+            let r = tce_core::synthesize_dcs(&p, &config).expect("synthesis");
+            (r.io_bytes, r.solver_report)
+        }
+        grid::Parsed::Network(dag) => {
+            let r = tce_core::synthesize_network(&dag, &config).expect("synthesis");
+            (r.io_bytes, r.solver_report)
+        }
+    };
+    (io_bytes / 1e9, report.expect("telemetry on"))
+}
+
+/// `gb` to four significant digits, so the test-scale networks' few
+/// kilobytes still show.
+fn four_digits(gb: f64) -> String {
+    if gb < 1e-3 {
+        return format!("{gb:.3e}");
+    }
+    let decimals = (3 - gb.log10().floor() as i32).max(0) as usize;
+    format!("{gb:.decimals$}")
+}
+
+/// `run`'s cells: its I/O, in bold when strictly below `rival_gb`, its
+/// evals and how its winning restart or chain stopped.
+fn solver_cells((gb, report): &(f64, SolverReport), rival_gb: f64) -> String {
+    let io = four_digits(*gb);
+    let io = if *gb < rival_gb {
+        format!("**{io}**")
+    } else {
+        io
+    };
+    let stop = report.traces[report.winner].termination;
+    format!("{io} | {} | {stop}", report.total_evals)
+}
+
+/// The DLM-vs-CSA decision table over the P8 grid × four solver seeds,
+/// default options. Bold marks a strict win over the row's other
+/// strategy: DLM against CSA, each CSA column against DLM.
+fn solver_decision_table() {
+    println!("## Solver strategies on the P8 grid (plan I/O in GB, evals, winner's stop)\n");
+    println!(
+        "| program | seed | DLM | evals | stop | CSA | evals | stop \
+         | CSA at DLM's evals | evals | stop |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|---|---|");
+    let programs = grid::p8();
+    // [wins, ties, losses] against DLM
+    let mut tally = [[0u32; 3]; 2];
+    for cell in grid::cells(&programs) {
+        let spec = &programs[cell.program];
+        let dlm = solver_run(spec, cell.seed, Strategy::Dlm, None);
+        let csa = solver_run(spec, cell.seed, Strategy::Csa, None);
+        let held = solver_run(spec, cell.seed, Strategy::Csa, Some(dlm.1.total_evals));
+        for (k, run) in [&csa, &held].into_iter().enumerate() {
+            // Less, Equal, Greater as -1, 0, 1
+            tally[k][(run.0.total_cmp(&dlm.0) as i8 + 1) as usize] += 1;
+        }
+        println!(
+            "| {} | {} | {} | {} | {} |",
+            spec.name,
+            cell.seed,
+            solver_cells(&dlm, csa.0),
+            solver_cells(&csa, dlm.0),
+            solver_cells(&held, dlm.0),
+        );
+    }
+    println!();
+    for (label, [wins, ties, losses]) in ["CSA", "CSA at DLM's evals"].into_iter().zip(tally) {
+        println!("{label} against DLM: {wins} wins, {ties} ties, {losses} losses");
+    }
+    println!();
 }
 
 /// Ablation of the minimum-I/O-block constraints (the design choice the
@@ -159,11 +255,17 @@ fn block_sweep_study() {
     println!();
 }
 
-fn write_report(report: &Report) {
-    let path = "reports/tables.json";
+/// Merges `report` into the file at `path`. A `fast` run's rows come
+/// from the capped ladder, which the file has no field to record, so
+/// such a run writes nothing.
+fn write_report(path: &Path, report: &Report, fast: bool) {
+    if fast {
+        println!("\ncapped ladder: {} left as it was", path.display());
+        return;
+    }
     let old = fs::read_to_string(path).unwrap_or_default();
     fs::write(path, merge_report(&old, report)).expect("write report");
-    println!("\nreport written to {path}");
+    println!("\nreport written to {}", path.display());
 }
 
 /// `old` (the text of an earlier report, or anything else) with the keys
@@ -202,6 +304,22 @@ mod tests {
     fn a_run_without_tables_leaves_the_report_byte_identical() {
         // what `tables -- blocksweep` and `tables -- ablation` write
         assert_eq!(merge_report(COMMITTED, &report()), COMMITTED);
+    }
+
+    #[test]
+    fn a_fast_run_leaves_the_report_byte_identical() {
+        let dir = std::env::temp_dir().join(format!("tce-tables-fast-{}", std::process::id()));
+        let path = dir.join("tables.json");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(&path, COMMITTED).unwrap();
+        let rows = Report {
+            table3: Some(Vec::new()),
+            ..report()
+        };
+        write_report(&path, &rows, true);
+        let after = fs::read_to_string(&path).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(after, COMMITTED);
     }
 
     #[test]

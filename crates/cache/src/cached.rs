@@ -12,8 +12,8 @@
 //! The cache key is *renaming-invariant*: the model fingerprint comes from
 //! the Weisfeiler-Lehman canonicalization in `tce_solver::canon`, folded
 //! with a digest of every configuration field that can change the solver's
-//! answer. Thread count is deliberately excluded (the portfolio seeds
-//! deterministically per task, so results are thread-count independent).
+//! answer. Thread count is deliberately excluded (every DLM restart seeds
+//! its own RNG from its index, so results are thread-count independent).
 //! Network keys carry a salt of their own
 //! ([`network_request_fingerprint`]).
 

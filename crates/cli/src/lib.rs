@@ -26,15 +26,15 @@
 //! --mem <bytes|K|M|G>     memory limit (default 2G)
 //! --baseline              uniform-sampling pipeline instead of DCS
 //! --samples <k>           cap the baseline ladder at k points per index
-//! --strategy <dlm|csa|portfolio|brute>
+//! --strategy <dlm|csa|brute>
 //!                         DCS solver strategy (default dlm)
 //! --objective <volume|time> solver objective (default volume, the paper's)
 //! --seed <n>              solver seed
 //! --deadline <secs>       wall-clock budget for the solver phase
 //! --budget <evals>        cap on solver objective evaluations
-//! --threads <n>           solver threads for the DLM restarts or the
-//!                         portfolio (default: all cores; identical
-//!                         results at any count)
+//! --threads <n>           solver threads for the DLM restarts
+//!                         (default: all cores; identical results at
+//!                         any count)
 //! --explain               print the per-restart solver report
 //! --test-scale            unconstrained disk profile, no block minima
 //! --print <what>          plan,placements,ampl,tiles,code (comma list;
@@ -1164,18 +1164,22 @@ mod tests {
     }
 
     #[test]
-    fn parse_portfolio_flags() {
+    fn parse_solver_flags() {
         let cli = parse_args(&args(
-            "synthesize f.tce --strategy portfolio --deadline 2.5 --budget 500000 --threads 4 --explain",
+            "synthesize f.tce --strategy dlm --deadline 2.5 --budget 500000 --threads 4 --explain",
         ))
         .unwrap();
-        assert_eq!(cli.strategy, Strategy::Portfolio);
+        assert_eq!(cli.strategy, Strategy::Dlm);
         assert_eq!(cli.deadline, Some(2.5));
         assert_eq!(cli.budget, Some(500_000));
         assert_eq!(cli.threads, 4);
         assert!(cli.explain);
         // `--threads` is the only solver-thread flag
         assert!(parse_args(&args("synthesize f.tce --scan-threads 2")).is_err());
+        // `portfolio` named a strategy that no longer exists
+        let gone = parse_args(&args("synthesize f.tce --strategy portfolio")).unwrap_err();
+        assert!(gone.message.contains("unknown strategy"), "{gone}");
+        assert_eq!(gone.exit_code(), 2);
     }
 
     #[test]
@@ -1311,15 +1315,16 @@ mod tests {
     #[test]
     fn explain_prints_solver_report() {
         let file = write_fixture("explain_prints_solver_report");
-        let cli = parse_args(&args(&format!(
-            "synthesize {file} --mem 8K --test-scale --strategy portfolio --budget 300000 --explain --print tiles"
-        )))
-        .unwrap();
-        let out = run_cli(&cli).unwrap();
-        assert!(out.contains("=== solver report ==="), "{out}");
-        assert!(out.contains("solver report: portfolio"), "{out}");
-        assert!(out.contains("dlm#0"), "{out}");
-        assert!(out.contains("csa#0"), "{out}");
+        for (strategy, task) in [("dlm", "dlm#0"), ("csa", "csa#0")] {
+            let cli = parse_args(&args(&format!(
+                "synthesize {file} --mem 8K --test-scale --strategy {strategy} --budget 300000 --explain --print tiles"
+            )))
+            .unwrap();
+            let out = run_cli(&cli).unwrap();
+            assert!(out.contains("=== solver report ==="), "{out}");
+            assert!(out.contains(&format!("solver report: {strategy}")), "{out}");
+            assert!(out.contains(task), "{out}");
+        }
     }
 
     #[test]

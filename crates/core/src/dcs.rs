@@ -32,15 +32,15 @@ pub struct SynthesisConfig {
     pub seed: u64,
     /// DLM option overrides.
     pub dlm: Option<DlmOptions>,
-    /// Wall-clock deadline for the solver phase (portfolio/DLM/CSA honor
-    /// it at segment boundaries; brute force ignores it).
+    /// Wall-clock deadline for the solver phase (DLM and CSA honor it at
+    /// segment boundaries; brute force ignores it).
     pub deadline: Option<Duration>,
     /// Global solver evaluation budget (see
     /// [`SolveOptions::max_evals`]).
     pub max_evals: Option<u64>,
     /// Solver worker threads (`0` = all cores): the pool that runs the
-    /// DLM restarts and the portfolio's tasks (see
-    /// [`SolveOptions::threads`]). The plan does not depend on it.
+    /// DLM restarts (see [`SolveOptions::threads`]). The plan does not
+    /// depend on it.
     pub threads: usize,
     /// Collect per-restart solver telemetry into
     /// [`SynthesisResult::solver_report`].
@@ -49,7 +49,7 @@ pub struct SynthesisConfig {
     /// the predicted-time extension (see [`ObjectiveKind`]).
     pub objective: ObjectiveKind,
     /// Cooperative cancellation handle for the solver phase, polled at the
-    /// same segment/round boundaries as [`SynthesisConfig::deadline`].
+    /// same segment boundaries as [`SynthesisConfig::deadline`].
     /// Unlike the deadline this is *not* part of the request identity
     /// (`tce-cache` excludes it from the config digest): it lets an
     /// embedder impose a job-level timeout without changing which cache
@@ -549,20 +549,21 @@ mod tests {
     }
 
     #[test]
-    fn dcs_portfolio_with_telemetry_matches_config_builder() {
+    fn dcs_strategies_with_telemetry_match_config_builder() {
         let p = two_index_fused(64, 48);
-        let config = SynthesisConfig::test_scale(64 * 1024)
-            .strategy(Strategy::Portfolio)
-            .seed(7)
-            .budget(400_000)
-            .threads(2)
-            .telemetry(true);
-        let r = synthesize_dcs(&p, &config).expect("synthesis");
-        assert!(r.memory_bytes <= 64.0 * 1024.0 + 1e-6);
-        let report = r.solver_report.as_ref().expect("telemetry on");
-        assert_eq!(report.strategy, "portfolio");
-        assert!(report.traces.iter().any(|t| t.label.starts_with("dlm#")));
-        assert!(report.traces.iter().any(|t| t.label.starts_with("csa#")));
+        for (strategy, label) in [(Strategy::Dlm, "dlm#"), (Strategy::Csa, "csa#")] {
+            let config = SynthesisConfig::test_scale(64 * 1024)
+                .strategy(strategy)
+                .seed(7)
+                .budget(400_000)
+                .threads(2)
+                .telemetry(true);
+            let r = synthesize_dcs(&p, &config).expect("synthesis");
+            assert!(r.memory_bytes <= 64.0 * 1024.0 + 1e-6);
+            let report = r.solver_report.as_ref().expect("telemetry on");
+            assert_eq!(report.strategy, strategy.name());
+            assert!(report.traces.iter().all(|t| t.label.starts_with(label)));
+        }
         // telemetry off by default
         let serial = synthesize_dcs(&p, &SynthesisConfig::test_scale(64 * 1024).seed(7))
             .expect("serial synthesis");

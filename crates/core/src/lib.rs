@@ -49,7 +49,7 @@ pub mod prelude {
     pub use tce_disksim::{DiskProfile, IoStats};
     pub use tce_ir::{parse_program, print_code, print_tree, Program};
     pub use tce_solver::{
-        solve, CancelToken, SolveOptions, SolveOutcome, Solver, SolverReport, Strategy, Termination,
+        solve, CancelToken, SolveOptions, SolveOutcome, SolverReport, Strategy, Termination,
     };
     pub use tce_tile::{
         enumerate_placements, tile_program, PlacementSelection, SynthesisSpace, TiledProgram,

@@ -28,7 +28,7 @@ pub struct JobSpec {
     /// Use test-scale defaults (unconstrained profile, block constraints
     /// off) instead of the paper-scale Itanium-2 profile.
     pub test_scale: bool,
-    /// Solver strategy override (`dlm`, `csa`, `portfolio`, `brute`).
+    /// Solver strategy override (`dlm`, `csa`, `brute`).
     pub strategy: Option<String>,
     /// Solver seed override.
     pub seed: Option<u64>,
@@ -443,6 +443,14 @@ mod tests {
             r#"{"name": "x", "program": "range i = 4", "mem_limit": 1, "strategy": "genetic"}"#,
         )
         .unwrap_err();
+        assert!(err.contains("unknown strategy"), "{err}");
+        // `portfolio` named a strategy that no longer exists
+        let mut spec = JobSpec::from_json_line(
+            r#"{"name": "x", "program": "range i = 4", "mem_limit": 1, "strategy": "csa"}"#,
+        )
+        .expect("csa is a strategy");
+        spec.strategy = Some("portfolio".to_string());
+        let err = spec.config().unwrap_err();
         assert!(err.contains("unknown strategy"), "{err}");
 
         let err =

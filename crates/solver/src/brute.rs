@@ -5,7 +5,9 @@
 //! (the baseline has its own sampled enumeration in `tce-core`).
 
 use crate::compiled::CompiledModel;
-use crate::model::{Model, Solution, FEAS_TOL};
+use crate::dlm::RestartResult;
+use crate::model::{Model, FEAS_TOL};
+use crate::telemetry::Termination;
 
 /// Hard cap on the number of points brute force will visit.
 pub const BRUTE_FORCE_LIMIT: u64 = 20_000_000;
@@ -18,7 +20,7 @@ pub const BRUTE_FORCE_LIMIT: u64 = 20_000_000;
 /// # Panics
 ///
 /// Panics if the search space exceeds [`BRUTE_FORCE_LIMIT`] points.
-pub(crate) fn run_brute(model: &Model) -> Solution {
+pub(crate) fn run_brute(model: &Model) -> RestartResult {
     let size = model.space_size();
     assert!(
         size <= BRUTE_FORCE_LIMIT,
@@ -61,12 +63,13 @@ pub(crate) fn run_brute(model: &Model) -> Solution {
                         (p, o, false)
                     }
                 };
-                return Solution {
+                return RestartResult {
                     point,
                     objective,
                     feasible,
                     evals,
-                    iterations: evals,
+                    iters: evals,
+                    termination: Termination::Completed,
                 };
             }
             let (lo, hi) = model.vars()[k].domain.bounds();

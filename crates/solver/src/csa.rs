@@ -7,14 +7,15 @@
 //! `L` via λ are accepted, pushing the walk toward feasibility). The
 //! temperature follows a geometric cooling schedule.
 //!
-//! Like DLM restarts, a chain is a resumable state machine (`CsaTask`)
-//! so the [portfolio](crate::portfolio) can interleave it with other
-//! tasks in evaluation-sized segments without changing its trajectory.
+//! Like DLM restarts, a chain is a resumable state machine (`CsaTask`),
+//! so a deadline or cancel token can be polled between evaluation-sized
+//! segments without changing its trajectory.
 
 use crate::compiled::{CompiledModel, Evaluator};
-use crate::dlm::RestartResult;
-use crate::model::{Model, Solution, FEAS_TOL};
-use crate::telemetry::{Recorder, Sink, TapeStats, Termination};
+use crate::dlm::{drive_to_completion, RestartResult, Task};
+use crate::model::{Model, FEAS_TOL};
+use crate::telemetry::{Noop, Recorder, Sink, Termination};
+use crate::Run;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -55,12 +56,6 @@ impl CsaOptions {
             levels: 120,
             ..CsaOptions::new(seed)
         }
-    }
-
-    /// Lagrangian evaluations a full chain performs in the worst case
-    /// (one per attempted move, plus the initial point).
-    pub(crate) fn natural_budget(&self) -> u64 {
-        (self.levels as u64) * (self.moves_per_temp as u64) + 1
     }
 }
 
@@ -137,9 +132,6 @@ pub(crate) struct CsaTask<'m> {
     /// Scratch for the multiplier move's violated-constraint indices
     /// (reused across moves; no per-move allocation).
     violated: Vec<usize>,
-    /// Whether the best point improved since the last incumbent check
-    /// (used by the portfolio's pruning rule).
-    improved_since_check: bool,
     done: bool,
     termination: Termination,
 }
@@ -179,50 +171,11 @@ impl<'m> CsaTask<'m> {
             budget,
             best: None,
             violated: Vec::new(),
-            improved_since_check: true,
             done: false,
             termination: Termination::Completed,
         };
         task.consider(&mut crate::telemetry::Noop);
         task
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.done
-    }
-
-    pub(crate) fn best_feasible(&self) -> Option<f64> {
-        match &self.best {
-            Some((_, obj, true)) => Some(*obj),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn abort(&mut self, termination: Termination) {
-        if !self.done {
-            self.done = true;
-            self.termination = termination;
-        }
-    }
-
-    /// The portfolio's pruning rule: when the shared incumbent is strictly
-    /// better than anything this chain has found and the chain did not
-    /// improve during the last round, stop spending budget on it. Called
-    /// at round barriers only, with an incumbent derived from *all*
-    /// tasks' state, so the outcome is independent of thread schedule.
-    pub(crate) fn note_incumbent(&mut self, incumbent: Option<f64>) {
-        if !self.done {
-            if let Some(inc) = incumbent {
-                let behind = match &self.best {
-                    Some((_, obj, feas)) => !*feas || *obj > inc,
-                    None => true,
-                };
-                if behind && !self.improved_since_check {
-                    self.abort(Termination::PrunedByIncumbent);
-                }
-            }
-        }
-        self.improved_since_check = false;
     }
 
     /// Considers the evaluator's committed point for the chain's best.
@@ -240,41 +193,8 @@ impl<'m> CsaTask<'m> {
         };
         if better {
             self.best = Some((self.eval.point().to_vec(), obj, feasible));
-            self.improved_since_check = true;
             if S::ENABLED {
                 sink.improvement(self.evals, obj, feasible);
-            }
-        }
-    }
-
-    /// Advances the chain by roughly `quota` evaluations; returns true
-    /// when the chain is finished.
-    pub(crate) fn step<S: Sink>(&mut self, quota: u64, sink: &mut S) -> bool {
-        let stop = self.evals.saturating_add(quota);
-        loop {
-            if self.done {
-                return true;
-            }
-            if self.level >= self.levels {
-                self.done = true;
-                return true;
-            }
-            if self.evals >= self.budget {
-                self.abort(Termination::EvalBudget);
-                return true;
-            }
-            self.one_move(sink);
-            self.attempted += 1;
-            self.mv += 1;
-            if self.mv == self.moves_per_temp {
-                self.mv = 0;
-                self.level += 1;
-                self.temp *= self.cooling;
-            }
-            if self.evals >= stop {
-                // a follow-up step() call observes any just-finished
-                // schedule; report "not done" conservatively here
-                return false;
             }
         }
     }
@@ -357,17 +277,52 @@ impl<'m> CsaTask<'m> {
     }
 }
 
-/// Outcome of a full CSA run (one chain), with an optional trace.
-pub(crate) struct CsaRun {
-    pub solution: Solution,
-    pub traces: Vec<crate::telemetry::RestartTrace>,
-    /// Peephole before/after tape statistics.
-    pub tape: TapeStats,
+impl Task for CsaTask<'_> {
+    /// Advances the chain by roughly `quota` evaluations; returns true
+    /// when the chain is finished.
+    fn step<S: Sink>(&mut self, quota: u64, sink: &mut S) -> bool {
+        let stop = self.evals.saturating_add(quota);
+        loop {
+            if self.done {
+                return true;
+            }
+            if self.level >= self.levels {
+                self.done = true;
+                return true;
+            }
+            if self.evals >= self.budget {
+                self.abort(Termination::EvalBudget);
+                return true;
+            }
+            self.one_move(sink);
+            self.attempted += 1;
+            self.mv += 1;
+            if self.mv == self.moves_per_temp {
+                self.mv = 0;
+                self.level += 1;
+                self.temp *= self.cooling;
+            }
+            if self.evals >= stop {
+                // a follow-up step() call observes any just-finished
+                // schedule; report "not done" conservatively here
+                return false;
+            }
+        }
+    }
+
+    fn abort(&mut self, termination: Termination) {
+        if !self.done {
+            self.done = true;
+            self.termination = termination;
+        }
+    }
 }
 
 /// Runs one annealing chain to completion, optionally recording a trace.
 /// `budget` caps Lagrangian evaluations (`u64::MAX` = the full schedule);
 /// a deadline and a cancel token are polled between evaluation segments.
+/// The solution's `iterations` are the moves the chain attempted: the
+/// whole cooling ladder when it completes, fewer when it was cut.
 pub(crate) fn run_csa(
     model: &Model,
     opts: &CsaOptions,
@@ -375,71 +330,25 @@ pub(crate) fn run_csa(
     budget: u64,
     deadline: Option<std::time::Instant>,
     cancel: Option<&crate::CancelToken>,
-) -> CsaRun {
+) -> Run {
     let compiled = CompiledModel::compile(model);
     let mut task = CsaTask::new(model, opts, budget, &compiled);
-    let mut recorder = Recorder::default();
-    if telemetry {
-        drive(&mut task, deadline, cancel, &mut recorder);
-    } else {
-        drive(&mut task, deadline, cancel, &mut crate::telemetry::Noop);
+    let mut recorder = telemetry.then(Recorder::default);
+    match &mut recorder {
+        Some(rec) => drive_to_completion(&mut task, deadline, cancel, rec),
+        None => drive_to_completion(&mut task, deadline, cancel, &mut Noop),
     }
-    let r = task.result();
-    // the classic schedule reports its full ladder as the iteration count
-    let schedule = (opts.levels as u64) * (opts.moves_per_temp as u64);
-    let traces = if telemetry {
-        vec![crate::telemetry::RestartTrace {
-            label: "csa#0".to_string(),
-            iterations: r.iters,
-            evals: r.evals,
-            objective: r.objective,
-            feasible: r.feasible,
-            // tree walk: once per solve summary, off the eval hot path
-            violation: model.violations(&r.point).iter().sum(),
-            max_multiplier: recorder.max_multiplier,
-            improvements: recorder.improvements.clone(),
-            termination: r.termination,
-        }]
-    } else {
-        Vec::new()
-    };
-    CsaRun {
-        solution: Solution {
-            point: r.point,
-            objective: r.objective,
-            feasible: r.feasible,
-            evals: r.evals,
-            iterations: schedule,
-        },
-        traces,
-        tape: compiled.tape_stats(),
-    }
-}
-
-fn drive<S: Sink>(
-    task: &mut CsaTask<'_>,
-    deadline: Option<std::time::Instant>,
-    cancel: Option<&crate::CancelToken>,
-    sink: &mut S,
-) {
-    if deadline.is_none() && cancel.is_none() {
-        while !task.step(u64::MAX, sink) {}
-        return;
-    }
-    while !task.step(8_192, sink) {
-        if deadline.is_some_and(|at| std::time::Instant::now() >= at) {
-            task.abort(Termination::Deadline);
-            return;
-        }
-        if cancel.is_some_and(|c| c.is_canceled()) {
-            task.abort(Termination::Canceled);
-            return;
-        }
-    }
+    Run::single(
+        model,
+        "csa#0",
+        task.result(),
+        recorder,
+        Some(compiled.tape_stats()),
+    )
 }
 
 #[cfg(test)]
-pub(crate) fn solve_csa_impl(model: &Model, opts: &CsaOptions) -> Solution {
+pub(crate) fn solve_csa_impl(model: &Model, opts: &CsaOptions) -> crate::model::Solution {
     run_csa(model, opts, false, u64::MAX, None, None).solution
 }
 
@@ -447,7 +356,6 @@ pub(crate) fn solve_csa_impl(model: &Model, opts: &CsaOptions) -> Solution {
 mod tests {
     use super::*;
     use crate::model::{ConstraintOp, Domain, Expr, Model};
-    use crate::telemetry::Noop;
 
     #[test]
     fn csa_solves_quadratic() {
@@ -524,19 +432,22 @@ mod tests {
     }
 
     #[test]
-    fn csa_prunes_against_better_incumbent() {
+    fn a_cut_chain_reports_the_moves_it_attempted() {
         let mut m = Model::new();
         let x = m.add_var("x", Domain::Int { lo: 0, hi: 100 });
         m.objective = Expr::Var(x);
-        let compiled = CompiledModel::compile(&m);
-        let mut task = CsaTask::new(&m, &CsaOptions::quick(8), u64::MAX, &compiled);
-        task.step(50, &mut Noop);
-        // first check only clears the improvement flag
-        task.note_incumbent(Some(-1.0e9));
-        assert!(!task.is_done());
-        task.note_incumbent(Some(-1.0e9));
-        assert!(task.is_done());
-        assert_eq!(task.result().termination, Termination::PrunedByIncumbent);
+        let opts = crate::SolveOptions::new(4)
+            .strategy(crate::Strategy::Csa)
+            .csa(CsaOptions::quick(4))
+            .max_evals(500)
+            .telemetry(true);
+        let out = crate::solve(&m, &opts);
+        let report = out.report.expect("telemetry on");
+        let trace = &report.traces[0];
+        assert_eq!(trace.termination, Termination::EvalBudget);
+        assert_eq!(out.solution.iterations, trace.iterations);
+        assert_eq!(report.total_iterations, trace.iterations);
+        assert!(trace.iterations < 120 * 120, "{} moves", trace.iterations);
     }
 
     #[test]

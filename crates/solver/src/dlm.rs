@@ -16,15 +16,16 @@
 //!
 //! Each restart is implemented as a resumable state machine
 //! (`DlmTask`): `step(quota)` advances the descent by roughly `quota`
-//! Lagrangian evaluations and returns, preserving every bit of state.
-//! `run_dlm` drives whole restarts on a small worker pool; the
-//! [portfolio](crate::portfolio) interleaves segments of many tasks
-//! across threads. Because a task's trajectory depends only on its own
-//! state, neither segmentation nor scheduling changes the result.
+//! Lagrangian evaluations and returns, preserving every bit of state, so
+//! a deadline or cancel token can be polled between segments.
+//! `run_dlm` drives whole restarts on a small worker pool. Because a
+//! task's trajectory depends only on its own state, neither segmentation
+//! nor scheduling changes the result.
 
 use crate::compiled::{CompiledModel, Evaluator};
 use crate::model::{Domain, Model, Solution, FEAS_TOL};
-use crate::telemetry::{RestartTrace, Sink, TapeStats, Termination};
+use crate::telemetry::{Noop, Recorder, RestartTrace, Sink, Termination};
+use crate::Run;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -202,7 +203,8 @@ fn random_point(model: &Model, rng: &mut StdRng) -> Vec<i64> {
         .collect()
 }
 
-/// Outcome of one restart (or one portfolio task).
+/// Outcome of one DLM restart, one CSA chain or one brute-force
+/// enumeration.
 #[derive(Clone, Debug)]
 pub(crate) struct RestartResult {
     pub point: Vec<i64>,
@@ -223,6 +225,23 @@ impl RestartResult {
             .cmp(&self.feasible)
             .then(self.objective.total_cmp(&other.objective))
             .then_with(|| self.point.cmp(&other.point))
+    }
+
+    /// The telemetry trace of this result, with the events `recorder`
+    /// collected while the task ran.
+    pub(crate) fn trace(&self, label: String, model: &Model, recorder: &Recorder) -> RestartTrace {
+        RestartTrace {
+            label,
+            iterations: self.iters,
+            evals: self.evals,
+            objective: self.objective,
+            feasible: self.feasible,
+            // tree walk: once per task summary, off the eval hot path
+            violation: model.violations(&self.point).iter().sum(),
+            max_multiplier: recorder.max_multiplier,
+            improvements: recorder.improvements.clone(),
+            termination: self.termination,
+        }
     }
 }
 
@@ -469,11 +488,6 @@ impl<'m> DlmTask<'m> {
         matches!(self.phase, Phase::Done)
     }
 
-    /// Best feasible objective certified so far (for incumbent sharing).
-    pub(crate) fn best_feasible(&self) -> Option<f64> {
-        self.best_feasible
-    }
-
     /// Stops the task where it stands (deadline expiry).
     pub(crate) fn abort(&mut self, termination: Termination) {
         if !self.is_done() {
@@ -639,13 +653,32 @@ impl<'m> DlmTask<'m> {
     }
 }
 
-/// Quota the serial drivers use between deadline checks.
+/// A resumable search, one DLM restart or one CSA chain, as
+/// [`drive_to_completion`] sees it.
+pub(crate) trait Task {
+    /// Advances by roughly `quota` evaluations; true once finished.
+    fn step<S: Sink>(&mut self, quota: u64, sink: &mut S) -> bool;
+    /// Stops the task where it stands.
+    fn abort(&mut self, termination: Termination);
+}
+
+impl Task for DlmTask<'_> {
+    fn step<S: Sink>(&mut self, quota: u64, sink: &mut S) -> bool {
+        DlmTask::step(self, quota, sink)
+    }
+
+    fn abort(&mut self, termination: Termination) {
+        DlmTask::abort(self, termination)
+    }
+}
+
+/// Quota the drivers use between deadline checks.
 const DEADLINE_SEGMENT: u64 = 8_192;
 
 /// Drives one task to completion, polling `deadline` and `cancel`
 /// between segments when either is set.
-pub(crate) fn drive_to_completion<S: Sink>(
-    task: &mut DlmTask<'_>,
+pub(crate) fn drive_to_completion<T: Task, S: Sink>(
+    task: &mut T,
     deadline: Option<Instant>,
     cancel: Option<&crate::CancelToken>,
     sink: &mut S,
@@ -666,17 +699,6 @@ pub(crate) fn drive_to_completion<S: Sink>(
     }
 }
 
-/// Outcome of a full DLM run (all restarts).
-pub(crate) struct DlmRun {
-    pub solution: Solution,
-    pub winner: usize,
-    /// Worker threads the restarts ran on.
-    pub threads: usize,
-    pub traces: Vec<RestartTrace>,
-    /// Peephole before/after tape statistics.
-    pub tape: TapeStats,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_one(
     model: &Model,
@@ -687,15 +709,23 @@ fn run_one(
     telemetry: bool,
     deadline: Option<Instant>,
     cancel: Option<&crate::CancelToken>,
-) -> (RestartResult, crate::telemetry::Recorder) {
+) -> (RestartResult, Recorder) {
     let mut task = DlmTask::new(model, opts, restart, budget, compiled);
-    let mut recorder = crate::telemetry::Recorder::default();
+    let mut recorder = Recorder::default();
     if telemetry {
         drive_to_completion(&mut task, deadline, cancel, &mut recorder);
     } else {
-        drive_to_completion(&mut task, deadline, cancel, &mut crate::telemetry::Noop);
+        drive_to_completion(&mut task, deadline, cancel, &mut Noop);
     }
     (task.result(), recorder)
+}
+
+/// Resolves `threads: 0` to the machine's available parallelism.
+pub(crate) fn resolve_threads(requested: usize) -> usize {
+    match requested {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
 }
 
 /// Runs all DLM restarts on `min(threads, restarts)` workers — the
@@ -720,7 +750,7 @@ pub(crate) fn run_dlm(
     telemetry: bool,
     deadline: Option<Instant>,
     cancel: Option<&crate::CancelToken>,
-) -> DlmRun {
+) -> Run {
     let restarts = opts.restarts.max(1);
     let budget = (opts.max_evals / restarts as u64).max(1);
     let compiled = &CompiledModel::compile(model);
@@ -772,25 +802,14 @@ pub(crate) fn run_dlm(
         results
             .iter()
             .enumerate()
-            .map(|(k, (r, rec))| RestartTrace {
-                label: format!("dlm#{k}"),
-                iterations: r.iters,
-                evals: r.evals,
-                objective: r.objective,
-                feasible: r.feasible,
-                // tree walk: once per restart summary, off the eval hot path
-                violation: model.violations(&r.point).iter().sum(),
-                max_multiplier: rec.max_multiplier,
-                improvements: rec.improvements.clone(),
-                termination: r.termination,
-            })
+            .map(|(k, (r, rec))| r.trace(format!("dlm#{k}"), model, rec))
             .collect()
     } else {
         Vec::new()
     };
 
     let best = &results[winner].0;
-    DlmRun {
+    Run {
         solution: Solution {
             point: best.point.clone(),
             objective: best.objective,
@@ -801,7 +820,7 @@ pub(crate) fn run_dlm(
         winner,
         threads,
         traces,
-        tape: compiled.tape_stats(),
+        tape: Some(compiled.tape_stats()),
     }
 }
 
@@ -814,7 +833,6 @@ pub(crate) fn solve_dlm_impl(model: &Model, opts: &DlmOptions) -> Solution {
 mod tests {
     use super::*;
     use crate::model::{ConstraintOp, Domain, Expr, Model, VarId};
-    use crate::telemetry::{Noop, Recorder};
 
     /// max x·y s.t. x+y ≤ 10 → minimize −x·y; optimum 25 at (5,5).
     fn knapsack_like() -> Model {
@@ -1047,8 +1065,8 @@ mod tests {
         let mut task = DlmTask::new(&m, &DlmOptions::quick(2), 0, 100_000, &compiled);
         let mut rec = Recorder::default();
         while !task.step(u64::MAX, &mut rec) {}
-        assert!(task.best_feasible().is_some());
+        assert!(task.best_feasible.is_some());
         let last = rec.improvements.last().expect("improvements recorded");
-        assert_eq!(Some(last.objective), task.best_feasible());
+        assert_eq!(Some(last.objective), task.best_feasible);
     }
 }

@@ -17,9 +17,6 @@
 //!   infeasible local minima, with multistart.
 //! * [`csa`] — Constrained Simulated Annealing, the stochastic variant
 //!   (Wah & Wang 1999): Metropolis moves in the joint `(x, λ)` space.
-//! * [`portfolio`] — both of the above fanned out across a thread pool
-//!   with a shared incumbent, a wall-clock deadline and a global
-//!   evaluation budget; deterministic for a fixed seed.
 //! * [`brute`] — exhaustive enumeration for small models, used to verify
 //!   the other solvers in tests.
 //! * [`telemetry`] — per-restart progress traces and the
@@ -45,10 +42,10 @@
 //! assert!(out.solution.feasible);
 //! assert_eq!(out.solution.objective, 6.0);
 //!
-//! // the portfolio with telemetry returns a per-task report too
+//! // CSA with telemetry returns a per-chain report too
 //! let out = solve(
 //!     &m,
-//!     &SolveOptions::new(7).strategy(Strategy::Portfolio).telemetry(true),
+//!     &SolveOptions::new(7).strategy(Strategy::Csa).telemetry(true),
 //! );
 //! assert_eq!(out.solution.objective, 6.0);
 //! assert!(out.report.is_some());
@@ -64,7 +61,6 @@ pub mod csa;
 pub mod dlm;
 pub mod model;
 mod peephole;
-pub mod portfolio;
 pub mod telemetry;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,7 +75,7 @@ pub use model::{Constraint, ConstraintOp, Domain, Expr, Model, Solution, VarId};
 pub use telemetry::{Improvement, RestartTrace, SolverReport, TapeStats, Termination};
 
 /// A cooperative cancellation handle, polled by the solver drivers at the
-/// same segment/round boundaries where the wall-clock deadline is.
+/// same segment boundaries where the wall-clock deadline is.
 ///
 /// Clones share one flag: any clone's [`CancelToken::cancel`] stops every
 /// solve holding a clone. A token may also carry its own absolute
@@ -125,11 +121,6 @@ impl CancelToken {
         self.deadline.is_some_and(|at| Instant::now() >= at)
     }
 
-    /// The embedded deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// A clone sharing this token's cancel flag that additionally trips
     /// once `deadline` passes (the earlier deadline wins if this token
     /// already carries one). Lets an embedder hand out one long-lived
@@ -139,12 +130,6 @@ impl CancelToken {
             flag: self.flag.clone(),
             deadline: Some(self.deadline.map_or(deadline, |d| d.min(deadline))),
         }
-    }
-
-    /// True when cancellation was requested explicitly via
-    /// [`CancelToken::cancel`] (as opposed to a deadline expiry).
-    pub fn explicitly_canceled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -157,29 +142,29 @@ pub enum Strategy {
     /// Constrained simulated annealing (stochastic; slower, occasionally
     /// escapes basins DLM cannot).
     Csa,
-    /// DLM restarts and CSA chains raced on a thread pool with a shared
-    /// incumbent, deadline and evaluation budget. Never worse than
-    /// [`Strategy::Dlm`] for the same options, and deterministic for a
-    /// fixed seed regardless of thread count.
-    Portfolio,
     /// Exhaustive search (only for tiny models / tests).
     BruteForce,
 }
 
 impl Strategy {
-    /// The strategy's command-line and wire name: its [`Solver::name`]
-    /// (`"dlm"`, `"csa"`, `"portfolio"`, `"brute"`).
+    /// The strategy's command-line and wire name (`"dlm"`, `"csa"`,
+    /// `"brute"`).
     ///
     /// ```
     /// use tce_solver::Strategy;
     ///
-    /// assert_eq!("portfolio".parse(), Ok(Strategy::Portfolio));
+    /// assert_eq!("csa".parse(), Ok(Strategy::Csa));
     /// assert_eq!(Strategy::BruteForce.name().parse(), Ok(Strategy::BruteForce));
     /// assert_eq!("brute_force".parse(), Ok(Strategy::BruteForce));
     /// assert!("genetic".parse::<Strategy>().is_err());
+    /// assert!("portfolio".parse::<Strategy>().is_err());
     /// ```
     pub fn name(self) -> &'static str {
-        solver_for(self).name()
+        match self {
+            Strategy::Dlm => "dlm",
+            Strategy::Csa => "csa",
+            Strategy::BruteForce => "brute",
+        }
     }
 }
 
@@ -189,16 +174,12 @@ impl std::str::FromStr for Strategy {
     /// Parses a [`Strategy::name`]; `brute_force` is also accepted for
     /// [`Strategy::BruteForce`].
     fn from_str(s: &str) -> Result<Self, String> {
-        let name = if s == "brute_force" { "brute" } else { s };
-        [
-            Strategy::Dlm,
-            Strategy::Csa,
-            Strategy::Portfolio,
-            Strategy::BruteForce,
-        ]
-        .into_iter()
-        .find(|k| k.name() == name)
-        .ok_or_else(|| format!("unknown strategy `{s}`"))
+        match s {
+            "dlm" => Ok(Strategy::Dlm),
+            "csa" => Ok(Strategy::Csa),
+            "brute" | "brute_force" => Ok(Strategy::BruteForce),
+            _ => Err(format!("unknown strategy `{s}`")),
+        }
     }
 }
 
@@ -209,7 +190,7 @@ impl std::str::FromStr for Strategy {
 /// use tce_solver::{SolveOptions, Strategy};
 ///
 /// let opts = SolveOptions::new(2004)
-///     .strategy(Strategy::Portfolio)
+///     .strategy(Strategy::Csa)
 ///     .deadline(Duration::from_secs(5))
 ///     .max_evals(2_000_000)
 ///     .threads(4)
@@ -222,21 +203,22 @@ pub struct SolveOptions {
     pub strategy: Strategy,
     /// RNG seed; every derived task seed is a pure function of it.
     pub seed: u64,
-    /// Wall-clock deadline for the whole solve. Polled at segment/round
+    /// Wall-clock deadline for the whole solve. Polled at segment
     /// boundaries, so expiry cuts the search short within one segment.
     /// This is the single intentionally non-deterministic control: *when*
     /// it fires depends on machine speed. Ignored by brute force.
     pub deadline: Option<Duration>,
     /// Global cap on objective/Lagrangian evaluations across all tasks.
-    /// `None` means each strategy's own per-task defaults apply.
-    /// Enforced at iteration granularity: the total can overshoot by at
-    /// most one neighbourhood scan per task. Ignored by brute force.
+    /// `None` means each strategy's own per-task defaults apply. CSA
+    /// stops at it exactly; DLM applies it to each restart's descent, at
+    /// iteration granularity, and bounds the polish phase by
+    /// `max_iters` alone, so its total can exceed the cap. Ignored by
+    /// brute force.
     pub max_evals: Option<u64>,
     /// Worker threads (`0` = all available cores): the pool that runs
     /// [`Strategy::Dlm`]'s restarts (at most one thread per restart; `1`
-    /// runs them one after another on the calling thread) and
-    /// [`Strategy::Portfolio`]'s tasks. The answer does not depend on this
-    /// value, only the wall-clock does.
+    /// runs them one after another on the calling thread). The answer
+    /// does not depend on this value, only the wall-clock does.
     pub threads: usize,
     /// Record per-restart traces and return a [`SolverReport`]. Off by
     /// default; when off the hooks compile to nothing.
@@ -245,17 +227,8 @@ pub struct SolveOptions {
     pub dlm: Option<DlmOptions>,
     /// CSA options (`None` = [`CsaOptions::new`] with [`Self::seed`]).
     pub csa: Option<CsaOptions>,
-    /// Number of CSA chains the portfolio adds next to the DLM restarts.
-    pub csa_chains: usize,
-    /// Evaluations each portfolio task advances per scheduling round.
-    /// Smaller segments share incumbents (and hence prune) sooner; larger
-    /// ones reduce barrier overhead. Part of the deterministic
-    /// configuration, like the seed: for a fixed value the result is
-    /// independent of thread count, but different values may prune CSA
-    /// chains at different points.
-    pub segment_evals: u64,
     /// Cooperative cancellation handle, polled alongside the deadline at
-    /// segment/round boundaries. Like the deadline this only controls
+    /// segment boundaries. Like the deadline this only controls
     /// *when* the search stops, never which points it visits — but unlike
     /// the deadline it is excluded from `tce-cache`'s config digest, so a
     /// canceled solve must be discarded rather than cached. Ignored by
@@ -265,7 +238,7 @@ pub struct SolveOptions {
 
 impl SolveOptions {
     /// Defaults: DLM strategy, no deadline/budget, all cores, telemetry
-    /// off, two portfolio CSA chains.
+    /// off.
     pub fn new(seed: u64) -> Self {
         SolveOptions {
             strategy: Strategy::Dlm,
@@ -276,8 +249,6 @@ impl SolveOptions {
             telemetry: false,
             dlm: None,
             csa: None,
-            csa_chains: 2,
-            segment_evals: 4_096,
             cancel: None,
         }
     }
@@ -325,18 +296,6 @@ impl SolveOptions {
         self
     }
 
-    /// Sets the number of portfolio CSA chains.
-    pub fn csa_chains(mut self, chains: usize) -> Self {
-        self.csa_chains = chains;
-        self
-    }
-
-    /// Sets the portfolio's per-round evaluation segment.
-    pub fn segment_evals(mut self, segment: u64) -> Self {
-        self.segment_evals = segment.max(1);
-        self
-    }
-
     /// Attaches a cooperative cancellation token.
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -359,167 +318,111 @@ pub struct SolveOutcome {
     pub report: Option<SolverReport>,
 }
 
-/// A solver strategy behind the unified options/outcome types.
-///
-/// The four built-in implementations are what [`solve`] dispatches to;
-/// the trait is public so embedders can treat strategies uniformly
-/// (e.g. iterate over `[&DlmSolver, &CsaSolver]` in an ablation).
-pub trait Solver {
-    /// Short name (`"dlm"`, `"csa"`, `"portfolio"`, `"brute"`).
-    fn name(&self) -> &'static str;
-
-    /// Runs the strategy on `model`.
-    fn solve(&self, model: &Model, opts: &SolveOptions) -> SolveOutcome;
+/// What a strategy's driver hands [`solve`]: the best point plus the
+/// parts of a [`SolverReport`] only the driver knows.
+pub(crate) struct Run {
+    pub solution: Solution,
+    /// Index into `traces` of the winning restart or chain.
+    pub winner: usize,
+    /// Worker threads the search ran on.
+    pub threads: usize,
+    /// One trace per restart or chain; empty without telemetry.
+    pub traces: Vec<RestartTrace>,
+    /// Peephole before/after tape statistics (`None` for brute force,
+    /// which never compiles a tape).
+    pub tape: Option<TapeStats>,
 }
 
-/// [`Strategy::Dlm`] as a [`Solver`].
-pub struct DlmSolver;
-
-impl Solver for DlmSolver {
-    fn name(&self) -> &'static str {
-        "dlm"
-    }
-
-    fn solve(&self, model: &Model, opts: &SolveOptions) -> SolveOutcome {
-        let started = Instant::now();
-        let mut dlm_opts = opts
-            .dlm
-            .clone()
-            .unwrap_or_else(|| DlmOptions::new(opts.seed));
-        if let Some(budget) = opts.max_evals {
-            dlm_opts.max_evals = budget;
-        }
-        let deadline = opts.deadline.map(|d| started + d);
-        let run = dlm::run_dlm(
-            model,
-            &dlm_opts,
-            portfolio::resolve_threads(opts.threads),
-            opts.telemetry,
-            deadline,
-            opts.cancel.as_ref(),
-        );
-        let report = opts.telemetry.then(|| SolverReport {
-            strategy: "dlm",
-            threads: run.threads,
-            wall: started.elapsed(),
-            total_evals: run.solution.evals,
-            total_iterations: run.solution.iterations,
-            winner: run.winner,
-            tape: Some(run.tape),
-            traces: run.traces,
-        });
-        SolveOutcome {
-            solution: run.solution,
-            report,
-        }
-    }
-}
-
-/// [`Strategy::Csa`] as a [`Solver`].
-pub struct CsaSolver;
-
-impl Solver for CsaSolver {
-    fn name(&self) -> &'static str {
-        "csa"
-    }
-
-    fn solve(&self, model: &Model, opts: &SolveOptions) -> SolveOutcome {
-        let started = Instant::now();
-        let csa_opts = opts
-            .csa
-            .clone()
-            .unwrap_or_else(|| CsaOptions::new(opts.seed));
-        let budget = opts.max_evals.unwrap_or(u64::MAX);
-        let deadline = opts.deadline.map(|d| started + d);
-        let run = csa::run_csa(
-            model,
-            &csa_opts,
-            opts.telemetry,
-            budget,
-            deadline,
-            opts.cancel.as_ref(),
-        );
-        let report = opts.telemetry.then(|| SolverReport {
-            strategy: "csa",
-            threads: 1,
-            wall: started.elapsed(),
-            total_evals: run.solution.evals,
-            total_iterations: run.solution.iterations,
+impl Run {
+    /// The run of a strategy with one task (CSA, brute force): its result
+    /// is the answer, and its trace the only one when `recorder` is set.
+    fn single(
+        model: &Model,
+        label: &str,
+        result: dlm::RestartResult,
+        recorder: Option<telemetry::Recorder>,
+        tape: Option<TapeStats>,
+    ) -> Run {
+        Run {
+            traces: recorder
+                .map(|rec| result.trace(label.to_string(), model, &rec))
+                .into_iter()
+                .collect(),
+            solution: Solution {
+                point: result.point,
+                objective: result.objective,
+                feasible: result.feasible,
+                evals: result.evals,
+                iterations: result.iters,
+            },
             winner: 0,
-            tape: Some(run.tape),
-            traces: run.traces,
-        });
-        SolveOutcome {
-            solution: run.solution,
-            report,
-        }
-    }
-}
-
-/// [`Strategy::BruteForce`] as a [`Solver`]. Deadlines and budgets are
-/// ignored: enumeration is all-or-nothing (and refuses huge spaces).
-pub struct BruteForceSolver;
-
-impl Solver for BruteForceSolver {
-    fn name(&self) -> &'static str {
-        "brute"
-    }
-
-    fn solve(&self, model: &Model, opts: &SolveOptions) -> SolveOutcome {
-        let started = Instant::now();
-        let solution = brute::run_brute(model);
-        let report = opts.telemetry.then(|| SolverReport {
-            strategy: "brute",
             threads: 1,
-            wall: started.elapsed(),
-            total_evals: solution.evals,
-            total_iterations: solution.iterations,
-            winner: 0,
-            tape: None,
-            traces: vec![RestartTrace {
-                label: "brute".to_string(),
-                iterations: solution.iterations,
-                evals: solution.evals,
-                objective: solution.objective,
-                feasible: solution.feasible,
-                violation: model.violations(&solution.point).iter().sum(),
-                max_multiplier: 0.0,
-                improvements: Vec::new(),
-                termination: Termination::Completed,
-            }],
-        });
-        SolveOutcome { solution, report }
-    }
-}
-
-/// [`Strategy::Portfolio`] as a [`Solver`].
-pub struct PortfolioSolver;
-
-impl Solver for PortfolioSolver {
-    fn name(&self) -> &'static str {
-        "portfolio"
-    }
-
-    fn solve(&self, model: &Model, opts: &SolveOptions) -> SolveOutcome {
-        let (solution, report) = portfolio::solve_portfolio(model, opts);
-        SolveOutcome { solution, report }
-    }
-}
-
-/// The [`Solver`] implementing `strategy`.
-pub fn solver_for(strategy: Strategy) -> &'static dyn Solver {
-    match strategy {
-        Strategy::Dlm => &DlmSolver,
-        Strategy::Csa => &CsaSolver,
-        Strategy::Portfolio => &PortfolioSolver,
-        Strategy::BruteForce => &BruteForceSolver,
+            tape,
+        }
     }
 }
 
 /// Solves `model` with the strategy selected in `opts`.
 ///
 /// See the crate-level example. This is the single entry point all
-/// in-tree callers (synthesis, CLI, benches) go through.
+/// in-tree callers (synthesis, CLI, benches) go through. Brute force
+/// ignores the deadline, the budget and the cancel token: enumeration is
+/// all-or-nothing (and refuses huge spaces).
 pub fn solve(model: &Model, opts: &SolveOptions) -> SolveOutcome {
-    solver_for(opts.strategy).solve(model, opts)
+    let started = Instant::now();
+    let deadline = opts.deadline.map(|d| started + d);
+    let run = match opts.strategy {
+        Strategy::Dlm => {
+            let mut dlm_opts = opts
+                .dlm
+                .clone()
+                .unwrap_or_else(|| DlmOptions::new(opts.seed));
+            if let Some(budget) = opts.max_evals {
+                dlm_opts.max_evals = budget;
+            }
+            dlm::run_dlm(
+                model,
+                &dlm_opts,
+                dlm::resolve_threads(opts.threads),
+                opts.telemetry,
+                deadline,
+                opts.cancel.as_ref(),
+            )
+        }
+        Strategy::Csa => {
+            let csa_opts = opts
+                .csa
+                .clone()
+                .unwrap_or_else(|| CsaOptions::new(opts.seed));
+            csa::run_csa(
+                model,
+                &csa_opts,
+                opts.telemetry,
+                opts.max_evals.unwrap_or(u64::MAX),
+                deadline,
+                opts.cancel.as_ref(),
+            )
+        }
+        Strategy::BruteForce => Run::single(
+            model,
+            "brute",
+            brute::run_brute(model),
+            opts.telemetry.then(telemetry::Recorder::default),
+            None,
+        ),
+    };
+    let report = opts.telemetry.then(|| SolverReport {
+        strategy: opts.strategy.name(),
+        threads: run.threads,
+        wall: started.elapsed(),
+        total_evals: run.solution.evals,
+        total_iterations: run.solution.iterations,
+        winner: run.winner,
+        tape: run.tape,
+        traces: run.traces,
+    });
+    SolveOutcome {
+        solution: run.solution,
+        report,
+    }
 }

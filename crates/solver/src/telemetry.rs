@@ -97,14 +97,11 @@ pub enum Termination {
     IterLimit,
     /// The per-task evaluation budget was exhausted.
     EvalBudget,
-    /// The portfolio's wall-clock deadline expired.
+    /// The solve's wall-clock deadline expired.
     Deadline,
     /// A cooperative [`CancelToken`](crate::CancelToken) asked the solve
     /// to stop (explicit cancellation or a caller-side job deadline).
     Canceled,
-    /// The portfolio cut the task because the shared incumbent was
-    /// already better and the task had stopped improving.
-    PrunedByIncumbent,
     /// The task ran its full schedule (CSA cooling ladder, brute-force
     /// enumeration).
     Completed,
@@ -119,7 +116,6 @@ impl fmt::Display for Termination {
             Termination::EvalBudget => "eval-budget",
             Termination::Deadline => "deadline",
             Termination::Canceled => "canceled",
-            Termination::PrunedByIncumbent => "pruned",
             Termination::Completed => "completed",
         })
     }
@@ -174,7 +170,7 @@ pub struct TapeStats {
 /// [`SolveOutcome`](crate::SolveOutcome) when telemetry is enabled.
 #[derive(Clone, Debug, Serialize)]
 pub struct SolverReport {
-    /// Which strategy produced the report (`"dlm"`, `"portfolio"`, …).
+    /// Which strategy produced the report (`"dlm"`, `"csa"`, `"brute"`).
     pub strategy: &'static str,
     /// Worker threads used (always 1 for CSA and brute force).
     pub threads: usize,
@@ -313,7 +309,7 @@ mod tests {
     #[test]
     fn report_renders_traces() {
         let report = SolverReport {
-            strategy: "portfolio",
+            strategy: "dlm",
             threads: 4,
             wall: Duration::from_millis(12),
             total_evals: 1000,
@@ -352,7 +348,7 @@ mod tests {
                     termination: Termination::LocalMinimum,
                 },
                 RestartTrace {
-                    label: "csa#0".into(),
+                    label: "dlm#1".into(),
                     iterations: 30,
                     evals: 600,
                     objective: 1.5e8,
@@ -360,14 +356,14 @@ mod tests {
                     violation: 0.0,
                     max_multiplier: 1.0,
                     improvements: vec![],
-                    termination: Termination::Completed,
+                    termination: Termination::IterLimit,
                 },
             ],
         };
         let s = report.to_string();
-        assert!(s.contains("solver report: portfolio"), "{s}");
+        assert!(s.contains("solver report: dlm"), "{s}");
         assert!(s.contains("local-min"), "{s}");
-        assert!(s.contains("* csa#0"), "{s}");
+        assert!(s.contains("* dlm#1"), "{s}");
         assert!(s.contains("2 (9.000e8 → 2.000e8)"), "{s}");
         assert!(s.contains("tape: 40 insts, 300 → 280 words"), "{s}");
     }

@@ -66,7 +66,7 @@ fn handcrafted_outcome_round_trips() {
             iterations: 77,
         },
         report: Some(SolverReport {
-            strategy: "portfolio",
+            strategy: "dlm",
             threads: 4,
             wall: Duration::new(1, 500_000_000),
             total_evals: 9000,
@@ -97,9 +97,17 @@ fn handcrafted_outcome_round_trips() {
 
 #[test]
 fn unknown_strategy_rejected() {
-    let json = r#"{"solution":{"point":[1],"objective":1.0,"feasible":true,"evals":1,"iterations":1},"report":{"strategy":"genetic","threads":1,"wall":{"secs":0,"nanos":0},"total_evals":1,"total_iterations":1,"winner":0,"traces":[]}}"#;
-    let err = serde_json::from_str::<SolveOutcome>(json).unwrap_err();
-    assert!(format!("{err:?}").contains("unknown solver strategy"));
+    // `portfolio` named a strategy that no longer exists
+    for name in ["genetic", "portfolio"] {
+        let json = format!(
+            r#"{{"solution":{{"point":[1],"objective":1.0,"feasible":true,"evals":1,"iterations":1}},"report":{{"strategy":"{name}","threads":1,"wall":{{"secs":0,"nanos":0}},"total_evals":1,"total_iterations":1,"winner":0,"traces":[]}}}}"#
+        );
+        let err = serde_json::from_str::<SolveOutcome>(&json).unwrap_err();
+        assert!(
+            format!("{err:?}").contains("unknown solver strategy"),
+            "{name}"
+        );
+    }
 }
 
 #[test]
