@@ -1,18 +1,6 @@
 //! The `tce` command line: synthesize and run out-of-core code for
 //! abstract tensor-contraction programs written in the `tce-ir` DSL.
 //!
-//! ```text
-//! tce check <file.tce>                      parse, validate, pretty-print
-//! tce synthesize <file.tce> [options]       out-of-core synthesis
-//! tce run <file.tce> [options]              synthesize + execute
-//! tce serve --batch <jobs.json> | --stdin | --listen <addr>
-//!                                           batch / streaming / daemon
-//!                                           synthesis service
-//! tce gen-network [options] [-o <file.tce>] seeded random sparse
-//!                                           contraction network in the
-//!                                           `network` DSL
-//! ```
-//!
 //! `check` and `synthesize` accept both plain contraction programs and
 //! sparse contraction networks (sources starting with `network`, as
 //! `gen-network` emits); network synthesis optimizes tile sizes and
@@ -20,86 +8,12 @@
 //! `--verify` checks the synthesized plan against the dense reference
 //! oracle on seeded sparse inputs.
 //!
-//! Options:
+//! The usage text, [`HELP`], which `tce --help` (or `-h`, anywhere in the
+//! arguments) prints:
 //!
 //! ```text
-//! --mem <bytes|K|M|G>     memory limit (default 2G)
-//! --baseline              uniform-sampling pipeline instead of DCS
-//! --samples <k>           cap the baseline ladder at k points per index
-//! --strategy <dlm|csa|brute>
-//!                         DCS solver strategy (default dlm)
-//! --objective <volume|time> solver objective (default volume, the paper's)
-//! --seed <n>              solver seed
-//! --deadline <secs>       wall-clock budget for the solver phase
-//! --budget <evals>        cap on solver objective evaluations
-//! --threads <n>           solver threads for the DLM restarts
-//!                         (default: all cores; identical results at
-//!                         any count)
-//! --explain               print the per-restart solver report
-//! --test-scale            unconstrained disk profile, no block minima
-//! --print <what>          plan,placements,ampl,tiles,code (comma list;
-//!                         default plan,tiles)
-//! --nproc <p>             (run) simulated processes, default 1
-//! --full                  (run) move real data instead of a dry run
-//! --verify                (run) with --full: compare against the dense
-//!                         reference evaluator
-//! --faults <spec>         (run) seeded per-disk fault schedules:
-//!                         "seed=N;rank=R[,after=N][,kind=transient:K|permanent]
-//!                         [,count=K][,p=P][,pkind=..][,spike=P:S];..." —
-//!                         semicolon-separated per-rank specs, optional
-//!                         global seed segment
-//! --retry <spec>          (run) retry transient faults:
-//!                         "attempts[,base_s[,factor]]"
-//! --resume                (run) with --full: checkpoint at tile
-//!                         boundaries and restart failed runs from the
-//!                         latest checkpoint automatically
-//! --batch <jobs.json>     (serve) batch jobs file
-//! --stdin                 (serve) one job JSON object per stdin line
-//! --listen <addr>         (serve) persistent daemon on a TCP address
-//!                         (e.g. 127.0.0.1:7411) speaking the
-//!                         length-prefixed JSON wire protocol; prints
-//!                         the final report after a graceful drain
-//! --queue <n>             (serve) admission-queue bound for --listen;
-//!                         beyond it jobs are rejected with
-//!                         `queue_full` (default 64)
-//! --workers <n>           (serve) worker pool size (default: all cores)
-//! --cache-dir <dir>       (serve) on-disk synthesis cache (default:
-//!                         $TCE_CACHE_DIR, else in-memory only)
-//! --job-timeout <secs>    (serve) per-job wall-clock deadline, measured
-//!                         from pickup; a job's own `timeout_ms`
-//!                         overrides it. Timed-out jobs report
-//!                         `deadline_exceeded`
-//! --journal <path>        (serve) stream a write-ahead journal of job
-//!                         admissions (full specs), cancels, and
-//!                         completions
-//! --resume-journal        (serve) resume a crashed batch or daemon from
-//!                         --journal: completed jobs merge verbatim, the
-//!                         rest re-run; a batch must match every journaled
-//!                         admission
-//! --max-conns <n>         (serve) cap on concurrently open daemon
-//!                         connections; surplus connects are refused
-//!                         with `overloaded` (default: unlimited)
-//! --idle-timeout <secs>   (serve) evict daemon connections that sit
-//!                         idle between frames this long (default: never)
-//! --read-timeout <secs>   (serve) evict daemon connections stuck
-//!                         mid-frame this long — the slow-loris guard
-//!                         (default 30)
-//! --write-timeout <secs>  (serve) disconnect daemon clients that stall
-//!                         a response write this long; their queued jobs
-//!                         still run and journal (default 10)
-//! --net-faults <spec>     (serve) seeded network fault injection on
-//!                         daemon connections, e.g.
-//!                         `seed=7,p=0.05,kind=reset,stall_ms=40`
-//! --nodes <n>             (gen-network) contraction count (default 3)
-//! --min-extent <n>        (gen-network) smallest index extent
-//! --max-extent <n>        (gen-network) largest index extent
-//! --sparse-frac <p>       (gen-network) probability an input is sparse
-//! --min-nnz <p>           (gen-network) smallest sparse nnz fraction
-//! -o, --out <path>        (gen-network) write the network here instead
-//!                         of stdout
+#![doc = include_str!("help.txt")]
 //! ```
-//!
-//! Exit codes: `0` success, `1` runtime failure, `2` usage error.
 //!
 //! The binary is a thin wrapper around [`run_cli`], which is unit-tested
 //! directly.
@@ -264,7 +178,12 @@ pub enum Command {
     Serve,
     /// Emit a seeded random sparse contraction network.
     GenNetwork,
+    /// Print the usage text, [`HELP`].
+    Help,
 }
+
+/// The usage text: the commands and every flag of [`parse_args`].
+pub const HELP: &str = include_str!("help.txt");
 
 /// Printable artifacts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -443,8 +362,43 @@ pub fn parse_retry(s: &str) -> Result<RetryPolicy, CliError> {
     Ok(policy)
 }
 
+impl Cli {
+    /// The command line of `command` on `file` with every flag at its
+    /// default.
+    fn new(command: Command, file: String) -> Cli {
+        Cli {
+            command,
+            file,
+            mem: 2 << 30,
+            baseline: false,
+            samples: None,
+            strategy: Strategy::Dlm,
+            objective: tce_core::ObjectiveKind::Volume,
+            seed: 2004,
+            deadline: None,
+            budget: None,
+            threads: 0,
+            explain: false,
+            test_scale: false,
+            print: vec![PrintWhat::Tiles, PrintWhat::Plan],
+            nproc: 1,
+            full: false,
+            verify: false,
+            faults: None,
+            retry: None,
+            resume: false,
+            serve: ServeOptions::default(),
+            net_gen: tce_ir::NetworkGenConfig::default(),
+            out_path: None,
+        }
+    }
+}
+
 /// Parses the argument vector (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        return Ok(Cli::new(Command::Help, String::new()));
+    }
     let mut it = args.iter();
     let command = match it.next().map(String::as_str) {
         Some("check") => Command::Check,
@@ -455,7 +409,8 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         Some(other) => return Err(CliError::usage(format!("unknown command `{other}`"))),
         None => {
             return Err(CliError::usage(
-                "usage: tce <check|synthesize|run|serve|gen-network> [<file.tce>] [options]",
+                "usage: tce <check|synthesize|run|serve|gen-network> [<file.tce>] [options] \
+                 (tce --help lists them)",
             ))
         }
     };
@@ -467,31 +422,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
             .clone()
     };
 
-    let mut cli = Cli {
-        command,
-        file,
-        mem: 2 << 30,
-        baseline: false,
-        samples: None,
-        strategy: Strategy::Dlm,
-        objective: tce_core::ObjectiveKind::Volume,
-        seed: 2004,
-        deadline: None,
-        budget: None,
-        threads: 0,
-        explain: false,
-        test_scale: false,
-        print: vec![PrintWhat::Tiles, PrintWhat::Plan],
-        nproc: 1,
-        full: false,
-        verify: false,
-        faults: None,
-        retry: None,
-        resume: false,
-        serve: ServeOptions::default(),
-        net_gen: tce_ir::NetworkGenConfig::default(),
-        out_path: None,
-    };
+    let mut cli = Cli::new(command, file);
     let mut gen_flag_used: Option<&'static str> = None;
 
     while let Some(arg) = it.next() {
@@ -909,6 +840,9 @@ fn run_network(cli: &Cli, src: &str, out: &mut String) -> Result<(), CliError> {
 
 /// Executes the parsed command line; returns the full textual output.
 pub fn run_cli(cli: &Cli) -> Result<String, CliError> {
+    if cli.command == Command::Help {
+        return Ok(HELP.to_string());
+    }
     let mut out = String::new();
     if cli.command == Command::Serve {
         run_serve(cli, &mut out)?;
@@ -949,7 +883,7 @@ pub fn run_cli(cli: &Cli) -> Result<String, CliError> {
 
     match cli.command {
         // handled above, before the program load
-        Command::Serve | Command::GenNetwork => {}
+        Command::Serve | Command::GenNetwork | Command::Help => {}
         Command::Check => {
             let _ = writeln!(out, "{}", print_code(&program));
             let _ = writeln!(
@@ -1091,6 +1025,89 @@ mod tests {
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn help_anywhere_prints_the_usage_text() {
+        for argv in [
+            "--help",
+            "-h",
+            "synthesize --help",
+            "run examples/none.tce --mem 2G -h",
+            "serve --batch jobs.json --help",
+            "bogus --help",
+        ] {
+            let cli = parse_args(&args(argv)).unwrap_or_else(|e| panic!("{argv}: {e}"));
+            assert_eq!(cli.command, Command::Help, "{argv}");
+            assert_eq!(run_cli(&cli).unwrap(), HELP, "{argv}");
+        }
+        for command in ["check", "synthesize", "run", "serve", "gen-network"] {
+            assert!(HELP.contains(&format!("\n  {command} ")), "{command}");
+        }
+    }
+
+    /// The flags of the help text's option rows, each with whether a
+    /// value follows it there.
+    fn help_flags() -> Vec<(&'static str, bool)> {
+        let mut flags = Vec::new();
+        for row in HELP.lines().filter(|l| l.starts_with('-')) {
+            let words: Vec<&str> = row.split_whitespace().collect();
+            let n = words.iter().take_while(|w| w.starts_with('-')).count();
+            let takes_value = words.get(n).is_some_and(|w| w.starts_with('<'));
+            for w in &words[..n] {
+                flags.push((w.trim_end_matches(','), takes_value));
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn every_flag_of_the_help_text_parses() {
+        let flags = help_flags();
+        assert!(flags.len() > 30, "{flags:?}");
+        for (flag, takes_value) in flags {
+            if flag == "-h" || flag == "--help" {
+                continue;
+            }
+            let mut argv = args("run examples/none.tce");
+            argv.push(flag.to_string());
+            if takes_value {
+                argv.push("1".to_string());
+            }
+            // a flag may still refuse its value or command here; it must
+            // not be unknown, and must take a value exactly when listed so
+            if let Err(e) = parse_args(&argv) {
+                assert!(
+                    !e.message.contains("unknown option") && !e.message.contains("needs a value"),
+                    "{flag}: {e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_flag_parse_args_takes_is_in_the_help_text() {
+        let src = include_str!("lib.rs");
+        let start = src.find("pub fn parse_args(").unwrap();
+        let body = &src[start..start + src[start..].find("\n}\n").unwrap()];
+        let listed: Vec<&str> = help_flags().into_iter().map(|(f, _)| f).collect();
+        let mut arms = 0;
+        for line in body.lines().map(str::trim) {
+            let Some((pattern, _)) = line.split_once(" =>") else {
+                continue;
+            };
+            if !pattern.starts_with("\"-") {
+                continue;
+            }
+            for flag in pattern.split('|').map(|f| f.trim().trim_matches('"')) {
+                assert!(
+                    listed.contains(&flag),
+                    "{flag} is missing from the help text"
+                );
+                arms += 1;
+            }
+        }
+        assert!(arms > 30, "found only {arms} flag arms");
     }
 
     /// A fresh scratch directory owned by one test, so tests running in

@@ -15,8 +15,12 @@
 //! tensor is gigabytes), `tce-trans` works on caller-owned matrices — and
 //! book every transfer through [`SimDisk::charge_read`] /
 //! [`SimDisk::charge_write`], or, with exclusive access and no lock,
-//! through [`SimDisk::charge_read_mut`] / [`SimDisk::charge_write_mut`],
-//! which book the same bits.
+//! through [`SimDisk::charge_read_mut`] / [`SimDisk::charge_write_mut`].
+//! A charge runs the fault model and then books the transfer. A disk that
+//! is not [armed](SimDisk::is_armed) with a fault schedule cannot fail a
+//! charge, so its owner may skip the fault model and book directly with
+//! the infallible [`SimDisk::book_mut`]. All of these end in one booking
+//! function, so they book the same bits.
 
 #![warn(missing_docs)]
 

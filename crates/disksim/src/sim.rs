@@ -82,9 +82,7 @@ impl DiskInner {
     }
 
     /// Charges one transfer attempt of `len` elements: the fault model
-    /// decides it, and a surviving one books its bytes and its
-    /// seek-plus-transfer time. The locked and the exclusive charge calls
-    /// of [`SimDisk`] both run this, so they cannot book differently.
+    /// decides it, and a surviving one is booked.
     #[inline]
     fn charge(
         &mut self,
@@ -95,6 +93,16 @@ impl DiskInner {
     ) -> Result<(), DiskError> {
         let dir = if write { "write" } else { "read" };
         self.fault_check(profile.seek_s, || format!("{dir} `{label}`"))?;
+        self.book(profile, write, len);
+        Ok(())
+    }
+
+    /// Books one transfer of `len` elements: its bytes, its op and its
+    /// seek-plus-transfer time. Every charge call of [`SimDisk`] (locked,
+    /// exclusive, and the infallible [`SimDisk::book_mut`]) ends here, so
+    /// they cannot book differently.
+    #[inline]
+    fn book(&mut self, profile: &DiskProfile, write: bool, len: u64) {
         let bytes = len * ELEM_BYTES;
         let s = &mut self.stats;
         if write {
@@ -106,7 +114,6 @@ impl DiskInner {
             s.read_ops += 1;
             s.read_time_s += profile.read_time(bytes);
         }
-        Ok(())
     }
 
     /// Books one retry's backoff wait.
@@ -187,6 +194,25 @@ impl SimDisk {
     #[inline]
     pub fn charge_write_mut(&mut self, label: &str, len: u64) -> Result<(), DiskError> {
         get_mut(&mut self.inner).charge(&self.profile, true, label, len)
+    }
+
+    /// Books one transfer of `len` elements through exclusive access,
+    /// with no fault model: the bits a surviving
+    /// [`SimDisk::charge_write_mut`] (`write`) or
+    /// [`SimDisk::charge_read_mut`] books. Only for a disk that is not
+    /// [armed](SimDisk::is_armed), where no charge can fail.
+    #[inline]
+    pub fn book_mut(&mut self, write: bool, len: u64) {
+        let inner = get_mut(&mut self.inner);
+        debug_assert!(inner.fault.is_none(), "booking on an armed disk");
+        inner.book(&self.profile, write, len);
+    }
+
+    /// True if a fault schedule is installed: [`SimDisk::set_faults`]
+    /// with a schedule that is not idle arms the disk, an idle one
+    /// disarms it.
+    pub fn is_armed(&self) -> bool {
+        lock(&self.inner).fault.is_some()
     }
 
     /// [`SimDisk::charge_retry`] through exclusive access.
@@ -291,6 +317,33 @@ mod tests {
             s.total_time_s().to_bits(),
             excl.stats().total_time_s().to_bits()
         );
+    }
+
+    #[test]
+    fn bookings_book_like_surviving_charges() {
+        let (mut charged, mut booked) = (disk(), disk());
+        assert!(!charged.is_armed());
+        for k in 0..100u64 {
+            let (write, len) = (k % 3 == 0, k % 41);
+            if write {
+                charged.charge_write_mut("A", len).unwrap();
+            } else {
+                charged.charge_read_mut("A", len).unwrap();
+            }
+            booked.book_mut(write, len);
+        }
+        assert_eq!(charged.stats(), booked.stats());
+        assert_eq!(
+            charged.stats().total_time_s().to_bits(),
+            booked.stats().total_time_s().to_bits()
+        );
+        // an idle schedule leaves the disk unarmed; any other arms it
+        charged.set_faults(DiskFaults::default(), 0);
+        assert!(!charged.is_armed());
+        charged.set_faults(FaultPlan::permanent_after(0, 9).disk(0), 0);
+        assert!(charged.is_armed());
+        charged.set_faults(DiskFaults::default(), 0);
+        assert!(!charged.is_armed());
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! The dry run: an accounting walk over the lowered plan, on one thread,
 //! with no section and no lock. For each transfer it counts the elements
-//! of the current windows and charges every rank's share, rank by rank,
-//! through [`DraRuntime::charge_read`] / [`DraRuntime::charge_write`]:
-//! per disk the same fault checks, retries and bookings, in the same
-//! order, as a full run's section transfers.
+//! of the current windows and accounts every rank's share. Whether a run
+//! can fail at all is decided once, before the walk:
+//!
+//! * an *armed* run (some disk carries a fault schedule) charges the
+//!   shares rank by rank through [`DraRuntime::charge_read`] /
+//!   [`DraRuntime::charge_write`]: per disk the same fault checks,
+//!   retries and bookings, in the same order, as a full run's section
+//!   transfers;
+//! * an unarmed run cannot fail a transfer, so it books all ranks' shares
+//!   in one call, [`DraRuntime::book`], with no fault check, retry or
+//!   error path per rank. The disks book the same bits either way.
 
 use crate::interp::ExecError;
-use crate::lower::{zero_fill_blocks, Bound, LOp, Lowered, Transfer};
+use crate::lower::{zero_fill_blocks, LOp, Lowered, Transfer};
 use std::convert::Infallible;
 use tce_ga::{ArrayHandle, DraRuntime};
 
@@ -15,6 +22,7 @@ use tce_ga::{ArrayHandle, DraRuntime};
 /// ranks run on to the end.
 pub(crate) fn dry_walk(low: &Lowered, dra: &mut DraRuntime) -> Vec<Result<(), ExecError>> {
     let mut walk = DryWalk {
+        book: !dra.is_armed(),
         failed: vec![None; dra.nproc()],
         dra,
         lens: vec![0; low.slots],
@@ -30,6 +38,8 @@ pub(crate) fn dry_walk(low: &Lowered, dra: &mut DraRuntime) -> Vec<Result<(), Ex
 
 struct DryWalk<'a> {
     dra: &'a mut DraRuntime,
+    /// No disk is armed: book every transfer instead of charging it.
+    book: bool,
     /// The current window length of each slot.
     lens: Vec<u64>,
     /// The first failure of each rank.
@@ -74,19 +84,22 @@ impl DryWalk<'_> {
 
     /// The element count of `t` in the current windows.
     fn len(&self, t: &Transfer) -> u64 {
-        t.dims
-            .iter()
-            .map(|b| match *b {
-                Bound::Full(n) => n,
-                Bound::Tile(slot) => self.lens[slot],
-                Bound::One(_) => 1,
-            })
-            .product()
+        t.tiles.iter().fold(t.fixed, |n, &slot| n * self.lens[slot])
     }
 
-    /// Charges every rank that has not failed its share of a transfer of
-    /// `len` elements, in rank order.
+    /// Books every rank's share of a transfer of `len` elements, or, on
+    /// an armed run, charges it to every rank that has not failed, in
+    /// rank order.
     fn charge(&mut self, write: bool, array: ArrayHandle, len: u64) {
+        if self.book {
+            // only a stale handle fails a booking, on every rank at once
+            if self.failed[0].is_none() {
+                if let Err(e) = self.dra.book(array, write, len) {
+                    self.failed.fill(Some(e.into()));
+                }
+            }
+            return;
+        }
         for (rank, failed) in self.failed.iter_mut().enumerate() {
             if failed.is_some() {
                 continue;

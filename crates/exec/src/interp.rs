@@ -1098,6 +1098,38 @@ mod tests {
     }
 
     #[test]
+    fn armed_silent_dry_run_books_the_pins() {
+        use tce_disksim::{DiskFaultKind, DiskFaults, Schedule};
+        // every disk armed with a trigger past the run's op count: the
+        // walk charges rank by rank, and no charge ever fails
+        let silent = DiskFaults {
+            schedule: Schedule::none().fail_after(1 << 40, DiskFaultKind::Permanent, 1),
+            ..DiskFaults::default()
+        };
+        assert!(!silent.is_idle());
+        let plans = pinned_plans();
+        for &(k, nproc, elapsed) in &PINNED_ELAPSED {
+            let faults = (0..nproc).fold(FaultPlan::none(), |p, rank| {
+                p.with_disk(rank, silent.clone())
+            });
+            let opts = ExecOptions::dry_run().with_nproc(nproc).with_faults(faults);
+            let r = execute(&plans[k], &opts).expect("silent faults");
+            let got: Vec<[u64; 10]> = r.per_rank.iter().map(disk_pins).collect();
+            let want: Vec<[u64; 10]> = PINNED_RANKS
+                .iter()
+                .filter(|p| (p.0, p.1) == (k, nproc))
+                .map(|p| p.2)
+                .collect();
+            assert_eq!(got, want, "plan {k} at nproc {nproc}");
+            assert_eq!(
+                r.elapsed_io_s.to_bits(),
+                elapsed,
+                "plan {k} at nproc {nproc}"
+            );
+        }
+    }
+
+    #[test]
     fn faulted_dry_run_accounting_is_pinned() {
         use tce_disksim::{DiskFaultKind, DiskFaults, Schedule};
         let plan = &pinned_plans()[0];

@@ -59,6 +59,11 @@ pub(crate) struct Transfer {
     pub buffer: usize,
     /// One bound per buffer dimension.
     pub dims: Vec<Bound>,
+    /// The product of the `Full` extents: with the window lengths of
+    /// `tiles` multiplied in, the element count a dry run charges.
+    pub fixed: u64,
+    /// The slots of the `Tile` bounds.
+    pub tiles: Vec<usize>,
 }
 
 /// The section a transfer covers in one dimension.
@@ -339,11 +344,25 @@ impl Lowerer<'_> {
                     DimExtent::One => Bound::One(self.open_slot(idx)?),
                 })
             })
-            .collect::<Result<_, ExecError>>()?;
+            .collect::<Result<Vec<_>, ExecError>>()?;
+        let fixed = (dims.iter())
+            .map(|b| match *b {
+                Bound::Full(n) => n,
+                Bound::Tile(_) | Bound::One(_) => 1,
+            })
+            .product();
+        let tiles = (dims.iter())
+            .filter_map(|b| match *b {
+                Bound::Tile(slot) => Some(slot),
+                Bound::Full(_) | Bound::One(_) => None,
+            })
+            .collect();
         Ok(Transfer {
             array: handle,
             buffer: buffer.as_usize(),
             dims,
+            fixed,
+            tiles,
         })
     }
 

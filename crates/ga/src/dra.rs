@@ -18,6 +18,11 @@
 //! `charge_read` / `charge_write` take `&mut self` and charge one rank's
 //! share with no section, data or lock (a dry run's accounting walk).
 //! Both run the same retry loop and booking, so they book the same bits.
+//! [`DraRuntime::book`] books every rank's share of one transfer in one
+//! call, with no fault check or retry: on a runtime that is not
+//! [armed](DraRuntime::is_armed), where no disk can fail, it books what
+//! the ranks' `charge_*` calls would. Every path ends in the disks' one
+//! booking function.
 //!
 //! # Fault tolerance
 //!
@@ -348,6 +353,37 @@ impl DraRuntime {
             },
             |d, wait| d.charge_retry_mut(wait),
         )
+    }
+
+    /// Books every rank's share of a transfer of `len` elements of
+    /// `array`, in rank order, with no fault check or retry: the bits of
+    /// each rank's [`DraRuntime::charge_read`] (or `charge_write` when
+    /// `write`) on disks that are not [armed](DraRuntime::is_armed). One
+    /// division per transfer splits `len` as [`chunk`] does. Fails only
+    /// on a stale handle, and then books nothing.
+    #[inline]
+    pub fn book(&mut self, array: ArrayHandle, write: bool, len: u64) -> Result<(), DraError> {
+        if array.0 >= self.arrays.len() {
+            return Err(DraError::NoSuchArray(format!("#{}", array.0)));
+        }
+        let p = self.disks.len() as u64;
+        let (base, rem) = if p == 1 { (len, 0) } else { (len / p, len % p) };
+        for (r, disk) in self.disks.iter_mut().enumerate() {
+            let share = base + u64::from((r as u64) < rem);
+            // shares never grow with the rank: the rest are empty too
+            if share == 0 {
+                break;
+            }
+            disk.book_mut(write, share);
+        }
+        Ok(())
+    }
+
+    /// True if any local disk carries a fault schedule. Only
+    /// [`DraRuntime::apply_fault_plan`] arms a disk, and an idle schedule
+    /// leaves it unarmed.
+    pub fn is_armed(&self) -> bool {
+        self.disks.iter().any(SimDisk::is_armed)
     }
 
     /// Number of processes / local disks.
@@ -743,6 +779,50 @@ mod tests {
             d.charge_write(rank, a, 10).unwrap();
         }
         assert_eq!(d.total_stats().write_bytes, 80);
+    }
+
+    #[test]
+    fn bookings_book_like_every_ranks_charges() {
+        use tce_disksim::{DiskFaults, FaultPlan};
+        for nproc in 1..=4 {
+            let (mut charged, mut booked) = (rt(nproc), rt(nproc));
+            let a = charged.create("A", &[64], false);
+            assert_eq!(booked.create("A", &[64], false), a);
+            // an idle plan arms nothing; with retries the charges still
+            // cannot fail
+            charged.set_retry(RetryPolicy::with_attempts(3));
+            booked.apply_fault_plan(&FaultPlan::none().with_disk(nproc - 1, DiskFaults::default()));
+            assert!(!booked.is_armed());
+            for k in 0..200u64 {
+                let (write, len) = (k % 3 == 0, k % 9 + k % 2 * 61);
+                for rank in 0..nproc {
+                    if write {
+                        charged.charge_write(rank, a, len).unwrap();
+                    } else {
+                        charged.charge_read(rank, a, len).unwrap();
+                    }
+                }
+                booked.book(a, write, len).unwrap();
+            }
+            assert_eq!(charged.stats_per_disk(), booked.stats_per_disk());
+            assert_eq!(
+                charged.elapsed_io_time_s().to_bits(),
+                booked.elapsed_io_time_s().to_bits()
+            );
+            // a stale handle fails and books nothing
+            let mut other = rt(1);
+            other.create("Y", &[1], false);
+            let stale = other.create("Z", &[1], false);
+            let before = booked.stats_per_disk();
+            assert!(matches!(
+                booked.book(stale, false, 5).unwrap_err(),
+                DraError::NoSuchArray(_)
+            ));
+            assert_eq!(booked.stats_per_disk(), before);
+            // any schedule that is not idle arms the runtime
+            booked.apply_fault_plan(&FaultPlan::permanent_after(nproc - 1, u64::MAX));
+            assert!(booked.is_armed());
+        }
     }
 
     #[test]

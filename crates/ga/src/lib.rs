@@ -23,7 +23,10 @@
 //!   when doubling the processor count doubles both the disks and the
 //!   aggregate memory. `read_section` / `write_section` move data and are
 //!   collective; `charge_read` / `charge_write` charge one rank's share
-//!   through `&mut` access, with no section or lock (dry runs).
+//!   through `&mut` access, with no section or lock (dry runs), and
+//!   `book` books every rank's share of a transfer in one call, with no
+//!   fault check or retry, when no disk is armed with a fault schedule
+//!   (fault-free dry runs).
 //! * [`run_parallel`] / [`ProcCtx`] — scoped worker threads with barrier
 //!   synchronization standing in for the cluster processes.
 

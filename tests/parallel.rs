@@ -5,7 +5,8 @@ use std::collections::HashMap;
 use tce_exec::interp::default_input_gen;
 use tce_exec::{dense_reference, execute, ExecOptions};
 use tce_ooc::core::prelude::*;
-use tce_ooc::ir::fixtures::{four_index_fused, two_index_fused};
+use tce_ooc::disksim::{DiskFaultKind, DiskFaults, FaultPlan, Schedule};
+use tce_ooc::ir::fixtures::{four_index_fused, two_index_fused, two_index_paper};
 
 #[test]
 fn outputs_identical_across_process_counts() {
@@ -72,6 +73,39 @@ fn collective_io_conserves_bytes_and_splits_time() {
         max - min <= 8 * par.total.read_ops,
         "rank imbalance: {min}..{max}"
     );
+}
+
+#[test]
+fn paper_dry_runs_book_like_armed_silent_ones() {
+    // an unarmed dry run books every transfer in one call; one whose
+    // disks all carry a fault trigger that never fires charges rank by
+    // rank. Both must leave the same bits on every disk.
+    let silent = DiskFaults {
+        schedule: Schedule::none().fail_after(1 << 40, DiskFaultKind::Permanent, 1),
+        ..DiskFaults::default()
+    };
+    let gb = 1u64 << 30;
+    for (name, p, mem) in [
+        ("two_index_paper", two_index_paper(), gb),
+        ("four_index_140_120", four_index_fused(140, 120), 2 * gb),
+        ("four_index_190_180", four_index_fused(190, 180), 2 * gb),
+    ] {
+        let r = synthesize_dcs(&p, &SynthesisConfig::new(mem)).expect("synthesis");
+        for nproc in 1..=3 {
+            let faults = (0..nproc).fold(FaultPlan::none(), |f, rank| {
+                f.with_disk(rank, silent.clone())
+            });
+            let opts = ExecOptions::dry_run().with_nproc(nproc);
+            let booked = execute(&r.plan, &opts).expect("unarmed");
+            let charged = execute(&r.plan, &opts.with_faults(faults)).expect("armed");
+            assert_eq!(booked.per_rank, charged.per_rank, "{name} at nproc {nproc}");
+            assert_eq!(
+                booked.elapsed_io_s.to_bits(),
+                charged.elapsed_io_s.to_bits(),
+                "{name} at nproc {nproc}"
+            );
+        }
+    }
 }
 
 /// A paper-scale config with a reduced solver budget so the dev-profile
