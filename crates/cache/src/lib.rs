@@ -14,7 +14,8 @@
 //! * cache values are full solver outcomes plus the generated plan,
 //!   stored as versioned, integrity-hashed JSON records
 //!   ([`record::CacheRecord`]) in a content-addressed directory fronted
-//!   by an exact in-memory LRU under one mutex ([`SynthesisCache`]);
+//!   by an exact in-memory LRU under one mutex ([`SynthesisCache`]); the
+//!   plan is written to disk only, never kept in memory;
 //! * on a hit the stored point is *revalidated* against the request's own
 //!   model before being replayed through the pipeline's finish
 //!   (`finish_dcs` or `finish_network`, behind [`Lowered`]), so

@@ -3,7 +3,9 @@
 //! A record is the full payload needed to replay a synthesis run without
 //! re-solving: the solution point (stored in *canonical* variable order so
 //! it is valid for any renaming of the same model), the outcome metadata,
-//! the original solver telemetry, and the generated plan.
+//! the original solver telemetry, and the generated plan. The plan is
+//! written to disk for inspection only: the cache drops it from every
+//! record it keeps in memory (see [`CacheRecord::plan`]).
 //!
 //! On disk each record is wrapped in an envelope
 //! `{"integrity": "<fnv64 hex>", "record": {...}}` where the integrity
@@ -48,6 +50,10 @@ pub struct CacheRecord {
     /// `tce_codegen::ConcretePlan` for single-contraction requests, a
     /// `tce_core::NetworkPlan` for contraction networks) — the dense
     /// byte layout is unchanged, so pre-network records stay valid.
+    ///
+    /// Nothing reads it back: a hit replays the point. So the records a
+    /// [`crate::SynthesisCache`] holds in memory, and hands out from
+    /// `get`, carry [`Value::Null`] here; the file keeps the plan.
     pub plan: Value,
 }
 
@@ -130,6 +136,54 @@ mod tests {
         assert_eq!(back.objective.to_bits(), rec.objective.to_bits());
         // re-serializing the parsed record is byte-identical
         assert_eq!(back.to_envelope_json().expect("re-serialize"), json);
+    }
+
+    /// A record's file bytes are part of the cache's format: the same
+    /// record must keep serializing to exactly this envelope (integrity
+    /// hash included), or every existing cache reads as corrupt.
+    #[test]
+    fn a_fixed_record_keeps_its_envelope_bytes() {
+        let rec = CacheRecord {
+            plan: Value::Map(vec![
+                ("kind".to_string(), Value::Str("dense".to_string())),
+                (
+                    "tiles".to_string(),
+                    Value::Seq(vec![Value::Int(40), Value::Int(7)]),
+                ),
+                ("share".to_string(), Value::Float(0.5)),
+            ]),
+            ..sample_record()
+        };
+        let want = r#"{
+  "integrity": "71de8b5b64462fb7",
+  "record": {
+    "schema": "tce-cache/record/v1",
+    "canon_version": "tce-canon/v1",
+    "fingerprint": "00000000deadbeef",
+    "canonical_point": [
+      40,
+      7,
+      -1
+    ],
+    "objective": 1250000000.0,
+    "feasible": true,
+    "evals": 4242,
+    "iterations": 99,
+    "report": null,
+    "solve_wall_s": 0.125,
+    "plan": {
+      "kind": "dense",
+      "tiles": [
+        40,
+        7
+      ],
+      "share": 0.5
+    }
+  }
+}"#;
+        assert_eq!(rec.to_envelope_json().expect("serialize"), want);
+        let back = CacheRecord::from_envelope_json(want).expect("parse");
+        assert_eq!(back.to_envelope_json().expect("re-serialize"), want);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::fsfault::{self, FsFaultKind, FsFaultPlan};
 use crate::record::CacheRecord;
+use serde::Value;
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, ErrorKind};
@@ -119,7 +120,9 @@ impl DiskStore {
     /// Loads the record for `key`. Returns the record plus a flag saying
     /// whether a corrupt file was quarantined along the way. Read errors
     /// (real or injected) degrade to misses — the cache never panics or
-    /// serves a partial record.
+    /// serves a partial record. The integrity check covers the whole
+    /// envelope, plan included; the plan is then dropped, since a hit
+    /// replays the point and never reads it.
     fn load(&self, key: &str) -> (Option<CacheRecord>, bool) {
         if self.faults.as_deref().is_some_and(|f| f.decide().is_some()) {
             return (None, false); // injected read fault: clean miss
@@ -131,7 +134,10 @@ impl DiskStore {
             Err(_) => return (None, false),
         };
         match CacheRecord::from_envelope_json(&text) {
-            Ok(rec) => (Some(rec), false),
+            Ok(mut rec) => {
+                rec.plan = Value::Null;
+                (Some(rec), false)
+            }
             Err(_) => {
                 // keep the evidence: quarantine instead of delete
                 let mut corrupt = path.clone().into_os_string();
@@ -142,13 +148,12 @@ impl DiskStore {
         }
     }
 
-    /// Writes the record for `key` atomically and durably: temp file →
-    /// fsync(temp) → rename → fsync(dir). A crash at any boundary leaves
-    /// either the old state or the new one, never a torn visible entry;
-    /// the leftover temp file (crash between fsync and rename) is swept
-    /// on the next open.
-    fn save(&self, key: &str, rec: &CacheRecord) -> Result<(), String> {
-        let json = rec.to_envelope_json()?;
+    /// Writes the envelope `json` for `key` atomically and durably: temp
+    /// file → fsync(temp) → rename → fsync(dir). A crash at any boundary
+    /// leaves either the old state or the new one, never a torn visible
+    /// entry; the leftover temp file (crash between fsync and rename) is
+    /// swept on the next open.
+    fn save(&self, key: &str, json: &str) -> Result<(), String> {
         let path = self.path_for(key);
         let tmp = self.dir.join(format!(".{key}.tmp"));
         let faults = self.faults.as_deref();
@@ -286,13 +291,19 @@ impl SynthesisCache {
     }
 
     /// Stores a record under `key` in memory and (when configured) on
-    /// disk. Disk write failures are reported but the in-memory insert
-    /// still happens.
-    pub fn put(&self, key: &str, rec: CacheRecord) -> Result<(), String> {
-        let rec = Arc::new(rec);
-        lock(&self.memory).put(key, rec.clone());
-        if let Some(disk) = &self.disk {
-            disk.save(key, &rec)?;
+    /// disk. The plan goes to disk only: the in-memory copy holds
+    /// [`Value::Null`] in its place, since a hit replays the point. Disk
+    /// write failures are reported but the in-memory insert still
+    /// happens.
+    pub fn put(&self, key: &str, mut rec: CacheRecord) -> Result<(), String> {
+        let pending = self
+            .disk
+            .as_ref()
+            .map(|disk| (disk, rec.to_envelope_json()));
+        rec.plan = Value::Null;
+        lock(&self.memory).put(key, Arc::new(rec));
+        if let Some((disk, json)) = pending {
+            disk.save(key, &json?)?;
         }
         Ok(())
     }
@@ -367,6 +378,24 @@ mod tests {
         assert!(cache.get("a").is_none(), "a should have been evicted");
         assert_eq!(cache.get("c").expect("c resident").evals, 4);
         assert!(cache.get("d").is_some());
+    }
+
+    #[test]
+    fn the_plan_is_written_to_disk_but_never_kept_in_memory() {
+        let dir = temp_dir("store_plan");
+        let rec = record(9);
+        let plan = rec.plan.clone();
+        let cache = SynthesisCache::with_dir(&dir).unwrap();
+        cache.put("k", rec).unwrap();
+        assert_eq!(cache.get("k").expect("memory hit").plan, Value::Null);
+        // the file carries the whole record, plan included
+        let text = fs::read_to_string(dir.join("k.json")).unwrap();
+        assert_eq!(CacheRecord::from_envelope_json(&text).unwrap().plan, plan);
+        // a disk load verifies the plan's bytes, then drops it
+        let reopened = SynthesisCache::with_dir(&dir).unwrap();
+        let loaded = reopened.get("k").expect("disk hit");
+        assert_eq!((loaded.evals, &loaded.plan), (9, &Value::Null));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1331,6 +1331,25 @@ impl Evaluator<'_> {
         self.lane_pass(var, cands, true);
     }
 
+    /// Whether a batch of `var` stacked on the staged probe
+    /// ([`Self::probe_batch_over`]) can hold a lane feasible within `tol`.
+    /// It cannot when some constraint violated at the staged point does
+    /// not depend on `var`: every lane reads that constraint's staged
+    /// norm, so [`Self::batch_is_feasible`] is false in all of them.
+    pub fn stacked_batch_can_be_feasible(&self, var: usize, tol: f64) -> bool {
+        debug_assert!(self.probe_valid, "no staged probe");
+        let vc = &self.c.var_cons[var];
+        let mut ci = 0;
+        for (j, &n) in self.cnorm_shadow.iter().enumerate() {
+            if ci < vc.len() && vc[ci] as usize == j {
+                ci += 1;
+            } else if n > tol {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Objective of lane `l` of the last batch probe.
     pub fn batch_objective(&self, l: usize) -> f64 {
         debug_assert!(self.batch_valid, "no staged batch");

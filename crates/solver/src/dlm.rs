@@ -335,7 +335,67 @@ fn scan_polish_singles(
 /// pair is staged once as an ordinary probe (cost-free — only candidate
 /// lanes are counted), then each partner variable's candidates evaluate
 /// in one stacked batch over that overlay.
+///
+/// Each unordered pair is scanned once, from its lower variable: both
+/// ends' candidates come from the committed point, so the mirrored
+/// probe `{(vⱼ, cⱼ), (vᵢ, cᵢ)}` would reach the same point, get the same
+/// value bits, and — coming later in the scan — never win the first
+/// strict minimum. A partner whose batch cannot hold a feasible lane
+/// (some constraint violated at the staged move does not depend on it)
+/// is skipped and not counted. Both cuts leave the winner bit for bit
+/// what the full ordered scan picks.
 fn scan_polish_pairs(
+    model: &Model,
+    live: &[bool],
+    cur: f64,
+    eval: &mut Evaluator<'_>,
+    moves: &mut Vec<i64>,
+    moves2: &mut Vec<i64>,
+) -> (Option<PolishMove>, u64) {
+    let mut best: Option<PolishMove> = None;
+    let mut count = 0u64;
+    for (vi, &live_i) in live.iter().enumerate() {
+        if !live_i {
+            continue;
+        }
+        let old_i = eval.point()[vi];
+        var_moves(model.vars()[vi].domain, old_i, moves);
+        for &ci in moves.iter() {
+            eval.probe(&[(vi, ci)]);
+            for (vj, &live_j) in live.iter().enumerate().skip(vi + 1) {
+                if !live_j || !eval.stacked_batch_can_be_feasible(vj, FEAS_TOL) {
+                    continue;
+                }
+                let old_j = eval.point()[vj];
+                var_moves(model.vars()[vj].domain, old_j, moves2);
+                if moves2.is_empty() {
+                    continue;
+                }
+                eval.probe_batch_over(vj, moves2);
+                count += moves2.len() as u64;
+                for (l, &cj) in moves2.iter().enumerate() {
+                    if !eval.batch_is_feasible(l, FEAS_TOL) {
+                        continue;
+                    }
+                    let val = eval.batch_objective(l);
+                    if val + 1e-9 < cur && best.is_none_or(|b| val < b.val) {
+                        best = Some(PolishMove {
+                            mv: [(vi, ci), (vj, cj)],
+                            len: 2,
+                            val,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    (best, count)
+}
+
+/// The paired-move scan over every ordered pair with no partner skipped:
+/// the reference [`scan_polish_pairs`] must agree with.
+#[cfg(test)]
+fn scan_polish_pairs_reference(
     model: &Model,
     live: &[bool],
     cur: f64,
@@ -381,6 +441,21 @@ fn scan_polish_pairs(
         }
     }
     (best, count)
+}
+
+/// `live[v]`: whether variable `v` appears in the objective or any
+/// constraint (see [`DlmTask`]'s `live`).
+fn live_vars(model: &Model) -> Vec<bool> {
+    let mut live = vec![false; model.num_vars()];
+    let mut used = Vec::new();
+    model.objective.collect_vars_into(&mut used);
+    for c in model.constraints() {
+        c.expr.collect_vars_into(&mut used);
+    }
+    for v in used {
+        live[v.as_usize()] = true;
+    }
+    live
 }
 
 enum Phase {
@@ -448,15 +523,6 @@ impl<'m> DlmTask<'m> {
             eval.objective(),
         );
         let cur = lag.value(&eval);
-        let mut live = vec![false; model.num_vars()];
-        let mut used = Vec::new();
-        model.objective.collect_vars_into(&mut used);
-        for c in model.constraints() {
-            c.expr.collect_vars_into(&mut used);
-        }
-        for v in used {
-            live[v.as_usize()] = true;
-        }
         DlmTask {
             model,
             max_iters: opts.max_iters,
@@ -465,7 +531,7 @@ impl<'m> DlmTask<'m> {
             budget,
             eval,
             lag,
-            live,
+            live: live_vars(model),
             cur,
             stalled: 0,
             iters: 0,
@@ -1056,6 +1122,90 @@ mod tests {
         let w = &traced.traces[traced.winner];
         assert!(w.feasible);
         assert!(!w.improvements.is_empty(), "winner recorded no progress");
+    }
+
+    /// A model of `vars.len()` tile-shaped variables, `(hi, x, a, b)` each
+    /// (`hi > 17` takes the ladder moves, smaller domains enumerate), with
+    /// objective `Σ a·⌈60/t⌉ + b·t` and one linear constraint per
+    /// `(mask, weight, ge, slack)` over the variables its mask names.
+    /// Every constraint holds at the point `x` with `slack` to spare, so
+    /// many pair moves break a constraint some partner cannot touch.
+    fn pair_scan_case(
+        vars: &[(i64, i64, i64, i64)],
+        cons: &[(u8, i64, bool, i64)],
+    ) -> (Model, Vec<i64>) {
+        let mut m = Model::new();
+        let ts: Vec<_> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &(hi, ..))| m.add_var(format!("t{i}"), Domain::Int { lo: 1, hi }))
+            .collect();
+        let x: Vec<i64> = vars.iter().map(|&(hi, x, ..)| 1 + x % hi).collect();
+        m.objective = Expr::Add(
+            ts.iter()
+                .zip(vars)
+                .flat_map(|(&t, &(_, _, a, b))| {
+                    let tiles = Expr::CeilDiv(Box::new(Expr::Const(60.0)), Box::new(Expr::Var(t)));
+                    [
+                        Expr::Mul(vec![Expr::Const(a as f64), tiles]),
+                        Expr::Mul(vec![Expr::Const(b as f64), Expr::Var(t)]),
+                    ]
+                })
+                .collect(),
+        );
+        for (k, &(mask, w, ge, slack)) in cons.iter().enumerate() {
+            let on: Vec<usize> = (0..ts.len()).filter(|i| mask >> i & 1 == 1).collect();
+            let on = if on.is_empty() {
+                vec![k % ts.len()]
+            } else {
+                on
+            };
+            let lhs = Expr::Add(
+                on.iter()
+                    .map(|&i| Expr::Mul(vec![Expr::Const((w + i as i64) as f64), Expr::Var(ts[i])]))
+                    .collect(),
+            );
+            let at_x = lhs.eval(&x);
+            let (op, rhs) = if ge {
+                (ConstraintOp::Ge, at_x - slack as f64)
+            } else {
+                (ConstraintOp::Le, at_x + slack as f64)
+            };
+            m.add_constraint(format!("c{k}"), lhs, op, rhs);
+        }
+        (m, x)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The pair scan picks the very move (pair, candidates and value
+        /// bits) of the full ordered scan with no partner skipped, and
+        /// never counts more lanes.
+        #[test]
+        fn pair_scan_matches_the_full_ordered_scan(
+            vars in proptest::collection::vec((2i64..40, 0i64..40, -3i64..4, -2i64..3), 2..6),
+            cons in proptest::collection::vec((1u8..32, 1i64..5, proptest::bool::ANY, 0i64..4), 1..4),
+        ) {
+            let (m, x) = pair_scan_case(&vars, &cons);
+            proptest::prop_assert!(m.is_feasible(&x, FEAS_TOL));
+            let compiled = CompiledModel::compile(&m);
+            let live = live_vars(&m);
+            let mut eval = compiled.evaluator(&x);
+            let (mut moves, mut moves2) = (Vec::new(), Vec::new());
+            let bits = |p: Option<PolishMove>| p.map(|p| (p.mv, p.len, p.val.to_bits()));
+            // at the point's own objective only improving pairs qualify;
+            // at +inf every feasible pair does, so the global minimum wins
+            for cur in [eval.objective(), f64::INFINITY] {
+                let (got, n) =
+                    scan_polish_pairs(&m, &live, cur, &mut eval, &mut moves, &mut moves2);
+                let (want, n_full) = scan_polish_pairs_reference(
+                    &m, &live, cur, &mut eval, &mut moves, &mut moves2,
+                );
+                proptest::prop_assert_eq!(bits(got), bits(want), "cur {}", cur);
+                proptest::prop_assert!(n <= n_full, "{} lanes against {}", n, n_full);
+            }
+        }
     }
 
     #[test]

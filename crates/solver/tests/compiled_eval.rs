@@ -6,8 +6,9 @@
 //! batch lanes and committed delta moves alike — produces values
 //! bit-identical to the recursive tree walker, the reference
 //! implementation. Whole solves are pinned by hash in
-//! `solver_outcomes_are_pinned`, and checked against the tree walker in
-//! `solver_outcomes_identical_across_backends` and
+//! `solver_outcomes_are_pinned` (answers and work) and
+//! `solver_answers_are_pinned` (answers only), and checked against the
+//! tree walker in `solver_outcomes_identical_across_backends` and
 //! `brute_force_identical_across_backends`.
 
 use proptest::prelude::*;
@@ -362,6 +363,45 @@ fn outcome_hash(s: &Solution) -> u64 {
     h.finish()
 }
 
+/// [`outcome_hash`] without the evaluation count: the answer a solve
+/// gives and the path length it took, not the work it spent.
+fn answer_hash(s: &Solution) -> u64 {
+    let mut h = Fnv64::new();
+    for &v in &s.point {
+        h.i64(v);
+    }
+    h.u64(s.objective.to_bits());
+    h.byte(u8::from(s.feasible));
+    h.u64(s.iterations);
+    h.finish()
+}
+
+/// Solves every [`model_of`] row with DLM and CSA at seeds 0 and 7 (in
+/// that column order) and describes each row whose hashes differ from
+/// the pinned ones.
+fn drifted_rows(rows: &[(Coefficients, [u64; 4])], hash: fn(&Solution) -> u64) -> Vec<String> {
+    let pinned_solve = |m: &Model, seed: u64, strategy: Method| {
+        let opts = SolveOptions::new(seed)
+            .strategy(strategy)
+            .dlm(DlmOptions::quick(seed))
+            .csa(CsaOptions::quick(seed));
+        hash(&solve(m, &opts).solution)
+    };
+    let mut drifted = Vec::new();
+    for &(params, want) in rows {
+        let m = model_of(params);
+        let got: Vec<u64> = [0u64, 7]
+            .into_iter()
+            .flat_map(|seed| [Method::Dlm, Method::Csa].map(|s| pinned_solve(&m, seed, s)))
+            .collect();
+        if got != want {
+            let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
+            drifted.push(format!("{params:?} -> [{}]", hex.join(", ")));
+        }
+    }
+    drifted
+}
+
 /// The brute-force row's model. The odometer steps both variables at
 /// once on every carry, so its commits are multi-variable delta moves.
 fn brute_model() -> Model {
@@ -393,55 +433,41 @@ fn brute_model() -> Model {
 ///
 /// The values were generated while a tree-walk solver backend still
 /// existed, running it and the compiled engine side by side; the two
-/// agreed on every row. A drift here is a changed trajectory.
+/// agreed on every row. A drift here is a changed trajectory or a
+/// changed amount of work; [`solver_answers_are_pinned`] tells the two
+/// apart. The DLM columns were re-pinned when the polish pair scan began
+/// to probe each unordered pair once and to skip partners that cannot
+/// repair the staged move: eval counts fell, every answer held.
 #[test]
 fn solver_outcomes_are_pinned() {
     #[rustfmt::skip]
     let rows: [(Coefficients, [u64; 4]); 24] = [
-        ((-3, -3, -2, 1, 3, 1), [0x95fd1022d9f6c844, 0x6273578372d1ab9b, 0x11a41d8892b4dda6, 0x3ca733a04daf6b0d]),
+        ((-3, -3, -2, 1, 3, 1), [0x42326d9bc3be046d, 0x6273578372d1ab9b, 0xc72e6622b0a19773, 0x3ca733a04daf6b0d]),
         ((3, 3, 2, 4, 39, 19), [0x46e4d856a3d89689, 0xbb98d25b6f661c37, 0x925b931a1b32b9d9, 0xbb98d25b6f661c37]),
-        ((0, 0, 0, 1, 20, 1), [0xddd9ebccde8e994d, 0x9a13db9c31c24d3c, 0x7a68ced47fad86e4, 0xec81e9095072d71a]),
-        ((1, -1, 0, 2, 10, 4), [0x4629c7b30cfe050c, 0xc857b4868a8ba07f, 0xd9de9cc80c448675, 0x0d927245071e64f4]),
-        ((-1, 2, 1, 3, 25, 8), [0xa5c6bd0d3c458632, 0xcdbaabbf27f93fa0, 0x8848f9e1954ce24b, 0xd838827194c81d11]),
-        ((2, -2, -1, 4, 5, 16), [0x7b2f432f92070538, 0x0cdf06cfc39743d1, 0xbc8a9eb043a2a6ca, 0xd4b53e2be4327329]),
-        ((3, 0, -2, 1, 39, 12), [0xde56eff176937229, 0x7d3ffe437e2fd8c5, 0xac385dbf44aba41e, 0xdfbe3bbe0082f54f]),
-        ((-2, 3, 2, 2, 15, 2), [0x986c3076accadeb2, 0xc0601f28987e9820, 0xb1e0a5034bf285e8, 0xcef58489c411257b]),
+        ((0, 0, 0, 1, 20, 1), [0x24bc16e5e09aa78a, 0x9a13db9c31c24d3c, 0xd9f20cfd95cf409e, 0xec81e9095072d71a]),
+        ((1, -1, 0, 2, 10, 4), [0x4e0bab953126e055, 0xc857b4868a8ba07f, 0x28e07eaf35de59ed, 0x0d927245071e64f4]),
+        ((-1, 2, 1, 3, 25, 8), [0x05e9692206376a5e, 0xcdbaabbf27f93fa0, 0xa16e71d19f02e456, 0xd838827194c81d11]),
+        ((2, -2, -1, 4, 5, 16), [0xcb44f4ed3b4bcd9f, 0x0cdf06cfc39743d1, 0x6b72baf0968f6917, 0xd4b53e2be4327329]),
+        ((3, 0, -2, 1, 39, 12), [0x44553244e37da823, 0x7d3ffe437e2fd8c5, 0xb6bdb6dca5928b74, 0xdfbe3bbe0082f54f]),
+        ((-2, 3, 2, 2, 15, 2), [0x8717749053677f7e, 0xc0601f28987e9820, 0x6c20321c9332f216, 0xcef58489c411257b]),
         ((0, -3, 1, 4, 30, 17), [0x827717806b028776, 0xbb15a2e1bf5c2893, 0x0f797e4fc7c6868f, 0x315c85ca54d0f909]),
-        ((1, 1, -1, 1, 8, 6), [0xed736097e45c49de, 0x7419d0eb947ef543, 0x61b4e818cd27506e, 0x30e65ffecf4acedf]),
-        ((-3, 2, 0, 3, 12, 10), [0xe03a064eeefb226b, 0x42f4ad44b0af9bbb, 0x245f08fe26ba64ca, 0xaa2f22dd74586ad1]),
-        ((2, 1, 2, 2, 33, 3), [0xe1017052b07a28e4, 0xd6b4179ba8cf2aca, 0xe1017052b07a28e4, 0x132307d833da606d]),
-        ((-1, -2, -2, 4, 18, 14), [0xcda68df1f9cc282d, 0x35d112a9ec7a7094, 0xeed00fca4c7208da, 0x331942ccc6a86244]),
-        ((3, -3, 1, 3, 4, 1), [0xcf9fa9ea414e6e2d, 0x7e30ef0afa9d7bbd, 0xfdfb10cce93f987a, 0x9b3aa845b0ce24d6]),
-        ((0, 2, -1, 2, 27, 9), [0x0c99cf4ff4957932, 0x119e9b1a6fb76e76, 0xacba3999f287976f, 0xeb814cb497da11d5]),
-        ((-2, 0, 2, 1, 36, 5), [0xdc8d070ade6252c6, 0x81879560ac280882, 0x03ce382494701e9b, 0x5a9fb387dd0b24de]),
+        ((1, 1, -1, 1, 8, 6), [0x5f4d6c41f1b61755, 0x7419d0eb947ef543, 0xbb10373828a7be69, 0x30e65ffecf4acedf]),
+        ((-3, 2, 0, 3, 12, 10), [0xd6de6b37616bb72d, 0x42f4ad44b0af9bbb, 0x18aff1daf27c015c, 0xaa2f22dd74586ad1]),
+        ((2, 1, 2, 2, 33, 3), [0xbb5624a37c9bfb56, 0xd6b4179ba8cf2aca, 0xbb5624a37c9bfb56, 0x132307d833da606d]),
+        ((-1, -2, -2, 4, 18, 14), [0x100580d8677e919f, 0x35d112a9ec7a7094, 0xc81fddf8087e81e8, 0x331942ccc6a86244]),
+        ((3, -3, 1, 3, 4, 1), [0x75562d58bc18732c, 0x7e30ef0afa9d7bbd, 0x49ad853d7d4ccf03, 0x9b3aa845b0ce24d6]),
+        ((0, 2, -1, 2, 27, 9), [0xc437413e853b4b5f, 0x119e9b1a6fb76e76, 0x99801e909cda2b09, 0xeb814cb497da11d5]),
+        ((-2, 0, 2, 1, 36, 5), [0x0ce06a6486379d30, 0x81879560ac280882, 0x59684e8bda668d11, 0x5a9fb387dd0b24de]),
         ((1, 3, 0, 4, 22, 18), [0x53f291cf10c33eaa, 0xbed44fa0a3a776e3, 0xdf78cf5a73bf64a3, 0xe1c34f38bda7a7c3]),
-        ((-3, -1, -1, 2, 9, 7), [0xe831046bdb57ceed, 0x84db22011816cb2e, 0xd139ee9239290771, 0x1ba34fba391a3785]),
-        ((2, 2, 1, 1, 14, 11), [0xc386e4b4c05dfdfd, 0xff9a51d9c00097fd, 0xff2c5ece33be18c1, 0x431a1c4d9917ce00]),
-        ((-1, 0, 2, 3, 6, 13), [0x1baf5ddb25de8c42, 0x34f6b47c3df9ea57, 0xbc2590231c4ca5b1, 0x9d33676a37960f41]),
-        ((3, 1, -2, 4, 24, 15), [0x2618a707c154a2df, 0x9c04a0cbd36eb6e3, 0x41ddbf1bf66af06a, 0xa7bac916879fa98c]),
-        ((0, -1, 0, 3, 38, 2), [0x5e1f234a17d026ed, 0x235dda8b77e45e8b, 0x99f524ae08bf364d, 0xaaf0b308653dcf8a]),
+        ((-3, -1, -1, 2, 9, 7), [0x014b832a90765e67, 0x84db22011816cb2e, 0xd2b6012fcea71f81, 0x1ba34fba391a3785]),
+        ((2, 2, 1, 1, 14, 11), [0x0f23764932e38de5, 0xff9a51d9c00097fd, 0x3a7560f355384ab9, 0x431a1c4d9917ce00]),
+        ((-1, 0, 2, 3, 6, 13), [0xc9aff57fcbdd2c94, 0x34f6b47c3df9ea57, 0xf473673c3976d38e, 0x9d33676a37960f41]),
+        ((3, 1, -2, 4, 24, 15), [0x8a000a8e094ac652, 0x9c04a0cbd36eb6e3, 0x7bfe0492ea81bc59, 0xa7bac916879fa98c]),
+        ((0, -1, 0, 3, 38, 2), [0x0b2ff862a532995a, 0x235dda8b77e45e8b, 0xedfd2ef533662502, 0xaaf0b308653dcf8a]),
         ((-2, -3, 1, 1, 29, 19), [0x0f4d0e179df818f8, 0x2548f0416d5102fd, 0x3ff36c3e5faded41, 0x44834fa47aa1b7af]),
-        ((1, 0, -1, 2, 16, 4), [0xd534a443f07fddcb, 0x9700e2e0ee862b0d, 0xdf3eae6a0c95ca73, 0x2615689b4ad39a0c]),
+        ((1, 0, -1, 2, 16, 4), [0x3124c547b410cba3, 0x9700e2e0ee862b0d, 0xbbb97fc0f7ee48fb, 0x2615689b4ad39a0c]),
     ];
-    let pinned_solve = |m: &Model, seed: u64, strategy: Method| {
-        let opts = SolveOptions::new(seed)
-            .strategy(strategy)
-            .dlm(DlmOptions::quick(seed))
-            .csa(CsaOptions::quick(seed));
-        outcome_hash(&solve(m, &opts).solution)
-    };
-    let mut drifted = Vec::new();
-    for (params, want) in rows {
-        let m = model_of(params);
-        let got: Vec<u64> = [0u64, 7]
-            .into_iter()
-            .flat_map(|seed| [Method::Dlm, Method::Csa].map(|s| pinned_solve(&m, seed, s)))
-            .collect();
-        if got != want {
-            let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
-            drifted.push(format!("{params:?} -> [{}]", hex.join(", ")));
-        }
-    }
+    let mut drifted = drifted_rows(&rows, outcome_hash);
     let brute = solve(
         &brute_model(),
         &SolveOptions::new(0).strategy(Method::BruteForce),
@@ -453,6 +479,46 @@ fn solver_outcomes_are_pinned() {
     assert!(
         drifted.is_empty(),
         "whole-solve outcomes drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// Whole-solve answers, pinned as [`answer_hash`]es over the rows of
+/// [`solver_outcomes_are_pinned`]: a change to how much work the solvers
+/// spend leaves these alone, a change to what they return does not.
+#[test]
+fn solver_answers_are_pinned() {
+    #[rustfmt::skip]
+    let rows: [(Coefficients, [u64; 4]); 24] = [
+        ((-3, -3, -2, 1, 3, 1), [0x2e7a8dce4a580735, 0x841a0f9bb964ed6b, 0xc96070fb810479da, 0x841a0f9bb964ed6b]),
+        ((3, 3, 2, 4, 39, 19), [0x152da39d91bb7a52, 0x223d58839bf2569e, 0x4af969f7ff145f9c, 0x223d58839bf2569e]),
+        ((0, 0, 0, 1, 20, 1), [0x1bbd84ddc5bed653, 0xbb5911a4066d6939, 0x42e2139e7933cf6c, 0xfa5d3fd68c5ba06c]),
+        ((1, -1, 0, 2, 10, 4), [0x8c9260a3e4804a47, 0x92d187d045b05494, 0x4e9cd291cea1b605, 0x92d187d045b05494]),
+        ((-1, 2, 1, 3, 25, 8), [0xdba7f060b132a17a, 0xccb62b6bff347145, 0xa5dc2a0643d9bc30, 0xccb62b6bff347145]),
+        ((2, -2, -1, 4, 5, 16), [0x8aeb0ca9937cef61, 0x5b86184a8aa78d0f, 0xc0b6d30400d5d4ab, 0x5b86184a8aa78d0f]),
+        ((3, 0, -2, 1, 39, 12), [0xa5eb15963c52f9ce, 0x9e9a42488a9201a1, 0xf4343317a33cec00, 0x9e9a42488a9201a1]),
+        ((-2, 3, 2, 2, 15, 2), [0x56dc3cb6cb1d187f, 0x1195db57037d8c10, 0x0215af5352d4e914, 0x1195db57037d8c10]),
+        ((0, -3, 1, 4, 30, 17), [0x3ac3b455414ea434, 0xe6a593569501691a, 0x23f2b503dee5090b, 0xc99d69d89368b8a0]),
+        ((1, 1, -1, 1, 8, 6), [0xc0b0652b0518565e, 0xba713dfea3e84c11, 0x6be9d7c78cd026f3, 0xba713dfea3e84c11]),
+        ((-3, 2, 0, 3, 12, 10), [0xf79d113fc262a52f, 0x4d37020edb0d8f8e, 0xef73498819dcf637, 0x4d37020edb0d8f8e]),
+        ((2, 1, 2, 2, 33, 3), [0x4f292fac7114b057, 0x5f9a7ac1b516b1d3, 0x4f292fac7114b057, 0x0bafbcb6e4c2b426]),
+        ((-1, -2, -2, 4, 18, 14), [0x31231822435993f8, 0x2204176037a5ef41, 0x8e136d3d6427725b, 0x2204176037a5ef41]),
+        ((3, -3, 1, 3, 4, 1), [0x35a57324ca0fa399, 0xff00b86065f20784, 0x9abf8ff7936330f4, 0xff00b86065f20784]),
+        ((0, 2, -1, 2, 27, 9), [0x6363a51886a335ac, 0xe7f0521cacb5c5ae, 0x256e170670c4a16a, 0xe7f0521cacb5c5ae]),
+        ((-2, 0, 2, 1, 36, 5), [0x1e6ea286bdc00375, 0xf6aa9fceb527d92b, 0xb95485b3f46c761a, 0xf6aa9fceb527d92b]),
+        ((1, 3, 0, 4, 22, 18), [0x5870a0a6d4282538, 0x152eda1d00e529ca, 0x419fa15571be8a0f, 0x2895c6d62913326a]),
+        ((-3, -1, -1, 2, 9, 7), [0x87e909f4013e388f, 0xaf8561dd0682ea2e, 0x87e909f4013e388f, 0xaf8561dd0682ea2e]),
+        ((2, 2, 1, 1, 14, 11), [0xe05acd9d61105f6a, 0x64864f5fe22df127, 0x646fb179355336e6, 0x64864f5fe22df127]),
+        ((-1, 0, 2, 3, 6, 13), [0x9afea5eaa4f07b54, 0x92356a3ba7479b2b, 0xd0ca6c451249609e, 0x92356a3ba7479b2b]),
+        ((3, 1, -2, 4, 24, 15), [0x62a833e7ca344d4d, 0x8acd61e177c175dc, 0x05b7decca9666eea, 0x8acd61e177c175dc]),
+        ((0, -1, 0, 3, 38, 2), [0x3170cecfa0c7ac45, 0x28d4ceedfcd4409e, 0xd48079b47ff9cde2, 0x28d4ceedfcd4409e]),
+        ((-2, -3, 1, 1, 29, 19), [0x8a2cb3743a09b5a6, 0x6657b681d3c98284, 0x3be395f2d31fc374, 0x8262462145c78f26]),
+        ((1, 0, -1, 2, 16, 4), [0x4660eb44bd45d62e, 0xd227cdafe83ea41c, 0xab7b081786996389, 0xd227cdafe83ea41c]),
+    ];
+    let drifted = drifted_rows(&rows, answer_hash);
+    assert!(
+        drifted.is_empty(),
+        "whole-solve answers drifted:\n{}",
         drifted.join("\n")
     );
 }
